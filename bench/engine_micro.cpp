@@ -132,9 +132,9 @@ void BM_FairWindowEngine_Sawtooth(benchmark::State& state) {
 }
 BENCHMARK(BM_FairWindowEngine_Sawtooth)->Arg(1000)->Arg(100000);
 
-// Exact vs batched on the same workload: the batched engine's win is the
+// Exact vs batched mode on the same workload: batched mode's win is the
 // sparse-window regime of monotone back-off, where almost every slot is
-// silent and the exact engine still pays one binomial draw for it.
+// silent and exact mode still pays one binomial draw for it.
 void BM_FairWindowEngine_ExpBackoff(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
   std::uint64_t seed = 0;
@@ -152,12 +152,14 @@ BENCHMARK(BM_FairWindowEngine_ExpBackoff)->Arg(10000)->Arg(100000);
 
 void BM_FairWindowEngineBatched_ExpBackoff(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
+  ucr::EngineOptions options;
+  options.batched = true;
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
   for (auto _ : state) {
     ucr::ExponentialBackoff schedule;
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(8, seed++);
-    const auto run = ucr::run_fair_window_engine_batched(schedule, k, rng, {});
+    const auto run = ucr::run_fair_window_engine(schedule, k, rng, options);
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }
@@ -170,12 +172,14 @@ BENCHMARK(BM_FairWindowEngineBatched_ExpBackoff)
 
 void BM_FairSlotEngineBatched_Genie(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
+  ucr::EngineOptions options;
+  options.batched = true;
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
   for (auto _ : state) {
     ucr::KnownKGenie genie(k);
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(9, seed++);
-    const auto run = ucr::run_fair_slot_engine_batched(genie, k, rng, {});
+    const auto run = ucr::run_fair_slot_engine(genie, k, rng, options);
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }
@@ -185,7 +189,7 @@ BENCHMARK(BM_FairSlotEngineBatched_Genie)->Arg(100000)->Arg(1000000);
 
 // The dense dynamic-cell trajectory (tools/bench_report.py tracks this):
 // sustained Poisson arrivals at lambda = 0.01 on a window protocol, where
-// the batched node engine's skip runs on the pre-drawn in-window slot
+// the node engine's batched-mode skip runs on the pre-drawn in-window slot
 // certificates (protocols/window_node.hpp) — before the pre-draw, a
 // not-yet-transmitted station capped every stretch at one slot and this
 // workload degenerated to per-slot cost. Items processed = slots covered,
@@ -199,11 +203,13 @@ void BM_NodeBatched_DensePoisson(benchmark::State& state) {
     return std::make_unique<ucr::WindowNodeProtocol>(
         std::make_unique<ucr::ExpBackonBackoff>(), rng);
   };
+  ucr::EngineOptions options;
+  options.batched = true;
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
   for (auto _ : state) {
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(13, seed++);
-    const auto run = ucr::run_node_engine_batched(factory, arrivals, rng, {});
+    const auto run = ucr::run_node_engine(factory, arrivals, rng, options);
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }

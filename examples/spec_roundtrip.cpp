@@ -28,6 +28,9 @@ int main(int argc, char** argv) {
       .with_arrival(ucr::exp::ArrivalSpec::poisson(0.2));
   file.spec.runs = args.get_u64("runs", 3);
   file.spec.seed = 7;
+  // One-Fail Adaptive livelocks under sustained Poisson arrivals
+  // (EXPERIMENTS.md); the cap bounds those runs and round-trips too.
+  file.spec.engine_options.max_slots = 200000;
   file.format = ucr::exp::OutputFormat::kJsonl;
 
   // The canonical text IS the experiment: versionable, diffable, and it

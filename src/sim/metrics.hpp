@@ -35,8 +35,8 @@ struct RunMetrics {
   /// Largest per-station transmission count of the run — the energy_max
   /// statistic (docs/SCENARIOS.md). Exact for the per-station engines
   /// (node): every station's attempts are counted, delivered and
-  /// still-active stations alike. The batched node engine counts only
-  /// materialized slots (a lower bound wherever a stretch is skipped);
+  /// still-active stations alike. The node engine's batched mode counts
+  /// only materialized slots (a lower bound wherever a stretch is skipped);
   /// the fair aggregate engines do not track stations and leave 0.
   std::uint64_t max_station_transmissions = 0;
 
@@ -69,33 +69,34 @@ struct EngineOptions {
   bool record_deliveries = false;
   /// Record per-message latencies (per-node engine only; O(k) memory).
   bool record_latencies = false;
-  /// Use the batched fast paths: for the fair engines
-  /// (sim/fair_engine.hpp) O(successes + probability changes) instead of
-  /// O(slots) for slot-probability protocols and O(active stations)
-  /// instead of O(window slots) per window for window protocols; for the
-  /// per-node engine (sim/node_engine.hpp) bulk-sampled stationary
-  /// stretches — empty-channel gaps and constant-probability runs
-  /// certified by NodeProtocol::stationary_slots() — instead of per-slot
-  /// resolution. Same law of outcomes as the exact engines but a
-  /// different RNG consumption pattern wherever a stretch is actually
-  /// skipped, so individual runs differ; validated statistically
-  /// (tests/integration). Incompatible with `observer` (the skipped slots
-  /// are never materialized).
+  /// Selects every engine's batched mode: one loop step resolves a whole
+  /// certified stretch of slots instead of exactly one. For the fair
+  /// engines (sim/fair_engine.hpp) that is O(successes + probability
+  /// changes) instead of O(slots) for slot-probability protocols and
+  /// O(active stations) instead of O(window slots) per window for window
+  /// protocols; for the per-node engine (sim/node_engine.hpp) bulk-sampled
+  /// stationary stretches — empty-channel gaps and constant-probability
+  /// runs certified by NodeProtocol::stationary_slots(). Same law of
+  /// outcomes as exact mode but a different RNG consumption pattern
+  /// wherever a stretch is actually skipped, so individual runs differ;
+  /// validated statistically (tests/integration). Incompatible with
+  /// `observer` (the skipped slots are never materialized) and with
+  /// non-clean `channel` models.
   bool batched = false;
   /// Channel-model extension: stations can distinguish collision from
   /// silence (Feedback::heard_collision). The paper's model — and every
   /// protocol it evaluates — uses false; the CD baselines (stack/tree
   /// algorithms) require true.
   bool collision_detection = false;
-  /// Per-slot channel behaviour (channel/model.hpp). Only the exact node
-  /// engine implements the non-clean models; the fair engines and the
-  /// batched fast paths require is_clean() and throw otherwise — the exp
+  /// Per-slot channel behaviour (channel/model.hpp). Only the node
+  /// engine's exact mode implements the non-clean models; the fair engines
+  /// and batched mode require is_clean() and throw otherwise — the exp
   /// pipeline routes non-clean grids onto the exact node engine at
   /// compile() (exp/plan.cpp), where this field is derived from the
   /// spec's channel axis, not read from the spec's engine_options.
   ChannelModel channel;
-  /// Optional per-slot hook (exact engines only — the batched fast paths
-  /// never materialize skipped slots and throw if one is attached); not
+  /// Optional per-slot hook (exact mode only — batched mode never
+  /// materializes skipped slots and throws if one is attached); not
   /// owned, may be null. See sim/observer.hpp.
   SlotObserver* observer = nullptr;
 

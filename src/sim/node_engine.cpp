@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "channel/channel.hpp"
 #include "common/check.hpp"
 #include "common/mathx.hpp"
 #include "common/samplers.hpp"
@@ -18,7 +17,7 @@ namespace ucr {
 // one contiguous array. The passes visit stations in index order — the
 // same order as the historical struct-of-vectors loops, and the protocol
 // automata consume no randomness in transmit_probability() — so the RNG
-// stream is consumed identically and both engines are bit-identical to the
+// stream is consumed identically and both modes are bit-identical to the
 // pre-SoA layout (pinned by tests/integration/golden_test.cpp and the
 // spec-catalogue outputs).
 
@@ -30,137 +29,17 @@ RunMetrics run_node_engine(const NodeFactory& factory,
               "arrival pattern must be sorted");
   const std::uint64_t k = arrivals.size();
   UCR_REQUIRE(k > 0, "workload must contain at least one message");
-
   options.channel.validate();
-  RunMetrics metrics;
-  metrics.k = k;
-  const std::uint64_t cap = options.resolved_cap(k);
-
-  Channel channel;
-  StationSoA active;
-  active.reserve(std::min<std::uint64_t>(k, 1u << 20));
-  std::size_t next_arrival = 0;
-
-  std::uint64_t last_delivery_slot = 0;
-  while (metrics.deliveries < k && channel.now() < cap) {
-    const std::uint64_t now = channel.now();
-
-    // Activate stations whose message arrives at this slot.
-    while (next_arrival < arrivals.size() && arrivals[next_arrival] <= now) {
-      active.activate(factory, rng, arrivals[next_arrival]);
-      ++next_arrival;
-    }
-
-    // Pass 1: probabilities into the contiguous probs() array.
-    // Pass 2: one Bernoulli coin per station, in the same index order.
-    const double probability_sum = active.gather_probabilities();
-    const std::uint64_t transmitters = active.draw_transmissions(rng);
-
-    // The channel model classifies the slot (clean draws no coins; jam
-    // and capture coins come from the engine's stream, after the
-    // per-station Bernoulli draws of this slot).
-    const SlotOutcome outcome = options.channel.resolve(now, transmitters, rng);
-    channel.record(outcome, transmitters);
-
-    if (options.observer != nullptr) {
-      // SlotView::probability is the mean per-station probability (0 with
-      // no active stations) — the heterogeneous-state generalization of
-      // the fair engines' common per-station probability.
-      const double mean_probability =
-          active.empty()
-              ? 0.0
-              : probability_sum / static_cast<double>(active.size());
-      options.observer->on_slot(
-          SlotView{now, active.size(), mean_probability, outcome});
-    }
-
-    // Who delivered? On the clean channel a success slot has exactly one
-    // transmitter. Under capture the slot can have several: the winner is
-    // uniform among them (i.i.d. fading ranks), drawn only then — the
-    // clean path consumes no extra randomness.
-    std::size_t delivered_index = active.size();
-    if (outcome == SlotOutcome::kSuccess) {
-      UCR_CHECK(transmitters >= 1, "success slot without any transmitter");
-      delivered_index = active.nth_transmitter(
-          transmitters == 1 ? 0 : rng.next_below(transmitters));
-    }
-
-    // Feedback. make_feedback covers the clean-channel observations; a
-    // captured slot adds the one case it cannot express — a transmitter
-    // that was NOT delivered during a success slot. Half-duplex radios
-    // cannot receive while transmitting, so such a station hears nothing
-    // (every flag false except its own `transmitted`), exactly like a
-    // collision without CD.
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      Feedback fb;
-      if (outcome == SlotOutcome::kSuccess && active.transmitted(i) &&
-          i != delivered_index) {
-        fb.transmitted = true;
-      } else {
-        fb = make_feedback(outcome, active.transmitted(i),
-                           options.collision_detection);
-      }
-      active.protocol(i).on_slot_end(fb);
-    }
-    if (outcome == SlotOutcome::kSuccess) {
-      UCR_CHECK(delivered_index < active.size(),
-                "success slot without an identified transmitter");
-      ++metrics.deliveries;
-      last_delivery_slot = now;
-      if (options.record_deliveries) {
-        metrics.delivery_slots.push_back(now);
-      }
-      if (latency != nullptr || options.record_latencies) {
-        const std::uint64_t message_latency =
-            now - active.arrival_slot(delivered_index) + 1;
-        if (latency != nullptr) latency->latencies.push_back(message_latency);
-        if (options.record_latencies) {
-          metrics.latencies.push_back(message_latency);
-        }
-      }
-      // Fold the delivered station's energy, then swap-remove it (station
-      // order is irrelevant to the model).
-      metrics.max_station_transmissions = std::max(
-          metrics.max_station_transmissions, active.sent(delivered_index));
-      active.swap_remove(delivered_index);
-    }
+  if (options.batched) {
+    UCR_REQUIRE(options.observer == nullptr,
+                "the batched engine never materializes skipped slots; "
+                "per-slot observers require the exact engine");
+    UCR_REQUIRE(options.channel.is_clean(),
+                "the batched node engine's stationary-stretch certificates "
+                "assume the clean channel; imperfect channel models "
+                "(channel/model.hpp) require the exact node engine — the exp "
+                "pipeline routes non-clean grids there automatically");
   }
-  // Incomplete runs (and stations that never drained): their energy
-  // spend counts too.
-  metrics.max_station_transmissions =
-      std::max(metrics.max_station_transmissions, active.max_sent());
-
-  metrics.completed = metrics.deliveries == k;
-  // Makespan is measured to the last delivery for completed runs (trailing
-  // empty slots cannot occur: the loop exits right after the k-th delivery).
-  metrics.slots = metrics.completed ? last_delivery_slot + 1 : cap;
-  const ChannelCounters& c = channel.counters();
-  metrics.silence_slots = c.silence;
-  metrics.success_slots = c.success;
-  metrics.collision_slots = c.collision;
-  metrics.transmissions = c.transmissions;
-  metrics.expected_transmissions = static_cast<double>(c.transmissions);
-  metrics.validate();
-  return metrics;
-}
-
-RunMetrics run_node_engine_batched(const NodeFactory& factory,
-                                   const ArrivalPattern& arrivals,
-                                   Xoshiro256& rng,
-                                   const EngineOptions& options,
-                                   LatencyMetrics* latency) {
-  UCR_REQUIRE(std::is_sorted(arrivals.begin(), arrivals.end()),
-              "arrival pattern must be sorted");
-  const std::uint64_t k = arrivals.size();
-  UCR_REQUIRE(k > 0, "workload must contain at least one message");
-  UCR_REQUIRE(options.observer == nullptr,
-              "the batched engine never materializes skipped slots; per-slot "
-              "observers require the exact engine");
-  UCR_REQUIRE(options.channel.is_clean(),
-              "the batched node engine's stationary-stretch certificates "
-              "assume the clean channel; imperfect channel models "
-              "(channel/model.hpp) require the exact node engine — the exp "
-              "pipeline routes non-clean grids there automatically");
 
   RunMetrics metrics;
   metrics.k = k;
@@ -175,7 +54,7 @@ RunMetrics run_node_engine_batched(const NodeFactory& factory,
   std::uint64_t now = 0;
   std::uint64_t last_delivery_slot = 0;
 
-  // Shared success bookkeeping of the exact-slot and stretch paths.
+  // Shared success bookkeeping of the one-slot step and the stretch path.
   const auto finish_delivery = [&](std::size_t index) {
     ++metrics.success_slots;
     ++metrics.deliveries;
@@ -191,6 +70,8 @@ RunMetrics run_node_engine_batched(const NodeFactory& factory,
         metrics.latencies.push_back(message_latency);
       }
     }
+    // Fold the delivered station's energy, then swap-remove it (station
+    // order is irrelevant to the model).
     metrics.max_station_transmissions =
         std::max(metrics.max_station_transmissions, active.sent(index));
     active.swap_remove(index);
@@ -202,10 +83,12 @@ RunMetrics run_node_engine_batched(const NodeFactory& factory,
       ++next_arrival;
     }
 
-    if (active.empty()) {
+    if (options.batched && active.empty()) {
       // No station can transmit before the next arrival: the whole gap is
-      // silence. No randomness is consumed — the exact engine draws no
-      // coins in empty slots either, so bit-identity survives the skip.
+      // silence. No randomness is consumed — exact mode draws no coins in
+      // empty clean-channel slots either, so bit-identity survives the
+      // skip. Exact mode never skips: a jammed slot draws its coin even
+      // when nobody transmits.
       const std::uint64_t until =
           next_arrival < arrivals.size()
               ? std::min(arrivals[next_arrival], cap)
@@ -215,35 +98,77 @@ RunMetrics run_node_engine_batched(const NodeFactory& factory,
       continue;
     }
 
-    // Pass 1: per-station probabilities into the contiguous probs() array,
-    // plus the joint stationarity horizon and the slot's category law.
-    const StationSoA::SlotLaw law = active.gather_slot_law();
-    UCR_CHECK(law.horizon >= 1, "stationary horizon must be >= 1");
-    std::uint64_t stretch = std::min(law.horizon, cap - now);
-    if (next_arrival < arrivals.size()) {
-      // A new station voids every stationarity certificate: truncate the
-      // stretch at the next arrival (> now after the activation loop).
-      stretch = std::min(stretch, arrivals[next_arrival] - now);
+    // Pass 1: per-station probabilities into the contiguous probs() array;
+    // batched mode also gathers the joint stationarity horizon and the
+    // slot's category law in the same scan.
+    StationSoA::SlotLaw law;
+    std::uint64_t stretch = 1;
+    if (options.batched) {
+      law = active.gather_slot_law();
+      UCR_CHECK(law.horizon >= 1, "stationary horizon must be >= 1");
+      stretch = std::min(law.horizon, cap - now);
+      if (next_arrival < arrivals.size()) {
+        // A new station voids every stationarity certificate: truncate the
+        // stretch at the next arrival (> now after the activation loop).
+        stretch = std::min(stretch, arrivals[next_arrival] - now);
+      }
+    } else {
+      law.p_sum = active.gather_probabilities();
     }
 
-    if (stretch <= 1) {
-      // No certified stretch: exact single-slot step with the same
-      // per-station draws, in the same order, as run_node_engine — the
-      // bit-identity contract for default-hint workloads.
+    if (stretch == 1) {
+      // One slot. Pass 2: one Bernoulli coin per station, in index order —
+      // the same draws in both modes, which is the bit-identity contract
+      // for default-hint workloads. The channel model then classifies the
+      // slot (clean draws no coins; jam and capture coins come from the
+      // engine's stream, after the per-station Bernoulli draws).
       const std::uint64_t transmitters = active.draw_transmissions(rng);
-      const SlotOutcome outcome = resolve_outcome(transmitters);
+      const SlotOutcome outcome =
+          options.channel.resolve(now, transmitters, rng);
       metrics.transmissions += transmitters;
       expected_tx.add(static_cast<double>(transmitters));
+
+      if (options.observer != nullptr) {
+        // SlotView::probability is the mean per-station probability (0
+        // with no active stations) — the heterogeneous-state
+        // generalization of the fair engines' common probability.
+        const double mean_probability =
+            active.empty()
+                ? 0.0
+                : law.p_sum / static_cast<double>(active.size());
+        options.observer->on_slot(
+            SlotView{now, active.size(), mean_probability, outcome});
+      }
+
+      // Who delivered? On the clean channel a success slot has exactly one
+      // transmitter. Under capture the slot can have several: the winner
+      // is uniform among them (i.i.d. fading ranks), drawn only then — the
+      // clean path consumes no extra randomness.
       std::size_t delivered_index = active.size();
+      if (outcome == SlotOutcome::kSuccess) {
+        UCR_CHECK(transmitters >= 1, "success slot without any transmitter");
+        delivered_index = active.nth_transmitter(
+            transmitters == 1 ? 0 : rng.next_below(transmitters));
+      }
+
+      // Feedback. make_feedback covers the clean-channel observations; a
+      // captured slot adds the one case it cannot express — a transmitter
+      // that was NOT delivered during a success slot. Half-duplex radios
+      // cannot receive while transmitting, so such a station hears nothing
+      // (every flag false except its own `transmitted`), exactly like a
+      // collision without CD.
       for (std::size_t i = 0; i < active.size(); ++i) {
-        const Feedback fb = make_feedback(outcome, active.transmitted(i),
-                                          options.collision_detection);
+        Feedback fb;
+        if (outcome == SlotOutcome::kSuccess && active.transmitted(i) &&
+            i != delivered_index) {
+          fb.transmitted = true;
+        } else {
+          fb = make_feedback(outcome, active.transmitted(i),
+                             options.collision_detection);
+        }
         active.protocol(i).on_slot_end(fb);
-        if (fb.delivered_mine) delivered_index = i;
       }
       if (outcome == SlotOutcome::kSuccess) {
-        UCR_CHECK(delivered_index < active.size(),
-                  "success slot without an identified transmitter");
         finish_delivery(delivered_index);
       } else if (outcome == SlotOutcome::kSilence) {
         ++metrics.silence_slots;
@@ -263,8 +188,8 @@ RunMetrics run_node_engine_batched(const NodeFactory& factory,
     // window adapter's certified run-ups and tails) flows through the same
     // code draw-free: the truncated geometric at s == 0 returns the full
     // stretch and the binomial at conditional == 1 returns it back without
-    // touching the engine stream, preserving bit-identity with the exact
-    // engine across the skip.
+    // touching the engine stream, preserving bit-identity with exact mode
+    // across the skip.
     const std::uint64_t failures =
         sample_geometric_failures(rng, law.s, stretch);
     const bool delivered = failures < stretch;
@@ -280,7 +205,7 @@ RunMetrics run_node_engine_batched(const NodeFactory& factory,
     // Wald's identity p_sum * E[stretch length] equals the expected
     // realized transmission count; adding the realized 1 of the success
     // slot instead would bias the estimator by 1 - p_sum per delivery
-    // (the batched fair engine uses the same convention).
+    // (the fair slot engine's batched mode uses the same convention).
     expected_tx.add(law.p_sum *
                     static_cast<double>(failures + (delivered ? 1 : 0)));
     now += failures;
@@ -332,10 +257,14 @@ RunMetrics run_node_engine_batched(const NodeFactory& factory,
     finish_delivery(chosen);
     ++now;
   }
+  // Incomplete runs (and stations that never drained): their energy
+  // spend counts too.
   metrics.max_station_transmissions =
       std::max(metrics.max_station_transmissions, active.max_sent());
 
   metrics.completed = metrics.deliveries == k;
+  // Makespan is measured to the last delivery for completed runs (trailing
+  // empty slots cannot occur: the loop exits right after the k-th delivery).
   metrics.slots = metrics.completed ? last_delivery_slot + 1 : cap;
   metrics.expected_transmissions = expected_tx.value();
   metrics.validate();

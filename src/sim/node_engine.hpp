@@ -1,15 +1,16 @@
-// Per-node simulation engines: every station is simulated individually.
+// Per-node simulation engine: every station is simulated individually.
 //
-// run_node_engine is the ground-truth engine — it makes no fairness
+// Exact mode is the ground-truth engine — it makes no fairness
 // assumption, so it supports dynamic arrivals (stations in genuinely
-// different states) and is used by the test suite to validate the aggregate
-// engine statistically. Cost is O(active stations) per slot; use FairEngine
-// for batched arrivals at k >> 10^4.
+// different states), every channel model and per-slot observers, and is
+// used by the test suite to validate the aggregate engine statistically.
+// Cost is O(active stations) per slot; use FairEngine for batched arrivals
+// at k >> 10^4.
 //
-// run_node_engine_batched is its fast path for the silent stretches dynamic
-// workloads are made of (EngineOptions::batched with node cells): whenever
-// the active-station set is stationary — empty until the next arrival, or
-// every station advertising a constant transmission probability through
+// Batched mode (EngineOptions::batched) is its fast path for the silent
+// stretches dynamic workloads are made of: whenever the active-station set
+// is stationary — empty until the next arrival, or every station
+// advertising a constant transmission probability through
 // NodeProtocol::stationary_slots() — the slots are i.i.d. categorical, so
 // the engine samples the geometric length of the non-success run plus one
 // binomial silence/collision split in bulk and materializes only the
@@ -43,48 +44,43 @@ struct LatencyMetrics {
 ///
 /// `arrivals` must be sorted non-decreasing. Every station gets a protocol
 /// instance from `factory` the moment it is activated. Returns metrics with
-/// `k = arrivals.size()`. An EngineOptions::observer is invoked once per
-/// resolved slot; SlotView::probability reports the mean per-station
-/// transmission probability of the slot (0 when no station is active),
-/// the per-node generalization of the fair engines' common probability.
-RunMetrics run_node_engine(const NodeFactory& factory,
-                           const ArrivalPattern& arrivals, Xoshiro256& rng,
-                           const EngineOptions& options,
-                           LatencyMetrics* latency = nullptr);
-
-/// Batched fast path of the per-node engine (see the file comment).
+/// `k = arrivals.size()`. An EngineOptions::observer (exact mode only) is
+/// invoked once per resolved slot; SlotView::probability reports the mean
+/// per-station transmission probability of the slot (0 when no station is
+/// active), the per-node generalization of the fair engines' common
+/// probability.
 ///
-/// Same law of outcomes as run_node_engine — no approximation: within a
-/// stationary stretch the slots are i.i.d. categorical over {silence,
-/// success-by-station-i, collision}, so drawing the truncated geometric
-/// non-success run length, one binomial silence/collision split, and the
-/// delivering station from its conditional distribution reproduces the
-/// exact joint law. Stretches where any active station declines to certify
-/// stationarity (NodeProtocol::stationary_slots() == 1) are resolved with
-/// the exact engine's per-station draws in the same order, and skipping an
+/// Batched mode (see the file comment) has the same law of outcomes — no
+/// approximation: within a stationary stretch the slots are i.i.d.
+/// categorical over {silence, success-by-station-i, collision}, so drawing
+/// the truncated geometric non-success run length, one binomial
+/// silence/collision split, and the delivering station from its
+/// conditional distribution reproduces the exact joint law. Stretches
+/// where any active station declines to certify stationarity
+/// (NodeProtocol::stationary_slots() == 1) take exact mode's one-slot step
+/// with the same per-station draws in the same order, and skipping an
 /// empty-channel stretch consumes no randomness at all — so a workload
-/// whose stations all keep the default hint of 1 is bit-identical to
-/// run_node_engine from the same seed. Stretches certified by hints > 1
+/// whose stations all keep the default hint of 1 is bit-identical across
+/// the two modes from the same seed. Stretches certified by hints > 1
 /// generally consume randomness differently and are pinned statistically
 /// (tests/integration/node_batched_test.cpp) — except when every
 /// probability in the stretch is an exact 0 or 1, as with the pre-drawn
 /// window adapter (protocols/window_node.hpp): Bernoulli, geometric and
 /// binomial draws are all draw-free at degenerate p, so window-protocol
-/// cells are bit-identical between the two engines even while skipping
-/// (pinned byte-for-byte by the dynamic-arrivals golden test).
+/// cells are bit-identical between the two modes even while skipping
+/// (pinned byte-for-byte by the dynamic-arrivals golden test). Batched
+/// mode requires the clean channel and no observer, and throws
+/// ContractViolation otherwise.
 ///
-/// Accounting: RunMetrics::transmissions counts materialized slots only;
-/// expected_transmissions carries realized counts for materialized slots
-/// plus the unconditional expectation sum_i p_i per slot of every bulk
-/// stretch, its success slot included — unbiased by Wald's identity, so
-/// its mean matches the exact engine's realized mean, and for a run with
-/// no skipped stretches the two are equal. Incompatible with
-/// EngineOptions::observer — skipped slots are never materialized; the
-/// engine throws ContractViolation if one is attached.
-RunMetrics run_node_engine_batched(const NodeFactory& factory,
-                                   const ArrivalPattern& arrivals,
-                                   Xoshiro256& rng,
-                                   const EngineOptions& options,
-                                   LatencyMetrics* latency = nullptr);
+/// Accounting: RunMetrics::transmissions counts materialized slots only
+/// (every slot in exact mode); expected_transmissions carries realized
+/// counts for materialized slots plus the unconditional expectation
+/// sum_i p_i per slot of every bulk stretch, its success slot included —
+/// unbiased by Wald's identity, so its mean matches exact mode's realized
+/// mean, and for a run with no skipped stretches the two are equal.
+RunMetrics run_node_engine(const NodeFactory& factory,
+                           const ArrivalPattern& arrivals, Xoshiro256& rng,
+                           const EngineOptions& options,
+                           LatencyMetrics* latency = nullptr);
 
 }  // namespace ucr

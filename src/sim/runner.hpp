@@ -56,9 +56,9 @@ struct AggregateResult {
   /// per-station budget view of the same sweeps.
   double energy_mean = 0.0;
   /// Max over runs of the run's largest per-station transmission count
-  /// (RunMetrics::max_station_transmissions). Exact on the exact node
-  /// engine; a materialized-slots lower bound on the batched node engine;
-  /// 0 on the fair engines, which do not track stations.
+  /// (RunMetrics::max_station_transmissions). Exact in the node engine's
+  /// exact mode; a materialized-slots lower bound in its batched mode; 0
+  /// on the fair engines, which do not track stations.
   double energy_max = 0.0;
   std::vector<RunMetrics> details;    ///< one entry per run
 };
@@ -73,9 +73,9 @@ RunMetrics run_single_fair(const ProtocolFactory& factory, std::uint64_t k,
                            const EngineOptions& options);
 
 /// One execution through the per-node engine, seeded as
-/// stream(seed, run_index). EngineOptions::batched selects the batched
-/// node engine (bulk-skipped stationary stretches; same law, different
-/// RNG path wherever a stretch is skipped).
+/// stream(seed, run_index). EngineOptions::batched selects its batched
+/// mode (bulk-skipped stationary stretches; same law, different RNG path
+/// wherever a stretch is skipped).
 RunMetrics run_single_node(const ProtocolFactory& factory,
                            const ArrivalPattern& arrivals,
                            std::uint64_t run_index, std::uint64_t seed,

@@ -1,7 +1,7 @@
-// Golden byte-identity of the shipped dynamic-arrivals sweep, node vs
-// node_batched — the end-to-end pin on RNG consumption order.
+// Golden byte-identity of shipped sweeps — the end-to-end pin on RNG
+// consumption order.
 //
-// Two layers:
+// Three layers:
 //
 //  1. Cross-engine: specs/dynamic-arrivals.spec (shrunk to test scale via
 //     the same flag-wins overrides CI uses) is run once with engine=node
@@ -22,6 +22,11 @@
 //     even when it is law-preserving. Intentional changes re-record with
 //     UCR_REGOLD=1 in the environment; the diff then documents the drift
 //     in review.
+//
+//  3. Shipped-spec goldens: specs/table1.spec at test scale in each fair
+//     engine mode, and specs/capture-jamming.spec as shipped (the exact
+//     node engine under every channel model), pinned byte for byte with
+//     their spec_hash, under the same UCR_REGOLD switch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -194,6 +199,51 @@ TEST(SpecGolden, DynamicArrivalsOutputMatchesGoldenFiles) {
                         "dynamic-arrivals.node_batched.csv.golden");
   expect_matches_golden(batched.jsonl,
                         "dynamic-arrivals.node_batched.jsonl.golden");
+}
+
+/// Full output bytes of a shipped spec, spec_hash included, run on one
+/// thread into the sink its `format` key names.
+std::string run_spec_file(const exp::SpecFile& file) {
+  const exp::ExperimentPlan plan = exp::compile(file.spec, full_catalogue());
+  std::ostringstream text;
+  exp::CsvStreamSink csv(text);
+  exp::JsonlSink jsonl(text);
+  exp::ResultSink* sink = &csv;
+  if (file.format == exp::OutputFormat::kJsonl) sink = &jsonl;
+  exp::run(plan, {sink}, {1});
+  return text.str();
+}
+
+exp::SpecFile load_shrunk_table1() {
+  exp::SpecFile file =
+      exp::load_spec_file(std::string(UCR_REPO_ROOT) + "/specs/table1.spec");
+  file.spec.k_max = 10000;
+  file.spec.runs = 3;
+  return file;
+}
+
+// Table 1 at test scale on the batched fair engines: tens of thousands of
+// constant-probability stretches, and windows on every path of the
+// batched window engine (per-slot chain, dense, bitmap, sorted walk).
+TEST(SpecGolden, Table1BatchedOutputMatchesGoldenFile) {
+  expect_matches_golden(run_spec_file(load_shrunk_table1()),
+                        "table1.batched.csv.golden");
+}
+
+// The same grid on the exact fair engines, whole rows pinned.
+TEST(SpecGolden, Table1ExactOutputMatchesGoldenFile) {
+  exp::SpecFile file = load_shrunk_table1();
+  file.spec.engine = EngineMode::kFair;
+  expect_matches_golden(run_spec_file(file), "table1.fair.csv.golden");
+}
+
+// The exact node engine under capture, jamming and burst jamming, as
+// shipped.
+TEST(SpecGolden, CaptureJammingOutputMatchesGoldenFile) {
+  expect_matches_golden(
+      run_spec_file(exp::load_spec_file(std::string(UCR_REPO_ROOT) +
+                                        "/specs/capture-jamming.spec")),
+      "capture-jamming.jsonl.golden");
 }
 
 }  // namespace

@@ -11,9 +11,15 @@
 namespace ucr {
 namespace {
 
+// `options` with EngineOptions::batched set.
+EngineOptions batched_mode(EngineOptions options = {}) {
+  options.batched = true;
+  return options;
+}
+
 // Fixed shared probability (the simplest fair protocol). Keeps the
-// default batching hint of 1: the batched engine must fall back to the
-// exact per-slot path for it.
+// default batching hint of 1: batched mode must fall back to the exact
+// per-slot step for it.
 class FixedFair : public FairSlotProtocol {
  public:
   explicit FixedFair(double p) : p_(p) {}
@@ -24,8 +30,7 @@ class FixedFair : public FairSlotProtocol {
   double p_;
 };
 
-// Same protocol, advertising its constant probability to the batched
-// engine.
+// Same protocol, advertising its constant probability to batched mode.
 class ConstantFair final : public FixedFair {
  public:
   using FixedFair::FixedFair;
@@ -223,12 +228,12 @@ TEST(FairWindowEngine, ObserverSeesBulkSilenceUpToCap) {
   EXPECT_EQ(observer.silences, m.silence_slots);
 }
 
-// ------------------------------------------------- batched slot engine
+// ------------------------------------------- slot engine, batched mode
 
 TEST(BatchedSlotEngine, SingleStationFullProbability) {
   ConstantFair protocol(1.0);
   Xoshiro256 rng(40);
-  const RunMetrics m = run_fair_slot_engine_batched(protocol, 1, rng, {});
+  const RunMetrics m = run_fair_slot_engine(protocol, 1, rng, batched_mode());
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.slots, 1u);
   EXPECT_DOUBLE_EQ(m.expected_transmissions, 1.0);
@@ -242,7 +247,8 @@ TEST(BatchedSlotEngine, TwoStationsFullProbabilityDeadlocks) {
   Xoshiro256 rng(41);
   EngineOptions opts;
   opts.max_slots = 100;
-  const RunMetrics m = run_fair_slot_engine_batched(protocol, 2, rng, opts);
+  const RunMetrics m =
+      run_fair_slot_engine(protocol, 2, rng, batched_mode(opts));
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.collision_slots, 100u);
   EXPECT_EQ(m.silence_slots, 0u);
@@ -253,7 +259,8 @@ TEST(BatchedSlotEngine, ZeroProbabilityIsAllSilence) {
   Xoshiro256 rng(42);
   EngineOptions opts;
   opts.max_slots = 1000;
-  const RunMetrics m = run_fair_slot_engine_batched(protocol, 5, rng, opts);
+  const RunMetrics m =
+      run_fair_slot_engine(protocol, 5, rng, batched_mode(opts));
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.silence_slots, 1000u);
   EXPECT_DOUBLE_EQ(m.expected_transmissions, 0.0);
@@ -264,7 +271,8 @@ TEST(BatchedSlotEngine, SolvesAndRecordsDeliveries) {
   Xoshiro256 rng(43);
   EngineOptions opts;
   opts.record_deliveries = true;
-  const RunMetrics m = run_fair_slot_engine_batched(protocol, 20, rng, opts);
+  const RunMetrics m =
+      run_fair_slot_engine(protocol, 20, rng, batched_mode(opts));
   ASSERT_TRUE(m.completed);
   EXPECT_EQ(m.deliveries, 20u);
   ASSERT_EQ(m.delivery_slots.size(), 20u);
@@ -281,7 +289,7 @@ TEST(BatchedSlotEngine, BitIdenticalToExactForHintOneProtocols) {
     Xoshiro256 rng_b = Xoshiro256::stream(910, seed);
     const RunMetrics a = run_fair_slot_engine(exact_protocol, 15, rng_a, {});
     const RunMetrics b =
-        run_fair_slot_engine_batched(batched_protocol, 15, rng_b, {});
+        run_fair_slot_engine(batched_protocol, 15, rng_b, batched_mode());
     EXPECT_EQ(a.slots, b.slots);
     EXPECT_EQ(a.silence_slots, b.silence_slots);
     EXPECT_EQ(a.collision_slots, b.collision_slots);
@@ -304,7 +312,8 @@ TEST(BatchedSlotEngine, MeanMakespanMatchesExactEngine) {
     exact_stats.add(static_cast<double>(
         run_fair_slot_engine(exact_protocol, 12, rng_a, {}).slots));
     batched_stats.add(static_cast<double>(
-        run_fair_slot_engine_batched(batched_protocol, 12, rng_b, {}).slots));
+        run_fair_slot_engine(batched_protocol, 12, rng_b, batched_mode())
+            .slots));
   }
   const double se = std::sqrt(exact_stats.variance() / runs +
                               batched_stats.variance() / runs);
@@ -318,23 +327,23 @@ TEST(BatchedSlotEngine, RejectsObserver) {
   CountingObserver observer;
   EngineOptions opts;
   opts.observer = &observer;
-  EXPECT_THROW(run_fair_slot_engine_batched(protocol, 2, rng, opts),
+  EXPECT_THROW(run_fair_slot_engine(protocol, 2, rng, batched_mode(opts)),
                ContractViolation);
 }
 
 TEST(BatchedSlotEngine, RejectsZeroK) {
   ConstantFair protocol(0.5);
   Xoshiro256 rng(45);
-  EXPECT_THROW(run_fair_slot_engine_batched(protocol, 0, rng, {}),
+  EXPECT_THROW(run_fair_slot_engine(protocol, 0, rng, batched_mode()),
                ContractViolation);
 }
 
-// ----------------------------------------------- batched window engine
+// ----------------------------------------- window engine, batched mode
 
 TEST(BatchedWindowEngine, WindowOfOneWithOneStation) {
   FixedWindow schedule(1);
   Xoshiro256 rng(50);
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 1, rng, {});
+  const RunMetrics m = run_fair_window_engine(schedule, 1, rng, batched_mode());
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.slots, 1u);
   EXPECT_EQ(m.transmissions, 1u);
@@ -345,7 +354,8 @@ TEST(BatchedWindowEngine, WindowOfOneWithManyDeadlocks) {
   Xoshiro256 rng(51);
   EngineOptions opts;
   opts.max_slots = 50;
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 3, rng, opts);
+  const RunMetrics m =
+      run_fair_window_engine(schedule, 3, rng, batched_mode(opts));
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.collision_slots, 50u);
   EXPECT_EQ(m.transmissions, 150u);  // 3 per slot
@@ -354,7 +364,7 @@ TEST(BatchedWindowEngine, WindowOfOneWithManyDeadlocks) {
 TEST(BatchedWindowEngine, LargeWindowSolvesQuickly) {
   FixedWindow schedule(64);
   Xoshiro256 rng(52);
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 8, rng, {});
+  const RunMetrics m = run_fair_window_engine(schedule, 8, rng, batched_mode());
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.deliveries, 8u);
 }
@@ -364,7 +374,8 @@ TEST(BatchedWindowEngine, EveryStationTransmitsOncePerFullWindow) {
   Xoshiro256 rng(53);
   EngineOptions opts;
   opts.max_slots = 16;  // exactly one window
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 5, rng, opts);
+  const RunMetrics m =
+      run_fair_window_engine(schedule, 5, rng, batched_mode(opts));
   EXPECT_EQ(m.transmissions, 5u);
 }
 
@@ -379,7 +390,7 @@ TEST(BatchedWindowEngine, MeanDeliveriesMatchSingletonExpectation) {
     EngineOptions opts;
     opts.max_slots = m0;  // exactly one window
     const RunMetrics m =
-        run_fair_window_engine_batched(schedule, m0, rng, opts);
+        run_fair_window_engine(schedule, m0, rng, batched_mode(opts));
     singles.add(static_cast<double>(m.deliveries));
   }
   const double expected =
@@ -393,7 +404,8 @@ TEST(BatchedWindowEngine, CapInsideWindowRespected) {
   Xoshiro256 rng(55);
   EngineOptions opts;
   opts.max_slots = 10;
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 500, rng, opts);
+  const RunMetrics m =
+      run_fair_window_engine(schedule, 500, rng, batched_mode(opts));
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.slots, 10u);
 }
@@ -408,15 +420,15 @@ TEST(BatchedWindowEngine, BitmapAndSortedPathsAgreeDrawForDraw) {
     FixedWindow plain_schedule(4480);
     Xoshiro256 plain_rng = Xoshiro256::stream(930, seed);
     const RunMetrics plain =
-        run_fair_window_engine_batched(plain_schedule, 70, plain_rng, {});
+        run_fair_window_engine(plain_schedule, 70, plain_rng, batched_mode());
     ASSERT_TRUE(plain.completed);
 
     FixedWindow recording_schedule(4480);
     Xoshiro256 recording_rng = Xoshiro256::stream(930, seed);
     EngineOptions opts;
     opts.record_deliveries = true;
-    const RunMetrics recorded = run_fair_window_engine_batched(
-        recording_schedule, 70, recording_rng, opts);
+    const RunMetrics recorded = run_fair_window_engine(
+        recording_schedule, 70, recording_rng, batched_mode(opts));
     ASSERT_TRUE(recorded.completed);
     ASSERT_EQ(recorded.delivery_slots.size(), 70u);
     EXPECT_EQ(recorded.slots, recorded.delivery_slots.back() + 1);
@@ -441,7 +453,7 @@ TEST(BatchedWindowEngine, MeanMakespanMatchesExactEngine) {
     exact_stats.add(static_cast<double>(
         run_fair_window_engine(exact_schedule, 24, rng_a, {}).slots));
     batched_stats.add(static_cast<double>(
-        run_fair_window_engine_batched(batched_schedule, 24, rng_b, {})
+        run_fair_window_engine(batched_schedule, 24, rng_b, batched_mode())
             .slots));
   }
   const double se = std::sqrt(exact_stats.variance() / runs +
@@ -456,14 +468,14 @@ TEST(BatchedWindowEngine, RejectsObserver) {
   CountingObserver observer;
   EngineOptions opts;
   opts.observer = &observer;
-  EXPECT_THROW(run_fair_window_engine_batched(schedule, 2, rng, opts),
+  EXPECT_THROW(run_fair_window_engine(schedule, 2, rng, batched_mode(opts)),
                ContractViolation);
 }
 
 TEST(BatchedWindowEngine, RejectsZeroK) {
   FixedWindow schedule(4);
   Xoshiro256 rng(57);
-  EXPECT_THROW(run_fair_window_engine_batched(schedule, 0, rng, {}),
+  EXPECT_THROW(run_fair_window_engine(schedule, 0, rng, batched_mode()),
                ContractViolation);
 }
 

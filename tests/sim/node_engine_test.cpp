@@ -208,7 +208,13 @@ TEST(NodeEngine, ListenersHearDeliveries) {
   }
 }
 
-// Stationary protocol for the batched-engine contract tests: constant p
+// `options` with EngineOptions::batched set.
+EngineOptions batched_mode(EngineOptions options = {}) {
+  options.batched = true;
+  return options;
+}
+
+// Stationary protocol for the batched-mode contract tests: constant p
 // forever, unbounded hint, bulk advance counts the slots it was told about.
 class StationaryProb final : public NodeProtocol {
  public:
@@ -230,7 +236,7 @@ class StationaryProb final : public NodeProtocol {
   std::uint64_t* advanced_;
 };
 
-RunMetrics run_both_engines_must_match(const NodeFactory& factory,
+RunMetrics run_both_modes_must_match(const NodeFactory& factory,
                                        const ArrivalPattern& arrivals,
                                        std::uint64_t seed,
                                        const EngineOptions& options) {
@@ -239,7 +245,7 @@ RunMetrics run_both_engines_must_match(const NodeFactory& factory,
   const RunMetrics exact =
       run_node_engine(factory, arrivals, exact_rng, options);
   const RunMetrics batched =
-      run_node_engine_batched(factory, arrivals, batched_rng, options);
+      run_node_engine(factory, arrivals, batched_rng, batched_mode(options));
   EXPECT_EQ(exact.completed, batched.completed);
   EXPECT_EQ(exact.slots, batched.slots);
   EXPECT_EQ(exact.deliveries, batched.deliveries);
@@ -261,7 +267,7 @@ TEST(BatchedNodeEngine, DefaultHintWorkloadIsBitIdentical) {
   };
   ArrivalPattern arrivals{0, 0, 0, 700, 700, 5000};
   const RunMetrics m =
-      run_both_engines_must_match(factory, arrivals, 21, EngineOptions{});
+      run_both_modes_must_match(factory, arrivals, 21, EngineOptions{});
   EXPECT_TRUE(m.completed);
 }
 
@@ -276,7 +282,8 @@ TEST(BatchedNodeEngine, SkipsEmptyGapToTheCap) {
   ArrivalPattern arrivals{100, 400};
   EngineOptions opts;
   opts.max_slots = 5000;
-  const RunMetrics m = run_node_engine_batched(factory, arrivals, rng, opts);
+  const RunMetrics m =
+      run_node_engine(factory, arrivals, rng, batched_mode(opts));
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.slots, 5000u);
   EXPECT_EQ(m.silence_slots, 5000u);
@@ -299,7 +306,8 @@ TEST(BatchedNodeEngine, ArrivalsTruncateStationaryStretches) {
   ArrivalPattern arrivals{0, 100};
   EngineOptions opts;
   opts.max_slots = 300;
-  const RunMetrics m = run_node_engine_batched(factory, arrivals, rng, opts);
+  const RunMetrics m =
+      run_node_engine(factory, arrivals, rng, batched_mode(opts));
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.slots, 300u);
   EXPECT_EQ(advanced_first, 300u);
@@ -322,9 +330,8 @@ TEST(BatchedNodeEngine, PermanentCollisionStretchMatchesExactEngine) {
   Xoshiro256 batched_rng(24);
   const RunMetrics exact =
       run_node_engine(factory, batched_arrivals(2), exact_rng, opts);
-  const RunMetrics batched =
-      run_node_engine_batched(factory, batched_arrivals(2), batched_rng,
-                              opts);
+  const RunMetrics batched = run_node_engine(
+      factory, batched_arrivals(2), batched_rng, batched_mode(opts));
   EXPECT_FALSE(batched.completed);
   EXPECT_EQ(batched.collision_slots, 200u);
   EXPECT_EQ(exact.slots, batched.slots);
@@ -347,7 +354,7 @@ TEST(BatchedNodeEngine, StationaryStretchDeliversWithLatencies) {
   opts.record_latencies = true;
   LatencyMetrics latency;
   const RunMetrics m =
-      run_node_engine_batched(factory, arrivals, rng, opts, &latency);
+      run_node_engine(factory, arrivals, rng, batched_mode(opts), &latency);
   ASSERT_TRUE(m.completed);
   ASSERT_EQ(m.delivery_slots.size(), 1u);
   EXPECT_GE(m.delivery_slots[0], 7u);  // cannot deliver before arrival
@@ -377,8 +384,8 @@ TEST(BatchedNodeEngine, ExpectedTransmissionsIsUnbiasedOverStretches) {
     exact_sum += run_node_engine(factory, batched_arrivals(2), exact_rng,
                                  EngineOptions{})
                      .expected_transmissions;
-    batched_sum += run_node_engine_batched(factory, batched_arrivals(2),
-                                           batched_rng, EngineOptions{})
+    batched_sum += run_node_engine(factory, batched_arrivals(2), batched_rng,
+                                   batched_mode())
                        .expected_transmissions;
   }
   const double exact_mean = exact_sum / static_cast<double>(runs);
@@ -395,10 +402,9 @@ TEST(BatchedNodeEngine, RejectsUnsortedArrivalsAndEmptyWorkloads) {
     return std::make_unique<AlwaysTransmit>();
   };
   ArrivalPattern unsorted{5, 3, 1};
-  EXPECT_THROW(
-      run_node_engine_batched(factory, unsorted, rng, EngineOptions{}),
-      ContractViolation);
-  EXPECT_THROW(run_node_engine_batched(factory, {}, rng, EngineOptions{}),
+  EXPECT_THROW(run_node_engine(factory, unsorted, rng, batched_mode()),
+               ContractViolation);
+  EXPECT_THROW(run_node_engine(factory, {}, rng, batched_mode()),
                ContractViolation);
 }
 

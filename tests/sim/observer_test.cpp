@@ -154,9 +154,9 @@ TEST(Observer, BatchedNodeEngineRejectsObservers) {
   Xoshiro256 rng(7);
   EngineOptions opts;
   opts.observer = &series;
-  EXPECT_THROW(
-      run_node_engine_batched(factory, batched_arrivals(10), rng, opts),
-      ContractViolation);
+  opts.batched = true;
+  EXPECT_THROW(run_node_engine(factory, batched_arrivals(10), rng, opts),
+               ContractViolation);
 }
 
 TEST(Observer, WindowEngineReportsHazards) {
