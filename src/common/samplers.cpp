@@ -7,15 +7,28 @@
 
 namespace ucr {
 
+SlotLaw slot_law(std::uint64_t m, double p) {
+  UCR_REQUIRE(p >= 0.0 && p <= 1.0, "transmission probability out of range");
+  // The branches and expressions of pow_one_minus and prob_success
+  // (mathx.cpp), sharing the log1p: every value is bit-identical to theirs.
+  if (m == 0 || p == 0.0) return {1.0, 0.0};
+  if (p == 1.0) return {0.0, m == 1 ? 1.0 : 0.0};
+  const double md = static_cast<double>(m);
+  const double log_q = std::log1p(-p);
+  return {std::exp(md * log_q), md * p * std::exp((md - 1.0) * log_q)};
+}
+
+SlotCategory sample_slot_category(Xoshiro256& rng, const SlotLaw& law) {
+  const double u = rng.next_double();
+  if (u < law.silence) return SlotCategory::kSilence;
+  if (u < law.silence + law.success) return SlotCategory::kSuccess;
+  return SlotCategory::kCollision;
+}
+
 SlotCategory sample_slot_category(Xoshiro256& rng, std::uint64_t m, double p) {
   UCR_REQUIRE(p >= 0.0 && p <= 1.0, "transmission probability out of range");
   if (m == 0 || p == 0.0) return SlotCategory::kSilence;
-  const double p0 = prob_silence(m, p);
-  const double p1 = prob_success(m, p);
-  const double u = rng.next_double();
-  if (u < p0) return SlotCategory::kSilence;
-  if (u < p0 + p1) return SlotCategory::kSuccess;
-  return SlotCategory::kCollision;
+  return sample_slot_category(rng, slot_law(m, p));
 }
 
 namespace detail {

@@ -32,8 +32,28 @@ enum class SlotCategory : std::uint8_t {
   kCollision = 2
 };
 
+/// The category law of a slot where m stations transmit independently
+/// with probability p each; P[collision] = 1 - silence - success.
+struct SlotLaw {
+  double silence = 1.0;  // P[Binomial(m, p) = 0]
+  double success = 0.0;  // P[Binomial(m, p) = 1]
+};
+
+/// P[silence] and P[success] from one shared log1p(-p): each field is the
+/// double prob_silence(m, p) and prob_success(m, p) return (the same
+/// expressions, mathx.hpp), for one log1p and two exp instead of two of
+/// each. Requires 0 <= p <= 1.
+SlotLaw slot_law(std::uint64_t m, double p);
+
+/// Draws a slot category from a computed law with exactly one uniform
+/// draw: u < silence -> silence, u < silence + success -> success,
+/// otherwise collision. The fair slot engine keeps the laws it has
+/// computed and draws through this overload.
+SlotCategory sample_slot_category(Xoshiro256& rng, const SlotLaw& law);
+
 /// Draws the category of Binomial(m, p) in O(1): 0 -> silence,
-/// 1 -> success, >=2 -> collision.
+/// 1 -> success, >=2 -> collision. Same as sampling slot_law(m, p), except
+/// that m == 0 or p == 0 returns silence without a draw.
 SlotCategory sample_slot_category(Xoshiro256& rng, std::uint64_t m, double p);
 
 /// Exact Binomial(n, p) sample. Requires 0 <= p <= 1.
@@ -42,9 +62,12 @@ std::uint64_t sample_binomial(Xoshiro256& rng, std::uint64_t n, double p);
 /// Number of failures before the first success in i.i.d. Bernoulli(p)
 /// trials, truncated at `limit`: returns min(Geometric(p), limit), where
 /// Geometric(p) counts failures (support 0, 1, 2, ...). Returns `limit`
-/// when p == 0. Requires 0 <= p <= 1. Consumes exactly one uniform draw —
-/// this is what lets the batched fair engine resolve a whole constant-p
-/// run of slots in O(1).
+/// when p == 0. Requires 0 <= p <= 1. Consumes one uniform draw, except
+/// that p == 0, p == 1 and limit == 0 decide the result without one —
+/// one draw is what lets the batched fair engine resolve a whole
+/// constant-p run of slots in O(1), and the no-draw cases are what keep
+/// the node engine's deterministic stretches bit-identical to its
+/// one-slot steps.
 std::uint64_t sample_geometric_failures(Xoshiro256& rng, double p,
                                         std::uint64_t limit);
 

@@ -29,28 +29,23 @@ OneFailState::OneFailState(const OneFailParams& params)
   params_.validate();
 }
 
-double OneFailState::transmit_probability() const {
-  if (is_bt_step()) {
-    // Line 8: 1/(1 + log2(sigma + 1)).
-    return 1.0 / (1.0 + log2x(static_cast<double>(sigma_) + 1.0));
-  }
-  // Line 10: 1/kappa~. kappa~ >= delta + 1 > 1, so this is a probability.
-  return 1.0 / kappa_;
-}
-
 void OneFailState::advance(bool heard_delivery) {
   const double floor = params_.delta + 1.0;
   if (is_bt_step()) {
     if (heard_delivery) {
-      ++sigma_;
       kappa_ = std::max(kappa_ - params_.delta, floor);  // Task 2, BT branch
     }
   } else {
     kappa_ += 1.0;  // Task 1 line 11 (every AT step)
     if (heard_delivery) {
-      ++sigma_;
       kappa_ = std::max(kappa_ - params_.delta - 1.0, floor);  // Task 2, AT
     }
+  }
+  if (heard_delivery) {
+    ++sigma_;
+    // Line 8's probability moves only with sigma: compute it here, once
+    // per heard delivery, instead of on every BT step.
+    bt_probability_ = 1.0 / (1.0 + log2x(static_cast<double>(sigma_) + 1.0));
   }
   ++step_;
 }

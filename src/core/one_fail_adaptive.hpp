@@ -48,8 +48,12 @@ class OneFailState {
   /// transmit_probability() reports) is a BT step.
   bool is_bt_step() const { return step_ % 2 == 0; }
 
-  /// Transmission probability for the current step (Algorithm 1 lines 8/10).
-  double transmit_probability() const;
+  /// Transmission probability for the current step: line 8's
+  /// 1/(1 + log2(sigma + 1)) on a BT step, line 10's 1/kappa~ on an AT
+  /// step (kappa~ >= delta + 1 > 1, so it is a probability).
+  double transmit_probability() const {
+    return is_bt_step() ? bt_probability_ : 1.0 / kappa_;
+  }
 
   /// Applies the end-of-step updates (Task 1 line 11 and Task 2) and moves
   /// to the next step. `heard_delivery` is true iff some other station's
@@ -66,6 +70,8 @@ class OneFailState {
   double kappa_;          // the density estimator kappa~
   std::uint64_t sigma_ = 0;  // messages received so far
   std::uint64_t step_ = 1;   // current communication step (1-based)
+  // Line 8's 1/(1 + log2(sigma + 1)), recomputed only when sigma moves.
+  double bt_probability_ = 1.0;
 };
 
 /// Fair-engine view (shared state of all active stations).

@@ -25,6 +25,39 @@ void require_fair_run(std::uint64_t k, const EngineOptions& options) {
               "exp pipeline routes them there automatically");
 }
 
+// The slot laws of the last two (m, p) pairs the slot engine asked for.
+// m only changes on a delivery, and in between the protocols that cannot
+// batch interleave an AT and a BT probability of which at least one holds
+// (One-Fail's BT probability, both of Log-Fails' until an estimator
+// update), so most of their slots find their law here instead of paying a
+// log1p and two exp. A stored law is the double slot_law returns, so no
+// draw and no outcome moves. Evicting the least recently used entry keeps
+// the probability that holds while the other one changes every step.
+class SlotLawMemo {
+ public:
+  const SlotLaw& get(std::uint64_t m, double p) {
+    for (int i = 0; i < 2; ++i) {
+      if (entries_[i].m == m && entries_[i].p == p) {
+        victim_ = 1 - i;
+        return entries_[i].law;
+      }
+    }
+    Entry& entry = entries_[victim_];
+    entry = {m, p, slot_law(m, p)};
+    victim_ = 1 - victim_;
+    return entry.law;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t m = 0;
+    double p = -1.0;  // no probability matches: both entries start empty
+    SlotLaw law;
+  };
+  Entry entries_[2];
+  int victim_ = 0;
+};
+
 }  // namespace
 
 RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
@@ -36,11 +69,13 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
   const std::uint64_t cap = options.resolved_cap(k);
   KahanSum expected_tx;  // ~10^7 tiny addends at paper scale
 
+  SlotLawMemo laws;
   std::uint64_t m = k;  // active stations
   while (m > 0 && metrics.slots < cap) {
     const double p = protocol.transmit_probability();
     UCR_CHECK(p >= 0.0 && p <= 1.0,
               "protocol produced a probability outside [0, 1]");
+    const SlotLaw& law = laws.get(m, p);
     std::uint64_t stretch = 1;
     if (options.batched) {
       const std::uint64_t horizon = protocol.constant_probability_slots();
@@ -51,8 +86,10 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
     if (stretch == 1) {
       // One slot, one category draw: every slot in exact mode, and the
       // same draw in batched mode for a protocol with no batching horizon
-      // (bit-identical runs for hint-1 protocols).
-      const SlotCategory cat = sample_slot_category(rng, m, p);
+      // (bit-identical runs for hint-1 protocols). p == 0 is silence
+      // without a draw, as in the stateless sample_slot_category.
+      const SlotCategory cat = p == 0.0 ? SlotCategory::kSilence
+                                        : sample_slot_category(rng, law);
       expected_tx.add(static_cast<double>(m) * p);
       bool delivery = false;
       SlotOutcome outcome = SlotOutcome::kSilence;
@@ -88,15 +125,13 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
     // success, so the non-success run length is Geometric(P[success])
     // truncated at the stretch, and the skipped slots split into silence
     // vs collision with one binomial draw.
-    const double p_success = prob_success(m, p);
     const std::uint64_t failures =
-        sample_geometric_failures(rng, p_success, stretch);
+        sample_geometric_failures(rng, law.success, stretch);
     const bool delivered = failures < stretch;
     std::uint64_t silent = failures;
-    if (failures > 0 && p_success < 1.0) {
-      const double p_silence = prob_silence(m, p);
+    if (failures > 0 && law.success < 1.0) {
       const double conditional =
-          std::min(1.0, p_silence / (1.0 - p_success));
+          std::min(1.0, law.silence / (1.0 - law.success));
       silent = sample_binomial(rng, failures, conditional);
     }
     metrics.silence_slots += silent;

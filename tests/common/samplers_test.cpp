@@ -22,11 +22,16 @@ double binomial_pmf(std::uint64_t n, double p, std::uint64_t k) {
 
 // --------------------------------------------------------- slot categories
 
+// Certain silence (m == 0 or p == 0) is decided without touching the
+// generator; every other slot, p == 1 included, consumes exactly one draw.
+// The fair slot engine's bit-identity rests on both.
+
 TEST(SlotCategory, ZeroStationsIsSilence) {
   Xoshiro256 rng(1);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(sample_slot_category(rng, 0, 0.5), SlotCategory::kSilence);
   }
+  EXPECT_EQ(rng.next_u64(), Xoshiro256(1).next_u64());
 }
 
 TEST(SlotCategory, ZeroProbabilityIsSilence) {
@@ -34,26 +39,51 @@ TEST(SlotCategory, ZeroProbabilityIsSilence) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(sample_slot_category(rng, 1000, 0.0), SlotCategory::kSilence);
   }
+  EXPECT_EQ(rng.next_u64(), Xoshiro256(2).next_u64());
 }
 
 TEST(SlotCategory, OneStationFullProbabilityIsSuccess) {
   Xoshiro256 rng(3);
+  Xoshiro256 fresh(3);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(sample_slot_category(rng, 1, 1.0), SlotCategory::kSuccess);
+    fresh.next_u64();
   }
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
 }
 
 TEST(SlotCategory, ManyStationsFullProbabilityIsCollision) {
   Xoshiro256 rng(4);
+  Xoshiro256 fresh(4);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(sample_slot_category(rng, 2, 1.0), SlotCategory::kCollision);
+    fresh.next_u64();
   }
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
 }
 
 TEST(SlotCategory, RejectsInvalidProbability) {
   Xoshiro256 rng(5);
   EXPECT_THROW(sample_slot_category(rng, 10, -0.1), ContractViolation);
   EXPECT_THROW(sample_slot_category(rng, 10, 1.1), ContractViolation);
+  EXPECT_THROW(slot_law(10, -0.1), ContractViolation);
+  EXPECT_THROW(slot_law(10, 1.1), ContractViolation);
+}
+
+TEST(SlotLaw, BitIdenticalToClosedForms) {
+  // The fair slot engine draws from stored slot laws where it used to call
+  // prob_silence and prob_success: its pinned outputs stay byte-identical
+  // only if every value is the same double, not a close one.
+  for (std::uint64_t m : {0ULL, 1ULL, 2ULL, 3ULL, 50ULL, 10000ULL, 1000000ULL,
+                          10000000ULL}) {
+    const double md = static_cast<double>(m == 0 ? 1 : m);
+    for (double p : {0.0, 1e-9, 1.0 / (std::exp(1.0) * md), 1.0 / md, 0.5,
+                     1.0 - 0x1.0p-20, 1.0}) {
+      const SlotLaw law = slot_law(m, p);
+      EXPECT_EQ(law.silence, prob_silence(m, p)) << "m=" << m << " p=" << p;
+      EXPECT_EQ(law.success, prob_success(m, p)) << "m=" << m << " p=" << p;
+    }
+  }
 }
 
 TEST(SlotCategory, FrequenciesMatchClosedForm) {
@@ -196,6 +226,9 @@ TEST(Geometric, EdgeCases) {
   EXPECT_EQ(sample_geometric_failures(rng, 1.0, 100), 0u);
   EXPECT_EQ(sample_geometric_failures(rng, 0.0, 100), 100u);
   EXPECT_EQ(sample_geometric_failures(rng, 0.5, 0), 0u);
+  // None of them consumes a draw: the node engine's deterministic-silence
+  // stretches rely on this to stay bit-identical with its one-slot steps.
+  EXPECT_EQ(rng.next_u64(), Xoshiro256(30).next_u64());
   EXPECT_THROW(sample_geometric_failures(rng, -0.1, 10), ContractViolation);
   EXPECT_THROW(sample_geometric_failures(rng, 1.1, 10), ContractViolation);
 }

@@ -44,12 +44,18 @@ TEST(OneFailState, AtProbabilityIsInverseEstimator) {
   EXPECT_DOUBLE_EQ(st.transmit_probability(), 1.0 / 3.72);
 }
 
+// Algorithm 1 line 8, evaluated afresh: the value OneFailState's cached
+// BT probability must equal bit for bit.
+double line8_probability(std::uint64_t sigma) {
+  return 1.0 / (1.0 + std::log2(static_cast<double>(sigma) + 1.0));
+}
+
 TEST(OneFailState, BtProbabilityFollowsSigma) {
   OneFailState st(OneFailParams{2.72});
   st.advance(false);  // move to the BT step, no delivery
   ASSERT_TRUE(st.is_bt_step());
   // sigma = 0: p = 1/(1 + log2(1)) = 1.
-  EXPECT_DOUBLE_EQ(st.transmit_probability(), 1.0);
+  EXPECT_EQ(st.transmit_probability(), 1.0);
 
   // Hear three deliveries (on BT steps), then check p = 1/(1+log2(4)) = 1/3.
   OneFailState st2(OneFailParams{2.72});
@@ -61,7 +67,18 @@ TEST(OneFailState, BtProbabilityFollowsSigma) {
   st2.advance(false);  // AT -> BT
   ASSERT_TRUE(st2.is_bt_step());
   EXPECT_EQ(st2.sigma(), 3u);
-  EXPECT_DOUBLE_EQ(st2.transmit_probability(), 1.0 / 3.0);
+  EXPECT_EQ(st2.transmit_probability(), 1.0 / 3.0);
+
+  // Deliveries heard on AT steps move sigma too: two more make it 5.
+  for (int i = 0; i < 2; ++i) {
+    st2.advance(false);  // BT -> AT
+    ASSERT_FALSE(st2.is_bt_step());
+    st2.advance(true);   // AT delivery heard; now on a BT step
+    ASSERT_TRUE(st2.is_bt_step());
+    EXPECT_EQ(st2.transmit_probability(), line8_probability(st2.sigma()));
+  }
+  EXPECT_EQ(st2.sigma(), 5u);
+  EXPECT_EQ(st2.transmit_probability(), 1.0 / (1.0 + std::log2(6.0)));
 }
 
 TEST(OneFailState, AtStepIncrementsEstimator) {
@@ -129,6 +146,26 @@ TEST(OneFailAdaptiveNode, IgnoresOwnDeliverySlot) {
   EXPECT_DOUBLE_EQ(node.state().kappa_estimate(), kappa_before);
 }
 
+TEST(OneFailAdaptiveNode, OwnDeliveryKeepsCachedBtProbability) {
+  OneFailAdaptiveNode node;
+  Feedback heard;
+  heard.heard_delivery = true;
+  node.on_slot_end(heard);  // AT step, sigma = 1
+  node.on_slot_end(heard);  // BT step, sigma = 2
+  node.on_slot_end(Feedback{});  // AT step; now on a BT step
+  ASSERT_TRUE(node.state().is_bt_step());
+  const double before = node.transmit_probability();
+  EXPECT_EQ(before, line8_probability(2));
+
+  Feedback mine;
+  mine.delivered_mine = true;
+  mine.transmitted = true;
+  node.on_slot_end(mine);
+  EXPECT_EQ(node.state().sigma(), 2u);
+  ASSERT_TRUE(node.state().is_bt_step());
+  EXPECT_EQ(node.transmit_probability(), before);
+}
+
 TEST(OneFailAdaptiveNode, AdvancesOnOtherFeedback) {
   OneFailAdaptiveNode node;
   Feedback fb;
@@ -148,14 +185,20 @@ TEST(OneFailFactory, ProvidesBothViews) {
 }
 
 TEST(OneFailState, ProbabilityAlwaysValidUnderRandomFeedback) {
+  // Every BT step also reads the cached line-8 probability, which must be
+  // the very double a fresh evaluation gives for the current sigma.
   OneFailState st(OneFailParams{2.9});
   Xoshiro256 rng(77);
   for (int i = 0; i < 5000; ++i) {
     const double p = st.transmit_probability();
     ASSERT_GT(p, 0.0);
     ASSERT_LE(p, 1.0);
+    if (st.is_bt_step()) {
+      ASSERT_EQ(p, line8_probability(st.sigma())) << "step " << st.step();
+    }
     st.advance(rng.next_bernoulli(0.2));
   }
+  EXPECT_GT(st.sigma(), 500u);
 }
 
 }  // namespace

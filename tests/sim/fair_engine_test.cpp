@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/mathx.hpp"
+#include "common/samplers.hpp"
 #include "common/stats.hpp"
 #include "sim/observer.hpp"
 
@@ -51,6 +55,22 @@ class CountingObserver final : public SlotObserver {
   std::uint64_t total = 0;
   std::uint64_t silences = 0;
   std::uint64_t last_slot = 0;
+};
+
+// Cycles through a script of probabilities, one entry per slot. Keeps the
+// default batching hint of 1, so batched mode takes one-slot steps too.
+class ScriptedFair final : public FairSlotProtocol {
+ public:
+  explicit ScriptedFair(std::vector<double> script)
+      : script_(std::move(script)) {}
+  double transmit_probability() const override {
+    return script_[step_ % script_.size()];
+  }
+  void on_slot_end(bool) override { ++step_; }
+
+ private:
+  std::vector<double> script_;
+  std::size_t step_ = 0;
 };
 
 class BadFair final : public FairSlotProtocol {
@@ -119,6 +139,85 @@ TEST(FairSlotEngine, RecordsDeliverySlots) {
   ASSERT_TRUE(m.completed);
   ASSERT_EQ(m.delivery_slots.size(), 10u);
   EXPECT_EQ(m.slots, m.delivery_slots.back() + 1);
+}
+
+// The fair slot engine written out with one stateless
+// sample_slot_category(rng, m, p) call per slot: the reference its stored
+// slot laws must reproduce draw for draw.
+RunMetrics reference_slot_run(const std::vector<double>& script,
+                              std::uint64_t k, std::uint64_t cap,
+                              Xoshiro256& rng) {
+  RunMetrics metrics;
+  metrics.k = k;
+  KahanSum expected_tx;
+  std::uint64_t m = k;
+  while (m > 0 && metrics.slots < cap) {
+    const double p = script[metrics.slots % script.size()];
+    expected_tx.add(static_cast<double>(m) * p);
+    switch (sample_slot_category(rng, m, p)) {
+      case SlotCategory::kSilence:
+        ++metrics.silence_slots;
+        break;
+      case SlotCategory::kSuccess:
+        ++metrics.success_slots;
+        ++metrics.deliveries;
+        --m;
+        metrics.delivery_slots.push_back(metrics.slots);
+        break;
+      case SlotCategory::kCollision:
+        ++metrics.collision_slots;
+        break;
+    }
+    ++metrics.slots;
+  }
+  metrics.expected_transmissions = expected_tx.value();
+  metrics.completed = m == 0;
+  return metrics;
+}
+
+TEST(FairSlotEngine, StoredSlotLawsMatchPerSlotSampling) {
+  // The engine keeps the slot laws of the last two (m, p) pairs. Three
+  // probabilities force it to evict and refill — in `a, b, a, c` order `a`
+  // stays stored while `b` and `c` replace each other — and every delivery
+  // changes m under all of them. A p == 0 entry must stay draw-free.
+  const std::vector<std::vector<double>> scripts = {
+      {0.3, 0.02, 0.3, 0.11}, {0.45, 0.0, 0.45, 0.07}, {0.2, 0.05, 0.6}};
+  for (const std::vector<double>& script : scripts) {
+    for (const bool batched : {false, true}) {
+      for (std::uint64_t seed = 0; seed < 5; ++seed) {
+        const std::uint64_t k = 40;
+        const std::uint64_t cap = 3000;
+        ScriptedFair protocol(script);
+        Xoshiro256 rng = Xoshiro256::stream(950, seed);
+        EngineOptions opts;
+        opts.batched = batched;
+        opts.max_slots = cap;
+        opts.record_deliveries = true;
+        const RunMetrics got = run_fair_slot_engine(protocol, k, rng, opts);
+        Xoshiro256 reference_rng = Xoshiro256::stream(950, seed);
+        const RunMetrics want =
+            reference_slot_run(script, k, cap, reference_rng);
+        SCOPED_TRACE(::testing::Message()
+                     << "script[1]=" << script[1] << " batched=" << batched
+                     << " seed=" << seed);
+        EXPECT_GT(got.deliveries, 1u);
+        EXPECT_EQ(got.completed, want.completed);
+        EXPECT_EQ(got.k, want.k);
+        EXPECT_EQ(got.slots, want.slots);
+        EXPECT_EQ(got.deliveries, want.deliveries);
+        EXPECT_EQ(got.silence_slots, want.silence_slots);
+        EXPECT_EQ(got.success_slots, want.success_slots);
+        EXPECT_EQ(got.collision_slots, want.collision_slots);
+        EXPECT_EQ(got.transmissions, want.transmissions);
+        EXPECT_EQ(got.expected_transmissions, want.expected_transmissions);
+        EXPECT_EQ(got.max_station_transmissions,
+                  want.max_station_transmissions);
+        EXPECT_EQ(got.delivery_slots, want.delivery_slots);
+        EXPECT_EQ(got.latencies, want.latencies);
+        EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
+      }
+    }
+  }
 }
 
 TEST(FairWindowEngine, WindowOfOneWithOneStation) {

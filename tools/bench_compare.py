@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two google-benchmark JSON result files and flag regressions.
 
-Used by CI to warn (non-blocking by default) when a benchmark's cpu_time
+Used by CI to warn (non-blocking by default) when a benchmark's time
 regresses by more than a threshold against the previous run's artifact:
 
     bench_compare.py baseline.json current.json [--threshold=0.20] [--strict]
@@ -15,6 +15,10 @@ A missing or empty baseline is not an error: the first run of a fresh
 cache has nothing to compare against, so the tool prints a one-line
 "baseline created" note and exits 0 — the current results become the
 baseline for the next run.
+
+Each benchmark is compared on the clock it is paced by: real_time for
+benchmarks registered with UseRealTime() (run names ending in /real_time),
+cpu_time for every other one.
 
 When a run was made with --benchmark_repetitions, the aggregate entries
 are preferred (median, falling back to mean) and the raw iterations are
@@ -30,8 +34,15 @@ import os
 import sys
 
 
+def timed_clock(run_name: str) -> str:
+    """The JSON field that holds a benchmark's time: real_time for runs
+    registered with UseRealTime(), cpu_time otherwise."""
+    return "real_time" if run_name.endswith("/real_time") else "cpu_time"
+
+
 def load_times(path: str) -> dict[str, float]:
-    """Maps benchmark name -> representative cpu_time (ns)."""
+    """Maps benchmark name -> representative time (ns, on the clock
+    timed_clock picks)."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     benchmarks = data.get("benchmarks", [])
@@ -41,14 +52,16 @@ def load_times(path: str) -> dict[str, float]:
     aggregate_rank: dict[str, int] = {}
     for entry in benchmarks:
         name = entry.get("name", "")
-        time = entry.get("cpu_time")
+        aggregated = entry.get("run_type") == "aggregate"
+        base = entry.get("run_name", name.rsplit("_", 1)[0]) \
+            if aggregated else name
+        time = entry.get(timed_clock(base))
         if time is None:
             continue
-        if entry.get("run_type") == "aggregate":
+        if aggregated:
             aggregate = entry.get("aggregate_name", "")
             if aggregate not in preferred:
                 continue
-            base = entry.get("run_name", name.rsplit("_", 1)[0])
             rank = preferred[aggregate]
             if rank < aggregate_rank.get(base, len(preferred)):
                 aggregate_rank[base] = rank
@@ -71,7 +84,7 @@ def main() -> int:
         "--threshold",
         type=float,
         default=0.20,
-        help="relative cpu_time increase that counts as a regression "
+        help="relative time increase that counts as a regression "
         "(default 0.20 = +20%%)",
     )
     parser.add_argument(
@@ -107,7 +120,7 @@ def main() -> int:
         if delta > args.threshold:
             marker = "REGRESSED"
             message = (
-                f"{name}: cpu_time {before:.0f}ns -> {after:.0f}ns "
+                f"{name}: {before:.0f}ns -> {after:.0f}ns "
                 f"({delta:+.1%}, threshold +{args.threshold:.0%})"
             )
             regressions.append(message)

@@ -18,7 +18,12 @@ writes the next `BENCH_<n>.json` entry into the trajectory directory:
 
     {"schema": 1, "entry": n, "commit": "<sha>",
      "spec_hash": "<spec_hash of specs/engine-micro.spec>",
-     "benchmarks": {"<name>": <cpu_time ns>, ...}}
+     "benchmarks": {"<name>": <time ns>, ...}}
+
+Each benchmark keeps the clock it is paced by: real_time for benchmarks
+registered with UseRealTime() (run names ending in /real_time, whose work
+runs on pool threads or in child processes the calling thread's CPU clock
+cannot see), cpu_time for every other one.
 
 The spec_hash is the same shard-invariant provenance key the exp pipeline
 stamps on archived rows (`ucr_cli --spec=... --hash-spec`), so a baseline
@@ -49,11 +54,17 @@ def fail(message: str) -> "sys.NoReturn":
     sys.exit(2)
 
 
-def load_cpu_times(path: str) -> dict[str, float]:
-    """Benchmark name -> representative cpu_time (ns) from google-benchmark
-    JSON. Aggregate entries (median preferred, then mean) win over raw
-    iterations, mirroring tools/bench_compare.py. Malformed or benchmark-free
-    input is a hard error."""
+def timed_clock(run_name: str) -> str:
+    """The JSON field that holds a benchmark's time: real_time for runs
+    registered with UseRealTime(), cpu_time otherwise."""
+    return "real_time" if run_name.endswith("/real_time") else "cpu_time"
+
+
+def load_times(path: str) -> dict[str, float]:
+    """Benchmark name -> representative time (ns, on the clock timed_clock
+    picks) from google-benchmark JSON. Aggregate entries (median preferred,
+    then mean) win over raw iterations, mirroring tools/bench_compare.py.
+    Malformed or benchmark-free input is a hard error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -73,18 +84,21 @@ def load_cpu_times(path: str) -> dict[str, float]:
         if not isinstance(entry, dict):
             fail(f"{path}: non-object entry in 'benchmarks'")
         name = entry.get("name", "")
-        time = entry.get("cpu_time")
+        aggregated = entry.get("run_type") == "aggregate"
+        base = entry.get("run_name", name.rsplit("_", 1)[0]) \
+            if aggregated else name
+        clock = timed_clock(base)
+        time = entry.get(clock)
         if not name or time is None:
             continue
         try:
             time = float(time)
         except (TypeError, ValueError):
-            fail(f"{path}: benchmark {name!r} has a non-numeric cpu_time")
-        if entry.get("run_type") == "aggregate":
+            fail(f"{path}: benchmark {name!r} has a non-numeric {clock}")
+        if aggregated:
             aggregate = entry.get("aggregate_name", "")
             if aggregate not in preferred:
                 continue
-            base = entry.get("run_name", name.rsplit("_", 1)[0])
             rank = preferred[aggregate]
             if rank < aggregate_rank.get(base, len(preferred)):
                 aggregate_rank[base] = rank
@@ -128,7 +142,7 @@ def load_entry(path: str) -> dict:
 
 
 def cmd_append(args: argparse.Namespace) -> int:
-    times = load_cpu_times(args.results)
+    times = load_times(args.results)
     entries = trajectory_entries(args.dir)
     index = entries[-1][0] + 1 if entries else 0
     os.makedirs(args.dir, exist_ok=True)
@@ -171,9 +185,9 @@ def render_report(entries: list[dict], window: int) -> str:
     total = len(entries)
     lines.append(
         f"{total} trajectory entr{'y' if total == 1 else 'ies'}; showing "
-        f"the last {len(shown)}. Cells are representative cpu_time per "
-        "iteration; Δ is the change from the oldest to the newest shown "
-        "entry.")
+        f"the last {len(shown)}. Cells are representative time per "
+        "iteration (real_time for /real_time runs, cpu_time otherwise); Δ "
+        "is the change from the oldest to the newest shown entry.")
     lines.append("")
     header = ["benchmark"]
     for entry in shown:
