@@ -28,6 +28,7 @@
 #include "protocols/window_node.hpp"
 #include "sim/fair_engine.hpp"
 #include "sim/node_engine.hpp"
+#include "sim/runner.hpp"
 #include "svc/result_cache.hpp"
 
 #ifndef UCR_ENGINE_MICRO_SPEC
@@ -257,6 +258,40 @@ void BM_NodeEngine_OneFail(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(slots));
 }
 BENCHMARK(BM_NodeEngine_OneFail)->Arg(100)->Arg(1000);
+
+// The per-cell fold (sim/runner.hpp): 10 runs x 10^5 recorded latencies
+// folded into one aggregate row, the shape of a dense dynamic cell. The
+// latencies have a geometric body (mean 3 slots) and a 1% tail up
+// to 2^11 slots. The runs are moved into aggregate_runs and moved back
+// out of its details, so no copy is timed. Items processed = latencies
+// pooled.
+void BM_AggregateRuns(benchmark::State& state) {
+  constexpr std::uint64_t kRuns = 10;
+  constexpr std::uint64_t kLatencies = 100000;
+  ucr::Xoshiro256 rng(21);
+  std::vector<ucr::RunMetrics> runs(kRuns);
+  for (ucr::RunMetrics& run : runs) {
+    run.completed = true;
+    run.k = kLatencies;
+    run.slots = 4 * kLatencies;
+    run.latencies.reserve(kLatencies);
+    for (std::uint64_t i = 0; i < kLatencies; ++i) {
+      run.latencies.push_back(
+          rng.next_below(100) == 0
+              ? rng.next_below(2048)
+              : ucr::sample_geometric_failures(rng, 0.25, 2048));
+    }
+  }
+  for (auto _ : state) {
+    ucr::AggregateResult result =
+        ucr::aggregate_runs("bench", kLatencies, std::move(runs));
+    benchmark::DoNotOptimize(result.latency_p99);
+    runs = std::move(result.details);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRuns * kLatencies));
+}
+BENCHMARK(BM_AggregateRuns);
 
 // Whole-pipeline sweep from a versioned spec file. One iteration = the
 // complete sweep the file describes (compile is outside the loop: the

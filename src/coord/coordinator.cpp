@@ -7,7 +7,6 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
@@ -442,8 +441,13 @@ CoordReport Coordinator::run(std::ostream& out) {
         finish_attempt(finished, exit_code, why);
       }
 
+      // Wake as soon as a worker exits; otherwise rescan output growth
+      // for heartbeats every 10 ms.
       if (completed < shards) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        std::vector<pid_t> pids;
+        pids.reserve(in_flight.size());
+        for (const Attempt& attempt : in_flight) pids.push_back(attempt.pid);
+        wait_for_exit(pids, std::chrono::milliseconds(10));
       }
     }
   } catch (...) {

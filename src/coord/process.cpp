@@ -1,7 +1,9 @@
 #include "coord/process.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -71,6 +73,22 @@ std::optional<int> try_wait(pid_t pid) {
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
   return 128;  // stopped/continued should not reach here under WNOHANG
+}
+
+void wait_for_exit(const std::vector<pid_t>& pids,
+                   std::chrono::milliseconds timeout) {
+  std::vector<pollfd> fds;
+#ifdef SYS_pidfd_open
+  for (const pid_t pid : pids) {
+    const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    if (fd >= 0) fds.push_back({fd, POLLIN, 0});
+  }
+#else
+  (void)pids;
+#endif
+  // An interrupted poll just returns early; the caller rescans anyway.
+  (void)::poll(fds.data(), fds.size(), static_cast<int>(timeout.count()));
+  for (const pollfd& fd : fds) ::close(fd.fd);
 }
 
 void kill_process(pid_t pid) {

@@ -1,10 +1,77 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
 
 namespace ucr {
+
+namespace {
+
+/// Sets result.latency_p50/p95/p99 to quantile_sorted() of the sorted pool
+/// of every run's latencies, without building that pool. uint64 -> double
+/// is monotone, so the pooled doubles' order statistics are the converted
+/// order statistics of the integers. A histogram of `value >> shift` (at
+/// most 2^16 buckets) locates each rank; when shift > 0 a bucket holds
+/// several values, and nth_element over that bucket's values alone picks
+/// the rank. Leaves all three at 0 when no run recorded a latency.
+void pool_latency_percentiles(const std::vector<RunMetrics>& runs,
+                              AggregateResult& result) {
+  std::uint64_t n = 0;
+  std::uint64_t max = 0;
+  for (const RunMetrics& m : runs) {
+    n += m.latencies.size();
+    for (const std::uint64_t latency : m.latencies) {
+      max = std::max(max, latency);
+    }
+  }
+  if (n == 0) return;
+  const int shift = std::max(0, static_cast<int>(std::bit_width(max)) - 16);
+  std::vector<std::uint64_t> histogram((max >> shift) + 1, 0);
+  for (const RunMetrics& m : runs) {
+    for (const std::uint64_t latency : m.latencies) {
+      ++histogram[latency >> shift];
+    }
+  }
+
+  std::uint64_t gathered_bucket = histogram.size();  // none yet
+  std::vector<std::uint64_t> gathered;
+  // The rank-th smallest pooled latency (0-based), as a double.
+  const auto order_statistic = [&](std::uint64_t rank) {
+    std::uint64_t bucket = 0;
+    std::uint64_t below = 0;
+    while (below + histogram[bucket] <= rank) below += histogram[bucket++];
+    if (shift == 0) return static_cast<double>(bucket);
+    if (bucket != gathered_bucket) {
+      gathered.clear();
+      for (const RunMetrics& m : runs) {
+        for (const std::uint64_t latency : m.latencies) {
+          if ((latency >> shift) == bucket) gathered.push_back(latency);
+        }
+      }
+      gathered_bucket = bucket;
+    }
+    const auto nth =
+        gathered.begin() + static_cast<std::ptrdiff_t>(rank - below);
+    std::nth_element(gathered.begin(), nth, gathered.end());
+    return static_cast<double>(*nth);
+  };
+  // quantile_sorted's arithmetic, term for term, over the virtual pool.
+  const auto quantile = [&](double q) {
+    if (n == 1) return order_statistic(0);
+    const double pos = q * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::uint64_t>(pos);
+    const std::uint64_t hi = std::min(lo + 1, n - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return order_statistic(lo) * (1.0 - frac) + order_statistic(hi) * frac;
+  };
+  result.latency_p50 = quantile(0.50);
+  result.latency_p95 = quantile(0.95);
+  result.latency_p99 = quantile(0.99);
+}
+
+}  // namespace
 
 AggregateResult aggregate_runs(std::string name, std::uint64_t k,
                                std::vector<RunMetrics> runs) {
@@ -14,7 +81,6 @@ AggregateResult aggregate_runs(std::string name, std::uint64_t k,
   result.runs = runs.size();
   std::vector<double> makespans;
   std::vector<double> ratios;
-  std::vector<double> latencies;
   makespans.reserve(runs.size());
   ratios.reserve(runs.size());
   double energy_sum = 0.0;
@@ -22,9 +88,6 @@ AggregateResult aggregate_runs(std::string name, std::uint64_t k,
     if (!m.completed) ++result.incomplete_runs;
     makespans.push_back(static_cast<double>(m.slots));
     ratios.push_back(m.ratio());
-    for (const std::uint64_t latency : m.latencies) {
-      latencies.push_back(static_cast<double>(latency));
-    }
     // Per-station energy: exact transmission counts where the engine
     // sampled them, the expected count otherwise (a completed run always
     // has transmissions >= k > 0 when counted exactly).
@@ -41,15 +104,10 @@ AggregateResult aggregate_runs(std::string name, std::uint64_t k,
   }
   result.makespan = summarize(makespans);
   result.ratio = summarize(ratios);
-  if (!latencies.empty()) {
-    // Pooled across runs (run order): the per-message latency envelope of
-    // the cell, persisted per row so dynamic-arrival archives carry their
-    // tail behaviour without the O(k * runs) details.
-    std::sort(latencies.begin(), latencies.end());
-    result.latency_p50 = quantile_sorted(latencies, 0.50);
-    result.latency_p95 = quantile_sorted(latencies, 0.95);
-    result.latency_p99 = quantile_sorted(latencies, 0.99);
-  }
+  // Pooled across runs: the per-message latency envelope of the cell,
+  // persisted per row so dynamic-arrival archives carry their tail
+  // behaviour without the O(k * runs) details.
+  pool_latency_percentiles(runs, result);
   result.details = std::move(runs);
   return result;
 }

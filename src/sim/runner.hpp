@@ -42,10 +42,10 @@ struct AggregateResult {
   std::uint64_t incomplete_runs = 0;  ///< runs stopped by the slot cap
   Summary makespan;                   ///< slots (capped value for incomplete)
   Summary ratio;                      ///< slots / k
-  /// Percentiles of the per-message latencies pooled across all runs (in
-  /// run order, so deterministic for any thread count). Only the per-node
-  /// engines record latencies, and only under
-  /// EngineOptions::record_latencies; all three stay 0 otherwise.
+  /// Percentiles of the per-message latencies pooled across all runs:
+  /// quantile_sorted() of the sorted pool, exactly, for any run order or
+  /// thread count. Only the per-node engines record latencies, and only
+  /// under EngineOptions::record_latencies; all three stay 0 otherwise.
   double latency_p50 = 0.0;
   double latency_p95 = 0.0;
   double latency_p99 = 0.0;

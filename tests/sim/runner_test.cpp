@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "core/one_fail_adaptive.hpp"
 #include "protocols/known_k.hpp"
 
@@ -121,6 +129,94 @@ TEST(AggregateRuns, LatencyPercentilesStayZeroWithoutRecording) {
   EXPECT_DOUBLE_EQ(res.latency_p50, 0.0);
   EXPECT_DOUBLE_EQ(res.latency_p95, 0.0);
   EXPECT_DOUBLE_EQ(res.latency_p99, 0.0);
+}
+
+/// Folds `latencies` (one vector per run) and checks the pooled
+/// percentiles against the reference fold bit for bit: every latency as a
+/// double, sorted, then quantile_sorted. Also checks that each run's
+/// latencies reach `details` untouched, in delivery order.
+void expect_sorted_pool_percentiles(
+    const std::vector<std::vector<std::uint64_t>>& latencies) {
+  std::vector<RunMetrics> runs(latencies.size());
+  std::vector<double> pool;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    runs[r].completed = true;
+    runs[r].k = 1;
+    runs[r].slots = 1;
+    runs[r].latencies = latencies[r];
+    for (const std::uint64_t v : latencies[r]) {
+      pool.push_back(static_cast<double>(v));
+    }
+  }
+  const AggregateResult res = aggregate_runs("x", 1, runs);
+  ASSERT_FALSE(pool.empty());
+  std::sort(pool.begin(), pool.end());
+  EXPECT_EQ(res.latency_p50, quantile_sorted(pool, 0.50));
+  EXPECT_EQ(res.latency_p95, quantile_sorted(pool, 0.95));
+  EXPECT_EQ(res.latency_p99, quantile_sorted(pool, 0.99));
+  ASSERT_EQ(res.details.size(), latencies.size());
+  for (std::size_t r = 0; r < latencies.size(); ++r) {
+    EXPECT_EQ(res.details[r].latencies, latencies[r]) << "run " << r;
+  }
+}
+
+/// `runs` runs of up to `max_size` latencies each (every third run
+/// empty), each latency drawn by `draw`.
+std::vector<std::vector<std::uint64_t>> random_pool(
+    Xoshiro256& rng, std::size_t runs, std::uint64_t max_size,
+    const std::function<std::uint64_t(Xoshiro256&)>& draw) {
+  std::vector<std::vector<std::uint64_t>> pool(runs);
+  for (std::size_t r = 0; r < runs; ++r) {
+    if (r % 3 == 1) continue;
+    const std::uint64_t size = 1 + rng.next_below(max_size);
+    for (std::uint64_t i = 0; i < size; ++i) pool[r].push_back(draw(rng));
+  }
+  return pool;
+}
+
+TEST(AggregateRuns, PooledPercentilesEqualTheSortedPoolBitForBit) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kTwoTo53 = std::uint64_t{1} << 53;
+  // Fixed pools: one value, all-equal values (one direct bucket; one
+  // gathered bucket), and runs with empty latencies mixed in.
+  expect_sorted_pool_percentiles({{}, {42}, {}});
+  expect_sorted_pool_percentiles({{kMax}});
+  expect_sorted_pool_percentiles({std::vector<std::uint64_t>(300, 9), {},
+                                  std::vector<std::uint64_t>(200, 9)});
+  expect_sorted_pool_percentiles(
+      {std::vector<std::uint64_t>(500, std::uint64_t{3} << 40)});
+  expect_sorted_pool_percentiles({{}, {0, 0, 1}, {}, {}, {2}});
+
+  const std::vector<std::function<std::uint64_t(Xoshiro256&)>> draws = {
+      // Below 2^16: the bucket index is the value. Heavily tied.
+      [](Xoshiro256& rng) { return rng.next_below(40); },
+      [](Xoshiro256& rng) { return rng.next_below(std::uint64_t{1} << 16); },
+      // Spread up to 2^40 at every magnitude: ranks land in gathered
+      // buckets, the lowest of which holds every value below 2^24.
+      [](Xoshiro256& rng) {
+        return rng.next_u64() >> (24 + rng.next_below(40));
+      },
+      // Above 2^53, where neighbouring integers round to one double.
+      [&](Xoshiro256& rng) { return kTwoTo53 + rng.next_below(64); },
+      [](Xoshiro256& rng) {
+        return (std::uint64_t{1} << 60) + rng.next_below(1u << 12);
+      },
+      [&](Xoshiro256& rng) {
+        return rng.next_below(2) == 0 ? rng.next_below(100)
+                                      : kMax - rng.next_below(4096);
+      },
+      // Only the two extremes.
+      [&](Xoshiro256& rng) { return rng.next_below(2) == 0 ? 1 : kMax; },
+  };
+  for (std::size_t d = 0; d < draws.size(); ++d) {
+    Xoshiro256 rng = Xoshiro256::stream(2024, d);
+    for (int trial = 0; trial < 25; ++trial) {
+      SCOPED_TRACE("draw " + std::to_string(d) + ", trial " +
+                   std::to_string(trial));
+      expect_sorted_pool_percentiles(
+          random_pool(rng, 1 + rng.next_below(10), 400, draws[d]));
+    }
+  }
 }
 
 TEST(RunNodeExperiment, RequiresNodeView) {
