@@ -367,7 +367,7 @@ void BM_CachedSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedSweep)->MeasureProcessCPUTime()->UseRealTime();
 
-// Coordinator dispatch overhead (docs/ORCHESTRATOR.md): the same
+// Coordinator dispatch overhead (docs/SERVICE.md): the same
 // versioned workload fanned out over two local workers with warm
 // per-worker result caches, so every cell replays from cache and what
 // remains is the orchestration itself — overlay writing, one fork/exec

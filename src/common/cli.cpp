@@ -2,11 +2,27 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/check.hpp"
 
 namespace ucr {
+
+namespace {
+
+/// The whole of `text` must be one finite number: strtod alone stops at
+/// the first bad character ("1e3x" read as 1000) and accepts inf/nan.
+double parse_finite_double(const std::string& text,
+                           const std::string& source) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  UCR_REQUIRE(!text.empty() && *end == '\0' && std::isfinite(value),
+              source + " must be a finite number, got '" + text + "'");
+  return value;
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv,
                  const std::vector<std::string>& allowed_keys) {
@@ -38,13 +54,13 @@ std::uint64_t CliArgs::get_u64(const std::string& key,
                                std::uint64_t def) const {
   const auto v = get(key);
   if (!v) return def;
-  return std::strtoull(v->c_str(), nullptr, 10);
+  return parse_u64_strict(*v, "--" + key);
 }
 
 double CliArgs::get_double(const std::string& key, double def) const {
   const auto v = get(key);
   if (!v) return def;
-  return std::strtod(v->c_str(), nullptr);
+  return parse_finite_double(*v, "--" + key);
 }
 
 bool CliArgs::get_bool(const std::string& key, bool def) const {
@@ -98,13 +114,13 @@ unsigned thread_count_option(const CliArgs& args, const char* env_name) {
 std::uint64_t env_u64(const char* name, std::uint64_t def) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
-  return std::strtoull(v, nullptr, 10);
+  return parse_u64_strict(v, name);
 }
 
 double env_double(const char* name, double def) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
-  return std::strtod(v, nullptr);
+  return parse_finite_double(v, name);
 }
 
 }  // namespace ucr

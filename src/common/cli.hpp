@@ -24,6 +24,10 @@ class CliArgs {
           const std::vector<std::string>& allowed_keys);
 
   std::optional<std::string> get(const std::string& key) const;
+  /// A present value must be a decimal unsigned integer (parse_u64_strict)
+  /// or, for get_double, one finite number in full; anything else throws
+  /// ContractViolation naming the flag rather than running with a
+  /// truncated value ("--k=1e3" as k = 1, "--seed=0x10" as seed 0).
   std::uint64_t get_u64(const std::string& key, std::uint64_t def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
@@ -35,7 +39,9 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// Environment lookup with default (uses std::getenv).
+/// Environment lookup with default (uses std::getenv); an empty variable
+/// is unset. Set values follow the get_u64 / get_double rules and throw
+/// naming the variable.
 std::uint64_t env_u64(const char* name, std::uint64_t def);
 double env_double(const char* name, double def);
 

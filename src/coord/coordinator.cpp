@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "coord/process.hpp"
 #include "core/registry.hpp"
 #include "exp/plan.hpp"
@@ -255,6 +256,36 @@ CoordStatus Coordinator::status() const {
   status.shard_states = shard_states_;
   status.worker_states = worker_states_;
   return status;
+}
+
+std::string coord_status_json(const CoordStatus& status) {
+  std::string out = "{\"ok\":true";
+  out += ",\"state\":\"" + json::escape(status.state) + "\"";
+  out += ",\"spec_hash\":\"" + status.spec_hash + "\"";
+  out += ",\"shards\":" + std::to_string(status.shards);
+  out += ",\"completed\":" + std::to_string(status.completed);
+  out += ",\"running\":" + std::to_string(status.running);
+  out += ",\"pending\":" + std::to_string(status.pending);
+  out += ",\"attempts\":" + std::to_string(status.attempts);
+  out += ",\"workers\":[";
+  for (std::size_t i = 0; i < status.worker_states.size(); ++i) {
+    const WorkerStatus& worker = status.worker_states[i];
+    if (i > 0) out += ",";
+    out += "{\"name\":\"" + json::escape(worker.name) + "\"";
+    out += ",\"capacity\":" + std::to_string(worker.capacity);
+    out += ",\"busy\":" + std::to_string(worker.busy);
+    out += ",\"failures\":" + std::to_string(worker.failures);
+    out += "}";
+  }
+  out += "]}";
+  return out;
+}
+
+std::vector<svc::Verb> control_verbs(const Coordinator& coordinator) {
+  auto on_status = [&coordinator](const json::Value&, svc::LineSocket& socket) {
+    socket.send_line(coord_status_json(coordinator.status()));
+  };
+  return {{"status", on_status}};
 }
 
 struct Coordinator::Attempt {

@@ -1,5 +1,5 @@
 // The distributed sweep coordinator — the driver the sharding contract
-// was designed for (docs/ORCHESTRATOR.md).
+// was designed for (docs/SERVICE.md).
 //
 // One Coordinator owns one sweep: it loads a base spec file, partitions
 // the flattened grid into `--shard=i/N` work units, fans them out over a
@@ -37,8 +37,9 @@
 #include <string>
 #include <vector>
 
-#include "exp/spec_io.hpp"
 #include "coord/workers.hpp"
+#include "exp/spec_io.hpp"
+#include "svc/server.hpp"
 
 namespace ucr::coord {
 
@@ -102,7 +103,7 @@ struct WorkerStatus {
 };
 
 /// Snapshot of the whole run, served over the control socket
-/// (coord/control.hpp) and rendered by ucr_coordctl.
+/// (control_verbs below) and rendered by ucr_coordctl.
 struct CoordStatus {
   /// "pending" | "running" | "done" | "failed".
   std::string state = "pending";
@@ -196,5 +197,20 @@ class Coordinator {
   std::uint64_t attempts_total_ = 0;
   bool ran_ = false;
 };
+
+/// The status reply's JSON text:
+///   {"ok":true,"state":...,"spec_hash":...,"shards":N,"completed":N,
+///    "running":N,"pending":N,"attempts":N,"workers":[
+///    {"name":...,"capacity":N,"busy":N,"failures":N}]}
+/// The field names are a tool contract (scripts parse them); tests pin
+/// them exactly.
+std::string coord_status_json(const CoordStatus& status);
+
+/// The coordinator's control-socket verbs for svc::run_server: `status`
+/// answers coord_status_json(coordinator.status()). The socket only
+/// observes a run — ucr_coordd's command line drives it — so there is no
+/// other verb; Coordinator::status() is thread-safe, so the verbs hold
+/// only a const reference.
+std::vector<svc::Verb> control_verbs(const Coordinator& coordinator);
 
 }  // namespace ucr::coord

@@ -20,7 +20,7 @@
 //   name=STR     label in status output and log/cache paths
 //                (default local-<n> / exec-<n> by position)
 //
-// docs/ORCHESTRATOR.md is the format reference.
+// docs/SERVICE.md is the format reference.
 #pragma once
 
 #include <string>

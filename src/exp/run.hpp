@@ -50,10 +50,7 @@ class CellResultStore {
 };
 
 struct RunOptions {
-  /// Worker threads; 0 means all hardware threads. (Dispatch is always in
-  /// grid order — sinks consume the completed grid prefix, so size-aware
-  /// reordering would buffer nearly the whole grid before the first row;
-  /// see SweepOptions::largest_first.)
+  /// Worker threads; 0 means all hardware threads.
   unsigned threads = 0;
   /// When set, cells already present in the store are replayed instead of
   /// executed and fresh cells are stored before emission (see above).

@@ -102,7 +102,7 @@ using SpecLoader = std::function<std::string(const std::string& name)>;
 /// same SpecFile value — hence the same canonical text and the same
 /// spec_hash — as the flattened spec it abbreviates; that equality is
 /// what lets a per-worker shard file be a one-line diff of the canonical
-/// sweep (docs/ORCHESTRATOR.md).
+/// sweep (docs/SERVICE.md).
 SpecFile parse_spec(const std::string& text, const SpecLoader& loader);
 
 /// Reads `path` and parse_spec()s its contents — the one spec-loading

@@ -1,6 +1,5 @@
 #include "sim/sweep.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <future>
 #include <mutex>
@@ -69,15 +68,6 @@ RunMetrics run_sweep_point_run(const SweepPoint& point, std::uint64_t run) {
 
 void SweepRunner::run_streaming(const std::vector<SweepPoint>& grid,
                                 const CellCallback& emit) const {
-  // Grid-order dispatch, always: emission follows the completed grid
-  // prefix, so largest-first dispatch would finish the first-in-grid
-  // cells last and buffer nearly every aggregate before the first emit.
-  run_impl(grid, emit, /*largest_first=*/false);
-}
-
-void SweepRunner::run_impl(const std::vector<SweepPoint>& grid,
-                           const CellCallback& emit,
-                           bool largest_first) const {
   // Validate the whole grid up front so a malformed cell fails before any
   // work is scheduled, not halfway through a long sweep.
   for (const SweepPoint& point : grid) {
@@ -91,27 +81,6 @@ void SweepRunner::run_impl(const std::vector<SweepPoint>& grid,
                   "protocol '" + point.factory.name +
                       "' has no fair-engine view");
     }
-  }
-
-  // Size-aware dispatch order: largest cells (by the k * runs work proxy)
-  // first, so the dominant cells of a skewed grid are in flight from the
-  // start instead of anchoring the tail. Stable sort keeps grid order
-  // among equals. This only permutes submission; result slots stay
-  // pre-assigned, so outputs are unaffected.
-  std::vector<std::size_t> order(grid.size());
-  for (std::size_t cell = 0; cell < grid.size(); ++cell) order[cell] = cell;
-  if (largest_first) {
-    // Node cells carry their size in `arrivals` (SweepPoint::node sets
-    // k from it, but guard against hand-built cells where k stayed 0).
-    const auto work = [](const SweepPoint& point) {
-      const std::uint64_t size =
-          point.k != 0 ? point.k : point.arrivals.size();
-      return size * point.runs;
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&grid, &work](std::size_t a, std::size_t b) {
-                       return work(grid[a]) > work(grid[b]);
-                     });
   }
 
   // Pre-assigned result slots: metrics[cell][run]. Each work item writes
@@ -134,7 +103,9 @@ void SweepRunner::run_impl(const std::vector<SweepPoint>& grid,
   std::vector<std::future<void>> pending;
   {
     ThreadPool pool(options_.threads);
-    for (const std::size_t cell : order) {
+    // Grid-order dispatch: emission follows the completed grid prefix, so
+    // any other order would buffer aggregates until the first cells end.
+    for (std::size_t cell = 0; cell < grid.size(); ++cell) {
       const SweepPoint& point = grid[cell];
       for (std::uint64_t r = 0; r < point.runs; ++r) {
         pending.push_back(pool.submit([&, cell, r] {
@@ -179,15 +150,10 @@ void SweepRunner::run_impl(const std::vector<SweepPoint>& grid,
 
 std::vector<AggregateResult> SweepRunner::run(
     const std::vector<SweepPoint>& grid) const {
-  // Collecting keeps every aggregate anyway, so the size-aware dispatch
-  // order costs nothing here and still avoids the skewed-grid tail.
   std::vector<AggregateResult> results(grid.size());
-  run_impl(
-      grid,
-      [&results](std::size_t cell, AggregateResult&& result) {
-        results[cell] = std::move(result);
-      },
-      options_.largest_first);
+  run_streaming(grid, [&results](std::size_t cell, AggregateResult&& result) {
+    results[cell] = std::move(result);
+  });
   return results;
 }
 

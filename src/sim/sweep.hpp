@@ -8,12 +8,10 @@
 // Determinism guarantee: run r of a cell is seeded Xoshiro256::stream(seed,
 // r) — the substream derivation the serial runner has always used — and
 // every work item writes its RunMetrics into a pre-assigned slot. Scheduling
-// order, work stealing, thread count and the size-aware largest-first
-// dispatch (SweepOptions::largest_first) therefore cannot influence any
-// output bit: SweepRunner with 1 thread, with N threads, with either
-// dispatch order, and the serial run_fair_experiment / run_node_experiment
-// loops all produce identical results (tests/sim/sweep_test.cpp pins this,
-// down to CSV bytes).
+// order, work stealing and thread count therefore cannot influence any
+// output bit: SweepRunner with 1 thread, with N threads, and the serial
+// run_fair_experiment / run_node_experiment loops all produce identical
+// results (tests/sim/sweep_test.cpp pins this, down to CSV bytes).
 #pragma once
 
 #include <cstdint>
@@ -79,17 +77,6 @@ RunMetrics run_sweep_point_run(const SweepPoint& point, std::uint64_t run);
 struct SweepOptions {
   /// Worker threads; 0 means all hardware threads.
   unsigned threads = 0;
-  /// Size-aware dispatch: submit cells in descending k * runs order so the
-  /// dominant cells of a skewed grid (k = 10^7 next to k = 10) start
-  /// first instead of anchoring the tail of the sweep. Pure scheduling —
-  /// results are written to pre-assigned slots and returned in grid
-  /// order, so every output bit is identical with or without it, for any
-  /// thread count. Applies to run() only: run_streaming() always
-  /// dispatches in grid order, because emission follows the completed
-  /// grid prefix and out-of-grid-order dispatch would buffer nearly the
-  /// whole grid before the first emit (defeating streaming's
-  /// bounded-memory point).
-  bool largest_first = true;
 };
 
 /// Executes sweep grids across a worker pool. The pool is created per
@@ -100,10 +87,11 @@ class SweepRunner {
   explicit SweepRunner(SweepOptions options = {}) : options_(options) {}
 
   /// Runs every (cell, run) work item of the grid and returns one
-  /// AggregateResult per cell, in grid order. Throws ContractViolation on
-  /// malformed cells (runs == 0, missing engine view); an exception thrown
-  /// inside any work item (protocol factory or engine) is propagated to
-  /// the caller after the remaining items finish.
+  /// AggregateResult per cell, in grid order: run_streaming() collecting
+  /// every emission. Throws ContractViolation on malformed cells
+  /// (runs == 0, missing engine view); an exception thrown inside any
+  /// work item (protocol factory or engine) is propagated to the caller
+  /// after the remaining items finish.
   std::vector<AggregateResult> run(const std::vector<SweepPoint>& grid) const;
 
   /// Called once per completed cell, always in grid order.
@@ -115,10 +103,10 @@ class SweepRunner {
   /// grid order, but as a growing prefix while the sweep is still running,
   /// so a consumer can write results out incrementally and the per-run
   /// metrics of emitted cells are released instead of accumulating for the
-  /// whole grid. Dispatch is always in grid order (largest_first is
-  /// ignored; see SweepOptions), which bounds the out-of-order buffer to
-  /// roughly the cells concurrently in flight. Thread count cannot
-  /// reorder or alter emissions (same determinism contract as run()).
+  /// whole grid. Dispatch is in grid order, which bounds the out-of-order
+  /// buffer to roughly the cells concurrently in flight. Thread count
+  /// cannot reorder or alter emissions (same determinism contract as
+  /// run()).
   /// `emit` runs on worker threads under an internal mutex; if it throws,
   /// the remaining cells are dropped and the exception propagates to the
   /// caller.
@@ -129,9 +117,6 @@ class SweepRunner {
   unsigned threads() const;
 
  private:
-  void run_impl(const std::vector<SweepPoint>& grid, const CellCallback& emit,
-                bool largest_first) const;
-
   SweepOptions options_;
 };
 

@@ -3,16 +3,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <future>
 #include <optional>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "common/check.hpp"
-#include "common/json.hpp"
-#include "svc/socket.hpp"
+#include "svc/service.hpp"
 
 namespace ucr::svc {
 
@@ -38,25 +35,11 @@ std::string status_json(const JobStatus& status, bool done) {
   return out;
 }
 
-void handle_stream(LineSocket& socket, SweepService& service,
-                   const std::string& job_id) {
-  std::size_t next_row = 0;
-  while (true) {
-    std::vector<std::string> rows;
-    const JobStatus status = service.wait_rows(job_id, next_row, rows);
-    for (const std::string& row : rows) socket.send_line(row);
-    next_row += rows.size();
-    if (job_state_terminal(status.state) &&
-        next_row >= status.completed_cells) {
-      socket.send_line(status_json(status, /*done=*/true));
-      return;
-    }
-  }
-}
-
-void handle_connection(LineSocket socket, SweepService& service,
-                       std::atomic<bool>& stop_flag,
-                       const std::string& socket_path) {
+/// noexcept: a ContractViolation is a bad request or a vanished peer;
+/// anything else is a daemon bug, which must end the process loudly
+/// rather than sit unread in a discarded future.
+void serve_connection(LineSocket socket,
+                      const std::vector<Verb>& verbs) noexcept {
   try {
     while (true) {
       const std::optional<std::string> line = socket.recv_line();
@@ -67,36 +50,18 @@ void handle_connection(LineSocket socket, SweepService& service,
         const std::string& cmd = request.at("cmd").as_string();
         if (cmd == "ping") {
           socket.send_line("{\"ok\":true,\"pong\":true}");
-        } else if (cmd == "submit") {
-          const std::string id =
-              service.submit(request.at("spec").as_string());
-          socket.send_line(status_json(service.status(id), /*done=*/false));
-        } else if (cmd == "status") {
-          socket.send_line(status_json(
-              service.status(request.at("job").as_string()),
-              /*done=*/false));
-        } else if (cmd == "cancel") {
-          socket.send_line(status_json(
-              service.cancel(request.at("job").as_string()),
-              /*done=*/false));
-        } else if (cmd == "stream") {
-          handle_stream(socket, service, request.at("job").as_string());
-        } else if (cmd == "shutdown") {
-          socket.send_line("{\"ok\":true,\"shutting_down\":true}");
-          stop_flag.store(true);
-          // Wake the accept loop with a throwaway connection; it rechecks
-          // the flag after every accept.
-          try {
-            connect_unix(socket_path);
-          } catch (const ContractViolation&) {
-            // The listener may already be gone — flag is set either way.
-          }
-          return;
-        } else {
-          socket.send_line(error_json(
-              "unknown cmd '" + cmd +
-              "' (ping, submit, status, stream, cancel, shutdown)"));
+          continue;
         }
+        const Verb* verb = nullptr;
+        std::string known = "ping";
+        for (const Verb& candidate : verbs) {
+          if (candidate.name == cmd) verb = &candidate;
+          known += ", " + candidate.name;
+        }
+        if (verb == nullptr) {
+          throw ContractViolation("unknown cmd '" + cmd + "' (" + known + ")");
+        }
+        verb->handle(request, socket);
       } catch (const ContractViolation& e) {
         socket.send_line(error_json(e.what()));
       }
@@ -110,24 +75,76 @@ void handle_connection(LineSocket socket, SweepService& service,
 }  // namespace
 
 void run_server(int listen_fd, const std::string& socket_path,
-                SweepService& service) {
-  std::atomic<bool> stop_flag{false};
-  std::vector<std::thread> handlers;
-  while (!stop_flag.load()) {
+                const std::vector<Verb>& verbs) {
+  std::vector<std::future<void>> handlers;
+  while (true) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener broken — shut down rather than spin
+      break;  // stop_server() shut the listener down (or it broke)
     }
-    LineSocket connection(fd);
-    if (stop_flag.load()) break;  // the shutdown wake-up connection
-    handlers.emplace_back(handle_connection, std::move(connection),
-                          std::ref(service), std::ref(stop_flag),
-                          socket_path);
+    handlers.push_back(std::async(std::launch::async, serve_connection,
+                                  LineSocket(fd), std::cref(verbs)));
+    // Erasing a ready std::async future joins its thread. A finished
+    // thread keeps its stack mapped until joined, so reaping here bounds
+    // the mappings by the connections still open rather than by every
+    // connection ever served, which exhausts the kernel's map count.
+    // Reaping after the spawn keeps a join that waits for a thread's
+    // exit off the new connection's path.
+    std::erase_if(handlers, [](const std::future<void>& handler) {
+      return handler.wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready;
+    });
   }
-  for (std::thread& handler : handlers) handler.join();
+  handlers.clear();
   ::close(listen_fd);
   ::unlink(socket_path.c_str());
+}
+
+void stop_server(int listen_fd) { ::shutdown(listen_fd, SHUT_RDWR); }
+
+std::vector<Verb> sweep_verbs(SweepService& service, int listen_fd) {
+  auto on_submit = [&service](const json::Value& request, LineSocket& socket) {
+    const std::string id = service.submit(request.at("spec").as_string());
+    socket.send_line(status_json(service.status(id), /*done=*/false));
+  };
+  auto on_status = [&service](const json::Value& request, LineSocket& socket) {
+    const JobStatus job = service.status(request.at("job").as_string());
+    socket.send_line(status_json(job, /*done=*/false));
+  };
+  auto on_stream = [&service](const json::Value& request, LineSocket& socket) {
+    const std::string& job = request.at("job").as_string();
+    std::size_t next_row = 0;
+    while (true) {
+      std::vector<std::string> rows;
+      const JobStatus status = service.wait_rows(job, next_row, rows);
+      for (const std::string& row : rows) socket.send_line(row);
+      next_row += rows.size();
+      if (job_state_terminal(status.state) &&
+          next_row >= status.completed_cells) {
+        socket.send_line(status_json(status, /*done=*/true));
+        return;
+      }
+    }
+  };
+  auto on_cancel = [&service](const json::Value& request, LineSocket& socket) {
+    const JobStatus job = service.cancel(request.at("job").as_string());
+    socket.send_line(status_json(job, /*done=*/false));
+  };
+  auto on_shutdown = [listen_fd](const json::Value&, LineSocket& socket) {
+    socket.send_line("{\"ok\":true,\"shutting_down\":true}");
+    stop_server(listen_fd);
+    // The server joins every open connection when it stops, so end this
+    // one here rather than wait for the requester to hang up.
+    ::shutdown(socket.fd(), SHUT_RD);
+  };
+  std::vector<Verb> verbs;
+  verbs.push_back({"submit", on_submit});
+  verbs.push_back({"status", on_status});
+  verbs.push_back({"stream", on_stream});
+  verbs.push_back({"cancel", on_cancel});
+  verbs.push_back({"shutdown", on_shutdown});
+  return verbs;
 }
 
 }  // namespace ucr::svc

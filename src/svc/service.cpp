@@ -141,14 +141,6 @@ JobStatus SweepService::cancel(const std::string& job_id) {
   return status_locked(job);
 }
 
-std::vector<JobStatus> SweepService::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<JobStatus> statuses;
-  statuses.reserve(jobs_.size());
-  for (const auto& job : jobs_) statuses.push_back(status_locked(*job));
-  return statuses;
-}
-
 void SweepService::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -92,15 +92,10 @@ class SweepService {
   /// kCancelled here; a running job stops at its next completed cell.
   JobStatus cancel(const std::string& job_id);
 
-  /// Snapshots of every job, in submission order.
-  std::vector<JobStatus> snapshot() const;
-
   /// Rejects further submits, waits for the queue to drain and the
   /// executor to exit. Queued jobs still run — cancel them first for a
   /// fast shutdown. Idempotent.
   void stop();
-
-  const Options& options() const { return options_; }
 
  private:
   struct Job;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -20,6 +21,18 @@ TEST(CliArgs, ParsesKeyValue) {
   const auto args = parse({"--k=100", "--seed=7"}, {"k", "seed"});
   EXPECT_EQ(args.get_u64("k", 0), 100u);
   EXPECT_EQ(args.get_u64("seed", 0), 7u);
+  // strtoull-style parsing ran these as k = 1, seed 0, 3 shards, ...
+  for (const char* bad : {"--k=1e3", "--k=0x10", "--k=3x", "--k=-1", "--k=",
+                          "--k= 5", "--k=18446744073709551616"}) {
+    EXPECT_THROW(parse({bad}, {"k"}).get_u64("k", 0), ContractViolation) << bad;
+  }
+  try {
+    parse({"--shards=3x"}, {"shards"}).get_u64("shards", 0);
+    FAIL() << "--shards=3x parsed";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("--shards"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CliArgs, DefaultsWhenAbsent) {
@@ -47,6 +60,13 @@ TEST(CliArgs, BoolSpellings) {
 TEST(CliArgs, DoubleParsing) {
   const auto args = parse({"--delta=0.366"}, {"delta"});
   EXPECT_DOUBLE_EQ(args.get_double("delta", 0.0), 0.366);
+  EXPECT_DOUBLE_EQ(parse({"--x=1e3"}, {"x"}).get_double("x", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(parse({"--x=-.5"}, {"x"}).get_double("x", 0.0), -0.5);
+  for (const char* bad : {"--x=0.1x", "--x=", "--x=0.5 ", "--x=nan", "--x=inf",
+                          "--x=1e999", "--x=abc"}) {
+    EXPECT_THROW(parse({bad}, {"x"}).get_double("x", 0.0), ContractViolation)
+        << bad;
+  }
 }
 
 TEST(CliArgs, RejectsUnknownKey) {
@@ -75,6 +95,18 @@ TEST(EnvHelpers, ReadAndDefault) {
   EXPECT_DOUBLE_EQ(env_double("UCR_TEST_ENV_DBL", 1.0), 0.25);
   ::unsetenv("UCR_TEST_ENV_DBL");
   EXPECT_DOUBLE_EQ(env_double("UCR_TEST_ENV_DBL", 1.0), 1.0);
+
+  // Set values follow the flag rules.
+  ::setenv("UCR_TEST_ENV_U64", "1e3", 1);
+  EXPECT_THROW(env_u64("UCR_TEST_ENV_U64", 5), ContractViolation);
+  ::setenv("UCR_TEST_ENV_U64", "12x", 1);
+  EXPECT_THROW(env_u64("UCR_TEST_ENV_U64", 5), ContractViolation);
+  ::unsetenv("UCR_TEST_ENV_U64");
+  ::setenv("UCR_TEST_ENV_DBL", "0.25abc", 1);
+  EXPECT_THROW(env_double("UCR_TEST_ENV_DBL", 1.0), ContractViolation);
+  ::setenv("UCR_TEST_ENV_DBL", "inf", 1);
+  EXPECT_THROW(env_double("UCR_TEST_ENV_DBL", 1.0), ContractViolation);
+  ::unsetenv("UCR_TEST_ENV_DBL");
 }
 
 TEST(EnvHelpers, EmptyStringIsDefault) {

@@ -1,6 +1,7 @@
 // The coordinator contract (coord/coordinator.hpp), unit and end to end:
 // shard overlays, per-shard output validation, the machine-readable
-// status encoding, and the acceptance property itself — a real worker
+// status encoding and the control socket that serves it, and the
+// acceptance property itself — a real worker
 // fleet with a rigged mid-shard death (UCR_ABORT_MODE=kill through the
 // generic exec launcher) still assembles an archive byte-identical to
 // the in-process pipeline, with the death absorbed by a retry.
@@ -12,10 +13,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
-#include "coord/control.hpp"
 #include "coord/workers.hpp"
 #include "core/registry.hpp"
 #include "exp/plan.hpp"
@@ -23,6 +24,9 @@
 #include "exp/sink.hpp"
 #include "exp/spec_io.hpp"
 #include "sim/resultio.hpp"
+#include "svc/client.hpp"
+#include "svc/server.hpp"
+#include "svc/socket.hpp"
 
 namespace ucr::coord {
 namespace {
@@ -158,6 +162,46 @@ TEST(CoordStatusJson, FieldNamesAreAToolContract) {
             "\"completed\":1,\"running\":1,\"pending\":1,\"attempts\":4,"
             "\"workers\":[{\"name\":\"good-1\",\"capacity\":2,\"busy\":1,"
             "\"failures\":3}]}");
+}
+
+TEST(CoordControl, SharedServerAnswersPingAndStatusOnly) {
+  const fs::path root = fresh_root("ucr_coord_control_test");
+  CoordinatorOptions options;
+  options.spec_path = write_spec(root, test_spec());
+  options.workers = parse_workers("local name=good-1\n");
+  options.work_dir = (root / "work").string();
+  const Coordinator coordinator(options);
+
+  const std::string socket_path = (root / "c.sock").string();
+  const int listen_fd = svc::listen_unix(socket_path);
+  std::thread server([&] {
+    svc::run_server(listen_fd, socket_path, control_verbs(coordinator));
+  });
+
+  EXPECT_EQ(svc::request_raw(socket_path, svc::simple_request("status")),
+            coord_status_json(coordinator.status()));
+  const std::string ping = svc::simple_request("ping");
+  EXPECT_TRUE(svc::request(socket_path, ping).at("pong").as_bool());
+  // The socket only observes a run: the sweep daemon's verbs are errors.
+  EXPECT_THROW(svc::request(socket_path, svc::simple_request("shutdown")),
+               ContractViolation);
+  EXPECT_THROW(svc::request(socket_path, svc::submit_request("runs = 1\n")),
+               ContractViolation);
+  {
+    // ...that keep the connection open.
+    svc::LineSocket connection = svc::connect_unix(socket_path);
+    connection.send_line(svc::simple_request("shutdown"));
+    EXPECT_EQ(connection.recv_line(),
+              "{\"ok\":false,\"error\":\"unknown cmd 'shutdown' "
+              "(ping, status)\"}");
+    connection.send_line(svc::simple_request("status"));
+    EXPECT_EQ(connection.recv_line(), coord_status_json(coordinator.status()));
+  }
+
+  svc::stop_server(listen_fd);
+  server.join();
+  EXPECT_FALSE(fs::exists(socket_path));
+  fs::remove_all(root);
 }
 
 TEST(Coordinator, RejectsShardedAndTableBaseSpecs) {

@@ -521,7 +521,7 @@ TEST(SpecOverlay, RandomizedOverlaysMatchTheirFlattenedEquivalent) {
 }
 
 TEST(SpecOverlay, ShippedOverlayPairLoadsIdentically) {
-  // The shipped example pair (docs/ORCHESTRATOR.md): the overlay resolves
+  // The shipped example pair (docs/SERVICE.md): the overlay resolves
   // its include relative to its own directory and loads to exactly the
   // flattened twin — same SpecFile, canonical text and spec_hash.
   const std::filesystem::path dir =

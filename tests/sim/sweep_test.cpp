@@ -25,7 +25,7 @@ std::vector<SweepPoint> small_grid() {
   grid.push_back(
       SweepPoint::node(make_one_fail_factory(), batched_arrivals(25), 3, 7));
   // One batched-engine cell: the fast path must be just as deterministic
-  // across thread counts and dispatch orders as the exact engines.
+  // across thread counts as the exact engines.
   EngineOptions batched;
   batched.batched = true;
   grid.push_back(SweepPoint::fair(make_known_k_factory(), 40, 4, 13, batched));
@@ -137,32 +137,6 @@ TEST(SweepRunner, PropagatesWorkItemExceptions) {
       SweepPoint::fair(make_known_k_factory(), 20, 2, 1),
       SweepPoint::fair(throwing, 20, 2, 1)};
   EXPECT_THROW(SweepRunner(SweepOptions{4}).run(grid), std::runtime_error);
-}
-
-TEST(SweepRunner, LargestFirstDispatchIsByteIdentical) {
-  // Size-aware (largest-first) dispatch permutes only the submission
-  // order; the pre-assigned result slots keep every output bit identical
-  // across dispatch orders and thread counts — k = 10^7-style skew is
-  // purely a wall-clock concern. Skewed grid: one big cell amid small
-  // ones.
-  std::vector<SweepPoint> grid;
-  const auto genie = make_known_k_factory();
-  for (const std::uint64_t k : {5, 2000, 50, 11, 400}) {
-    grid.push_back(SweepPoint::fair(genie, k, 3, 99));
-  }
-  SweepOptions serial;
-  serial.threads = 1;
-  serial.largest_first = false;
-  SweepOptions parallel_largest;
-  parallel_largest.threads = 8;
-  parallel_largest.largest_first = true;
-  SweepOptions parallel_grid_order;
-  parallel_grid_order.threads = 8;
-  parallel_grid_order.largest_first = false;
-
-  const std::string baseline = csv_of(SweepRunner(serial).run(grid));
-  EXPECT_EQ(baseline, csv_of(SweepRunner(parallel_largest).run(grid)));
-  EXPECT_EQ(baseline, csv_of(SweepRunner(parallel_grid_order).run(grid)));
 }
 
 TEST(SweepRunner, BatchedCellsMatchSerialBatchedRuns) {

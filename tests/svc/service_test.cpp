@@ -1,12 +1,16 @@
 // SweepService + the socket protocol, end to end in-process: submit /
 // stream round-trips match a direct run byte for byte, a warm resubmit is
-// 100% cache hits, cancellation stops at a cell boundary, and malformed
-// requests answer errors without killing the daemon.
+// 100% cache hits, cancellation stops at a cell boundary, malformed
+// requests answer errors without killing the daemon, and the server does
+// not hold a thread per connection it has ever served.
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -48,6 +52,17 @@ std::string direct_jsonl(const std::string& spec_text) {
   exp::JsonlSink sink(out);
   exp::run(plan, {&sink}, {2});
   return out.str();
+}
+
+/// This process's virtual memory size in kB (VmSize in /proc/self/status).
+std::uint64_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0;
 }
 
 TEST(SweepService, SubmitWaitRowsMatchesDirectRun) {
@@ -135,7 +150,6 @@ TEST(SweepService, CancelStopsAQueuedJob) {
     EXPECT_EQ(final_second.state, JobState::kDone);
   }
   EXPECT_EQ(service.wait(first).state, JobState::kDone);
-  EXPECT_EQ(service.snapshot().size(), 2u);
   service.stop();
 }
 
@@ -148,8 +162,9 @@ TEST(ServerRoundTrip, SocketProtocolMatchesDirectRun) {
 
   SweepService service({(root / "cache").string(), 2});
   const int listen_fd = listen_unix(socket_path);
-  std::thread server(
-      [&] { run_server(listen_fd, socket_path, service); });
+  std::thread server([&] {
+    run_server(listen_fd, socket_path, sweep_verbs(service, listen_fd));
+  });
 
   const std::string text = small_spec_text();
   const json::Value pong = request(socket_path, simple_request("ping"));
@@ -205,6 +220,40 @@ TEST(ServerRoundTrip, SocketProtocolMatchesDirectRun) {
   // The daemon unlinked its socket on the way out.
   EXPECT_FALSE(fs::exists(socket_path));
   service.stop();
+  fs::remove_all(root);
+}
+
+TEST(ServerRoundTrip, FinishedConnectionsAreReaped) {
+  // Every connection gets a handler thread, which keeps its stack mapped
+  // until joined. Were finished handlers held until shutdown, 500 pings
+  // would grow the address space by ~4 GB, and a busy daemon would abort
+  // at the kernel's map-count limit.
+  const fs::path root = fs::path(::testing::TempDir()) / "ucr_reap_test";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  const std::string socket_path = (root / "d.sock").string();
+  // One malloc arena for the whole process: a handler that starts before
+  // the previous one has exited would otherwise claim a fresh 64 MB arena
+  // reservation — allocator noise, bounded by the core count, that would
+  // swamp the per-thread signal measured here.
+  mallopt(M_ARENA_MAX, 1);
+  const int listen_fd = listen_unix(socket_path);
+  std::thread server([&] { run_server(listen_fd, socket_path, {}); });
+
+  // Warm up first, so allocator arenas and the stack cache are in place.
+  for (int i = 0; i < 50; ++i) request(socket_path, simple_request("ping"));
+  const std::uint64_t before = vm_size_kb();
+  for (int i = 0; i < 500; ++i) {
+    const json::Value pong = request(socket_path, simple_request("ping"));
+    EXPECT_TRUE(pong.at("pong").as_bool());
+  }
+  const std::uint64_t after = vm_size_kb();
+  EXPECT_LT(after, before + 64 * 1024)
+      << "VmSize " << before << " kB -> " << after << " kB";
+
+  stop_server(listen_fd);
+  server.join();
+  EXPECT_FALSE(fs::exists(socket_path));
   fs::remove_all(root);
 }
 

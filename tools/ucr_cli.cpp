@@ -39,9 +39,6 @@
 #include "exp/spec_io.hpp"
 #include "svc/client.hpp"
 #include "svc/result_cache.hpp"
-#include "svc/server.hpp"
-#include "svc/service.hpp"
-#include "svc/socket.hpp"
 
 namespace {
 
@@ -133,9 +130,6 @@ int usage(const std::string& error) {
          "                    137 instead of throwing — a worker machine\n"
          "                    dying mid-shard, for coordinator tests)\n"
          "daemon client (needs a running ucr_servd; docs/SERVICE.md):\n"
-         "  --serve --socket=PATH [--cache=DIR]\n"
-         "                    run the sweep daemon in-process (the\n"
-         "                    standalone spelling is ucr_servd)\n"
          "  --submit=FILE --socket=PATH [--wait]\n"
          "                    submit a spec file; --wait streams the\n"
          "                    job's JSONL rows to stdout (byte-identical\n"
@@ -184,25 +178,14 @@ std::string job_summary(const ucr::json::Value& response) {
                      response.at("cache_hits").as_u64());
 }
 
-/// Daemon and client modes (--serve / --submit / --status / --cancel /
-/// --shutdown), all addressed by --socket.
+/// Daemon client modes (--submit / --status / --cancel / --shutdown),
+/// all addressed by --socket.
 int run_client(const ucr::CliArgs& args) {
   const auto socket_path = args.get("socket");
   if (!socket_path.has_value()) {
-    return usage("daemon and client modes need --socket=PATH");
+    return usage("daemon client modes need --socket=PATH");
   }
 
-  if (args.get_bool("serve", false)) {
-    ucr::svc::SweepService::Options options;
-    if (const auto cache = args.get("cache")) options.cache_dir = *cache;
-    options.threads = ucr::thread_count_option(args, "UCR_THREADS");
-    ucr::svc::SweepService service(options);
-    const int listen_fd = ucr::svc::listen_unix(*socket_path);
-    std::cerr << "ucr_cli: serving on " << *socket_path << "\n";
-    ucr::svc::run_server(listen_fd, *socket_path, service);
-    service.stop();
-    return 0;
-  }
   if (args.get_bool("shutdown", false)) {
     ucr::svc::request(*socket_path, ucr::svc::simple_request("shutdown"));
     std::cerr << "ucr_cli: daemon at " << *socket_path
@@ -263,7 +246,7 @@ int run_client(const ucr::CliArgs& args) {
 /// (default) fails loudly through the normal error path; `kill`
 /// hard-exits with status 137 — the status a SIGKILLed process reports —
 /// without unwinding, which is how the coordinator tests simulate a
-/// worker machine dying mid-shard (docs/ORCHESTRATOR.md).
+/// worker machine dying mid-shard (docs/SERVICE.md).
 class AbortSink final : public ucr::exp::ResultSink {
  public:
   AbortSink(std::uint64_t limit, bool kill) : limit_(limit), kill_(kill) {}
@@ -632,11 +615,10 @@ int run_cli(int argc, char** argv) {
                            "lambda", "bursts", "gap", "channel", "max-slots",
                            "shard", "threads", "csv", "format", "list",
                            "list-cells", "cache", "abort-after-cells",
-                           "serve", "socket", "submit", "wait", "status",
-                           "cancel", "shutdown", "json"});
+                           "socket", "submit", "wait", "status", "cancel",
+                           "shutdown", "json"});
   if (args.get_bool("list", false)) return list_protocols();
-  if (args.get_bool("serve", false) || args.get("submit") ||
-      args.get("status") || args.get("cancel") ||
+  if (args.get("submit") || args.get("status") || args.get("cancel") ||
       args.get_bool("shutdown", false)) {
     return run_client(args);
   }

@@ -1,8 +1,9 @@
 // ucr_coordctl — thin client for the coordinator's control socket
-// (coord/control.hpp). The protocol is the same line-oriented JSON over
-// AF_UNIX the sweep daemon speaks, so this reuses the svc client helpers
-// verbatim; --json prints the coordinator's response byte-for-byte for
-// scripts (the field names are pinned by tests and docs/ORCHESTRATOR.md).
+// (coord::control_verbs). The coordinator serves it through the sweep
+// daemon's own socket server (svc/server.hpp), so this reuses the svc
+// client helpers verbatim; --json prints the coordinator's response
+// byte-for-byte for scripts (the field names are pinned by tests and
+// docs/SERVICE.md).
 //
 // Examples:
 //   ucr_coordctl --socket=/tmp/coord.sock --ping

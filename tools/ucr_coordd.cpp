@@ -1,4 +1,4 @@
-// ucr_coordd — the distributed sweep coordinator (docs/ORCHESTRATOR.md).
+// ucr_coordd — the distributed sweep coordinator (docs/SERVICE.md).
 // Takes one spec file, partitions it into --shard=i/N work units, fans
 // them out over a worker fleet (a workers file of `local` / `exec:`
 // lines), health-checks workers by output progress, retries failed or
@@ -15,15 +15,15 @@
 //              --socket=/tmp/coord.sock --output=fig1.jsonl
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
-#include "coord/control.hpp"
 #include "coord/coordinator.hpp"
 #include "coord/workers.hpp"
+#include "svc/server.hpp"
+#include "svc/socket.hpp"
 
 namespace {
 
@@ -121,9 +121,23 @@ int main(int argc, char** argv) {
     std::cerr << "ucr_coordd: " << coordinator.shards() << " shards, "
               << "spec_hash " << coordinator.spec_hash() << "\n";
 
-    std::optional<ucr::coord::ControlServer> control;
+    // The control socket is served on its own thread while run() works
+    // on this one. Leaving this scope stops it — after a successful run
+    // and while a failed one unwinds — so the socket file never outlives
+    // the run and the thread is always joined.
+    struct ControlThread {
+      int fd = -1;
+      std::thread thread;
+      ~ControlThread() {
+        if (!thread.joinable()) return;
+        ucr::svc::stop_server(fd);
+        thread.join();
+      }
+    } control;
     if (const auto socket = args.get("socket")) {
-      control.emplace(*socket, coordinator);
+      control.fd = ucr::svc::listen_unix(*socket);
+      control.thread = std::thread(ucr::svc::run_server, control.fd, *socket,
+                                   ucr::coord::control_verbs(coordinator));
       std::cerr << "ucr_coordd: control socket on " << *socket << "\n";
     }
 
@@ -137,7 +151,6 @@ int main(int argc, char** argv) {
     }
 
     const ucr::coord::CoordReport report = coordinator.run(*out);
-    if (control.has_value()) control->stop();
     std::cerr << "ucr_coordd: done: " << report.shards << " shards, "
               << report.attempts << " attempts (" << report.retries
               << " retried), " << report.rows << " rows, spec_hash "

@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
                       ? std::string(" (no cache)")
                       : ", cache " + options.cache_dir)
               << "\n";
-    ucr::svc::run_server(listen_fd, *socket_path, service);
+    ucr::svc::run_server(listen_fd, *socket_path,
+                         ucr::svc::sweep_verbs(service, listen_fd));
     // Drain: jobs still queued at shutdown finish into the cache.
     service.stop();
     std::cerr << "ucr_servd: shut down\n";
