@@ -25,7 +25,6 @@
 #include "protocols/exp_backoff.hpp"
 #include "protocols/known_k.hpp"
 #include "protocols/log_fails_adaptive.hpp"
-#include "protocols/window_node.hpp"
 #include "sim/fair_engine.hpp"
 #include "sim/node_engine.hpp"
 #include "sim/runner.hpp"
@@ -218,22 +217,21 @@ BENCHMARK(BM_FairSlotEngineBatched_Genie)->Arg(100000)->Arg(1000000);
 // not-yet-transmitted station capped every stretch at one slot and this
 // workload degenerated to per-slot cost. Items processed = slots covered,
 // so the tracked quantity is effective slots/second including everything
-// the engine skips.
+// the engine skips. Like the BM_NodeEngine_* cases below, it runs through
+// the catalogue factory's node view (NodeView::run), the typed station
+// table run_single_node uses.
 void BM_NodeBatched_DensePoisson(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
   ucr::Xoshiro256 arrival_rng = ucr::Xoshiro256::stream(12, 0);
   const auto arrivals = ucr::poisson_arrivals(k, 0.01, arrival_rng);
-  const ucr::NodeFactory factory = [](ucr::Xoshiro256& rng) {
-    return std::make_unique<ucr::WindowNodeProtocol>(
-        std::make_unique<ucr::ExpBackonBackoff>(), rng);
-  };
+  const ucr::ProtocolFactory factory = ucr::make_exp_backon_factory();
   ucr::EngineOptions options;
   options.batched = true;
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
   for (auto _ : state) {
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(13, seed++);
-    const auto run = ucr::run_node_engine(factory, arrivals, rng, options);
+    const auto run = factory.node.run(arrivals, rng, options);
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }
@@ -241,23 +239,31 @@ void BM_NodeBatched_DensePoisson(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeBatched_DensePoisson)->Arg(10000)->Arg(100000);
 
-void BM_NodeEngine_OneFail(benchmark::State& state) {
+// Exact node engine on a batch of k stations: items processed = slots.
+void node_engine_batch(benchmark::State& state,
+                       const ucr::ProtocolFactory& factory) {
   const std::uint64_t k = state.range(0);
+  const auto arrivals = ucr::batched_arrivals(k);
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
   for (auto _ : state) {
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(7, seed++);
-    const ucr::NodeFactory factory = [](ucr::Xoshiro256&) {
-      return std::make_unique<ucr::OneFailAdaptiveNode>();
-    };
-    const auto run = ucr::run_node_engine(
-        factory, ucr::batched_arrivals(k), rng, {});
+    const auto run = factory.node.run(arrivals, rng, {});
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(slots));
 }
+
+void BM_NodeEngine_OneFail(benchmark::State& state) {
+  node_engine_batch(state, ucr::make_one_fail_factory());
+}
 BENCHMARK(BM_NodeEngine_OneFail)->Arg(100)->Arg(1000);
+
+void BM_NodeEngine_LogFails2(benchmark::State& state) {
+  node_engine_batch(state, ucr::make_log_fails_factory());
+}
+BENCHMARK(BM_NodeEngine_LogFails2)->Arg(100)->Arg(1000);
 
 // The per-cell fold (sim/runner.hpp): 10 runs x 10^5 recorded latencies
 // folded into one aggregate row, the shape of a dense dynamic cell. The

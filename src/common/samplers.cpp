@@ -49,6 +49,18 @@ std::uint64_t binomial_inversion(Xoshiro256& rng, std::uint64_t n, double p) {
   return k;
 }
 
+namespace {
+
+// ln Gamma(x) without std::lgamma's write to the global `signgam`, which
+// is a data race when sweep worker threads sample binomials at once.
+// lgamma_r returns the same value and stores the sign in a local instead.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 std::uint64_t binomial_btrs(Xoshiro256& rng, std::uint64_t n, double p) {
   // Hörmann (1993), algorithm BTRS (transformed rejection with squeeze).
   UCR_REQUIRE(p > 0.0 && p <= 0.5, "BTRS requires 0 < p <= 0.5");
@@ -64,7 +76,7 @@ std::uint64_t binomial_btrs(Xoshiro256& rng, std::uint64_t n, double p) {
   const double alpha = (2.83 + 5.1 / b) * spq;
   const double lpq = std::log(p / q);
   const double m = std::floor((nd + 1.0) * p);
-  const double h = std::lgamma(m + 1.0) + std::lgamma(nd - m + 1.0);
+  const double h = log_gamma(m + 1.0) + log_gamma(nd - m + 1.0);
 
   for (;;) {
     const double u = rng.next_double() - 0.5;
@@ -76,7 +88,7 @@ std::uint64_t binomial_btrs(Xoshiro256& rng, std::uint64_t n, double p) {
       return static_cast<std::uint64_t>(kd);
     }
     v = std::log(v * alpha / (a / (us * us) + b));
-    if (v <= h - std::lgamma(kd + 1.0) - std::lgamma(nd - kd + 1.0) +
+    if (v <= h - log_gamma(kd + 1.0) - log_gamma(nd - kd + 1.0) +
                  (kd - m) * lpq) {
       return static_cast<std::uint64_t>(kd);
     }

@@ -44,6 +44,7 @@
 // reported in EXPERIMENTS.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -57,10 +58,37 @@ class DynamicOneFailState {
   explicit DynamicOneFailState(const OneFailParams& params);
 
   /// Per-station transmission probability (1/kappa~ every slot).
-  double transmit_probability() const;
+  double transmit_probability() const { return 1.0 / kappa_; }
 
   /// End-of-slot update; `heard_delivery` as in OneFailState::advance.
-  void advance(bool heard_delivery);
+  void advance(bool heard_delivery) {
+    const double floor = params_.delta + 1.0;
+    if (heard_delivery) {
+      fast_start_ = false;
+      silent_run_ = 0;
+      // Same net effect as Algorithm 1's AT success: -(delta).
+      kappa_ = std::max(kappa_ - params_.delta, floor);
+      return;
+    }
+    if (fast_start_) {
+      kappa_ *= 2.0;
+      if (kappa_ > ceiling_) {
+        // Sawtooth: restart the sweep one octave higher (see file comment).
+        kappa_ = floor;
+        ceiling_ *= 2.0;
+      }
+      return;
+    }
+    kappa_ += 1.0;  // One-Fail climb
+    if (++silent_run_ >= kSilenceLimit) {
+      // The channel has gone quiet: our estimate is likely far above the
+      // true density. Resweep all scales (see file comment).
+      fast_start_ = true;
+      silent_run_ = 0;
+      kappa_ = floor;
+      ceiling_ = 2.0 * floor;
+    }
+  }
 
   double kappa_estimate() const { return kappa_; }
   /// True while sweeping (before the first heard delivery, or after a
@@ -103,13 +131,20 @@ class DynamicOneFail final : public FairSlotProtocol {
   DynamicOneFailState state_;
 };
 
-/// Per-node view (the view that matters: dynamic arrivals).
+/// Per-node view (the view that matters: dynamic arrivals). Catalogue
+/// stations are held by value (sim/node_engine.hpp), so the per-slot
+/// methods are inline.
 class DynamicOneFailNode final : public NodeProtocol {
  public:
   explicit DynamicOneFailNode(const OneFailParams& params = {});
 
-  double transmit_probability() override;
-  void on_slot_end(const Feedback& fb) override;
+  double transmit_probability() override {
+    return state_.transmit_probability();
+  }
+  void on_slot_end(const Feedback& fb) override {
+    if (fb.delivered_mine) return;  // station goes idle
+    state_.advance(fb.heard_delivery);
+  }
 
   const DynamicOneFailState& state() const { return state_; }
 

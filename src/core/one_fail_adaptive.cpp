@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/mathx.hpp"
+#include "sim/node_engine_loop.hpp"
 
 namespace ucr {
 
@@ -29,25 +30,18 @@ OneFailState::OneFailState(const OneFailParams& params)
   params_.validate();
 }
 
-void OneFailState::advance(bool heard_delivery) {
+void OneFailState::hear_delivery() {
   const double floor = params_.delta + 1.0;
   if (is_bt_step()) {
-    if (heard_delivery) {
-      kappa_ = std::max(kappa_ - params_.delta, floor);  // Task 2, BT branch
-    }
+    kappa_ = std::max(kappa_ - params_.delta, floor);  // Task 2, BT branch
   } else {
     kappa_ += 1.0;  // Task 1 line 11 (every AT step)
-    if (heard_delivery) {
-      kappa_ = std::max(kappa_ - params_.delta - 1.0, floor);  // Task 2, AT
-    }
+    kappa_ = std::max(kappa_ - params_.delta - 1.0, floor);  // Task 2, AT
   }
-  if (heard_delivery) {
-    ++sigma_;
-    // Line 8's probability moves only with sigma: compute it here, once
-    // per heard delivery, instead of on every BT step.
-    bt_probability_ = 1.0 / (1.0 + log2x(static_cast<double>(sigma_) + 1.0));
-  }
-  ++step_;
+  ++sigma_;
+  // Line 8's probability moves only with sigma: compute it here, once per
+  // heard delivery, instead of on every BT step.
+  bt_probability_ = 1.0 / (1.0 + log2x(static_cast<double>(sigma_) + 1.0));
 }
 
 OneFailAdaptive::OneFailAdaptive(const OneFailParams& params)
@@ -62,16 +56,10 @@ void OneFailAdaptive::on_slot_end(bool delivery) { state_.advance(delivery); }
 OneFailAdaptiveNode::OneFailAdaptiveNode(const OneFailParams& params)
     : state_(params) {}
 
-double OneFailAdaptiveNode::transmit_probability() {
-  return state_.transmit_probability();
-}
-
-void OneFailAdaptiveNode::on_slot_end(const Feedback& fb) {
-  if (fb.delivered_mine) {
-    return;  // Task 3: stop upon message delivery; the engine deactivates us.
-  }
-  state_.advance(fb.heard_delivery);
-}
+// The per-node engine over One-Fail stations held by value (node_view).
+template RunMetrics run_node_engine<OneFailAdaptiveNode>(
+    const StationFactory<OneFailAdaptiveNode>&, const ArrivalPattern&,
+    Xoshiro256&, const EngineOptions&, LatencyMetrics*);
 
 ProtocolFactory make_one_fail_factory(const OneFailParams& params,
                                       std::string name) {
@@ -81,9 +69,9 @@ ProtocolFactory make_one_fail_factory(const OneFailParams& params,
   f.fair_slot = [params](std::uint64_t) {
     return std::make_unique<OneFailAdaptive>(params);
   };
-  f.node = [params](std::uint64_t, Xoshiro256&) {
-    return std::make_unique<OneFailAdaptiveNode>(params);
-  };
+  f.node = node_view<OneFailAdaptiveNode>([params](std::uint64_t, Xoshiro256&) {
+    return OneFailAdaptiveNode(params);
+  });
   return f;
 }
 

@@ -58,7 +58,14 @@ class OneFailState {
   /// Applies the end-of-step updates (Task 1 line 11 and Task 2) and moves
   /// to the next step. `heard_delivery` is true iff some other station's
   /// message was delivered in this step.
-  void advance(bool heard_delivery);
+  void advance(bool heard_delivery) {
+    if (heard_delivery) {
+      hear_delivery();
+    } else if (!is_bt_step()) {
+      kappa_ += 1.0;  // Task 1 line 11 (every AT step)
+    }
+    ++step_;
+  }
 
   double kappa_estimate() const { return kappa_; }
   std::uint64_t sigma() const { return sigma_; }
@@ -66,6 +73,10 @@ class OneFailState {
   const OneFailParams& params() const { return params_; }
 
  private:
+  // advance()'s heard-delivery branch, out of line: the same updates as a
+  // silent step plus Task 2's decrease and the sigma / line 8 update.
+  void hear_delivery();
+
   OneFailParams params_;
   double kappa_;          // the density estimator kappa~
   std::uint64_t sigma_ = 0;  // messages received so far
@@ -94,13 +105,21 @@ class OneFailAdaptive final : public FairSlotProtocol {
   OneFailState state_;
 };
 
-/// Per-node view (one instance per station).
+/// Per-node view (one instance per station). Catalogue stations are held
+/// by value (sim/node_engine.hpp), so the per-slot methods are inline.
 class OneFailAdaptiveNode final : public NodeProtocol {
  public:
   explicit OneFailAdaptiveNode(const OneFailParams& params = {});
 
-  double transmit_probability() override;
-  void on_slot_end(const Feedback& fb) override;
+  double transmit_probability() override {
+    return state_.transmit_probability();
+  }
+  void on_slot_end(const Feedback& fb) override {
+    if (fb.delivered_mine) {
+      return;  // Task 3: stop upon message delivery; the engine deactivates us.
+    }
+    state_.advance(fb.heard_delivery);
+  }
 
   const OneFailState& state() const { return state_; }
 

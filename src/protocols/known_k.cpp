@@ -1,6 +1,7 @@
 #include "protocols/known_k.hpp"
 
 #include "common/check.hpp"
+#include "sim/node_engine_loop.hpp"
 
 namespace ucr {
 
@@ -32,26 +33,10 @@ KnownKGenieNode::KnownKGenieNode(std::uint64_t k) : remaining_(k) {
   UCR_REQUIRE(k > 0, "genie needs a positive k");
 }
 
-double KnownKGenieNode::transmit_probability() {
-  UCR_CHECK(remaining_ > 0, "probability requested after completion");
-  return 1.0 / static_cast<double>(remaining_);
-}
-
-void KnownKGenieNode::on_slot_end(const Feedback& fb) {
-  if (fb.delivered_mine) return;  // engine deactivates this station
-  if (fb.heard_delivery) {
-    UCR_CHECK(remaining_ > 0, "heard a delivery after completion");
-    --remaining_;
-  }
-}
-
-std::uint64_t KnownKGenieNode::stationary_slots() const {
-  return ~std::uint64_t{0};  // constant until the next heard delivery
-}
-
-void KnownKGenieNode::on_non_delivery_slots(std::uint64_t /*count*/) {
-  // Non-success slots do not change the genie's state.
-}
+// The per-node engine over genie stations held by value (node_view).
+template RunMetrics run_node_engine<KnownKGenieNode>(
+    const StationFactory<KnownKGenieNode>&, const ArrivalPattern&,
+    Xoshiro256&, const EngineOptions&, LatencyMetrics*);
 
 ProtocolFactory make_known_k_factory(std::string name) {
   ProtocolFactory f;
@@ -59,9 +44,8 @@ ProtocolFactory make_known_k_factory(std::string name) {
   f.fair_slot = [](std::uint64_t k) {
     return std::make_unique<KnownKGenie>(k);
   };
-  f.node = [](std::uint64_t k, Xoshiro256&) {
-    return std::make_unique<KnownKGenieNode>(k);
-  };
+  f.node = node_view<KnownKGenieNode>(
+      [](std::uint64_t k, Xoshiro256&) { return KnownKGenieNode(k); });
   return f;
 }
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "common/check.hpp"
 #include "sim/protocol.hpp"
 #include "sim/runner.hpp"
 
@@ -38,19 +39,33 @@ class KnownKGenie final : public FairSlotProtocol {
 };
 
 /// Per-node view (each station tracks k minus the deliveries it heard and
-/// whether its own message is still pending).
+/// whether its own message is still pending). Catalogue stations are held
+/// by value (sim/node_engine.hpp), so the per-slot methods are inline.
 class KnownKGenieNode final : public NodeProtocol {
  public:
   explicit KnownKGenieNode(std::uint64_t k);
 
-  double transmit_probability() override;
-  void on_slot_end(const Feedback& fb) override;
+  double transmit_probability() override {
+    UCR_CHECK(remaining_ > 0, "probability requested after completion");
+    return 1.0 / static_cast<double>(remaining_);
+  }
+  void on_slot_end(const Feedback& fb) override {
+    if (fb.delivered_mine) return;  // engine deactivates this station
+    if (fb.heard_delivery) {
+      UCR_CHECK(remaining_ > 0, "heard a delivery after completion");
+      --remaining_;
+    }
+  }
 
   /// Like the fair view: the station's state moves only on heard
   /// deliveries, so any number of non-success slots may be skipped at
   /// once and the bulk advance is a no-op.
-  std::uint64_t stationary_slots() const override;
-  void on_non_delivery_slots(std::uint64_t count) override;
+  std::uint64_t stationary_slots() const override {
+    return ~std::uint64_t{0};  // constant until the next heard delivery
+  }
+  void on_non_delivery_slots(std::uint64_t /*count*/) override {
+    // Non-success slots do not change the genie's state.
+  }
 
  private:
   std::uint64_t remaining_;

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/mathx.hpp"
+#include "sim/node_engine_loop.hpp"
 
 namespace ucr {
 
@@ -36,60 +37,18 @@ LogFailsState::LogFailsState(const LogFailsParams& params, std::uint64_t k)
   bt_prob_ = 1.0 / (1.0 + log2x(1.0 / params_.epsilon));
 }
 
-double LogFailsState::transmit_probability() const {
-  if (is_bt_step()) return bt_prob_;
-  return 1.0 / kappa_;
+void LogFailsState::hear_delivery() {
+  searching_ = false;  // the channel is live: switch to tracking
+  set_kappa(std::max(kappa_ - track_decrease(), kKappaFloor));
 }
 
-void LogFailsState::advance(bool heard_delivery) {
-  if (heard_delivery) {
-    searching_ = false;  // the channel is live: switch to tracking
-    kappa_ = std::max(kappa_ - track_decrease(), kKappaFloor);
-  } else if (!is_bt_step()) {
-    // A silent/collided AT step is a "fail"; the estimator is adjusted
-    // only once F of them accumulate (hence "Log-fails").
-    ++fails_;
-    if (fails_ >= fail_threshold()) {
-      if (searching_) {
-        kappa_ *= 1.0 + params_.xi_delta;
-      } else {
-        kappa_ += static_cast<double>(fails_);
-      }
-      fails_ = 0;
-    }
+void LogFailsState::cross_fail_threshold() {
+  if (searching_) {
+    set_kappa(kappa_ * (1.0 + params_.xi_delta));
+  } else {
+    set_kappa(kappa_ + static_cast<double>(fails_));
   }
-  ++step_;
-}
-
-std::uint64_t LogFailsState::constant_probability_slots() const {
-  if (is_bt_step()) return 1;  // the next step is AT with p = 1/kappa
-  const std::uint64_t to_bt_step = bt_period_ - step_ % bt_period_;
-  // A SEARCH->TRACK switch can leave fails_ at or above the (smaller)
-  // TRACK threshold; the very next AT fail then updates kappa.
-  const std::uint64_t threshold = fail_threshold();
-  const std::uint64_t to_threshold =
-      fails_ >= threshold ? 1 : threshold - fails_;
-  return to_bt_step < to_threshold ? to_bt_step : to_threshold;
-}
-
-void LogFailsState::advance_non_delivery(std::uint64_t count) {
-  UCR_CHECK(count <= constant_probability_slots(),
-            "bulk advance beyond the constant-probability horizon");
-  if (is_bt_step()) {
-    // Horizon is 1 here and a BT step is not a fail; replay exactly.
-    for (; count > 0; --count) advance(false);
-    return;
-  }
-  fails_ += count;
-  step_ += count;
-  if (fails_ >= fail_threshold()) {
-    if (searching_) {
-      kappa_ *= 1.0 + params_.xi_delta;
-    } else {
-      kappa_ += static_cast<double>(fails_);
-    }
-    fails_ = 0;
-  }
+  fails_ = 0;
 }
 
 LogFailsAdaptive::LogFailsAdaptive(const LogFailsParams& params,
@@ -114,22 +73,10 @@ LogFailsAdaptiveNode::LogFailsAdaptiveNode(const LogFailsParams& params,
                                            std::uint64_t k)
     : state_(params, k) {}
 
-double LogFailsAdaptiveNode::transmit_probability() {
-  return state_.transmit_probability();
-}
-
-void LogFailsAdaptiveNode::on_slot_end(const Feedback& fb) {
-  if (fb.delivered_mine) return;  // station goes idle
-  state_.advance(fb.heard_delivery);
-}
-
-std::uint64_t LogFailsAdaptiveNode::stationary_slots() const {
-  return state_.constant_probability_slots();
-}
-
-void LogFailsAdaptiveNode::on_non_delivery_slots(std::uint64_t count) {
-  state_.advance_non_delivery(count);
-}
+// The per-node engine over Log-Fails stations held by value (node_view).
+template RunMetrics run_node_engine<LogFailsAdaptiveNode>(
+    const StationFactory<LogFailsAdaptiveNode>&, const ArrivalPattern&,
+    Xoshiro256&, const EngineOptions&, LatencyMetrics*);
 
 ProtocolFactory make_log_fails_factory(const LogFailsParams& params,
                                        std::string name) {
@@ -144,9 +91,10 @@ ProtocolFactory make_log_fails_factory(const LogFailsParams& params,
   f.fair_slot = [params](std::uint64_t k) {
     return std::make_unique<LogFailsAdaptive>(params, k);
   };
-  f.node = [params](std::uint64_t k, Xoshiro256&) {
-    return std::make_unique<LogFailsAdaptiveNode>(params, k);
-  };
+  f.node = node_view<LogFailsAdaptiveNode>(
+      [params](std::uint64_t k, Xoshiro256&) {
+        return LogFailsAdaptiveNode(params, k);
+      });
   return f;
 }
 

@@ -42,6 +42,7 @@
 #include <memory>
 #include <string>
 
+#include "common/check.hpp"
 #include "sim/protocol.hpp"
 #include "sim/runner.hpp"
 
@@ -69,21 +70,55 @@ class LogFailsState {
   /// `k` is used only to derive epsilon when params.epsilon == 0.
   LogFailsState(const LogFailsParams& params, std::uint64_t k);
 
-  bool is_bt_step() const { return step_ % bt_period_ == 0; }
-  double transmit_probability() const;
-  void advance(bool heard_delivery);
+  /// Steps are 1-based; step t is a BT step iff t is a multiple of
+  /// bt_period().
+  bool is_bt_step() const { return phase_ == 0; }
+  double transmit_probability() const {
+    return is_bt_step() ? bt_prob_ : at_prob_;
+  }
+  void advance(bool heard_delivery) {
+    if (heard_delivery) {
+      hear_delivery();
+    } else if (!is_bt_step()) {
+      // A silent/collided AT step is a "fail"; the estimator is adjusted
+      // only once F of them accumulate (hence "Log-fails").
+      ++fails_;
+      if (fails_ >= fail_threshold()) cross_fail_threshold();
+    }
+    next_steps(1);
+  }
 
   /// Slots (including the current one) over which transmit_probability()
   /// stays constant absent a delivery: up to the next BT step or the next
   /// fail-threshold crossing, whichever comes first. Always >= 1; the
   /// batched fair engine uses it to resolve whole runs of AT fails at
   /// once.
-  std::uint64_t constant_probability_slots() const;
+  std::uint64_t constant_probability_slots() const {
+    if (is_bt_step()) return 1;  // the next step is AT with p = 1/kappa
+    const std::uint64_t to_bt_step = bt_period_ - phase_;
+    // A SEARCH->TRACK switch can leave fails_ at or above the (smaller)
+    // TRACK threshold; the very next AT fail then updates kappa.
+    const std::uint64_t threshold = fail_threshold();
+    const std::uint64_t to_threshold =
+        fails_ >= threshold ? 1 : threshold - fails_;
+    return to_bt_step < to_threshold ? to_bt_step : to_threshold;
+  }
 
   /// Bulk equivalent of `count` advance(false) calls. Requires
   /// count <= constant_probability_slots(): every skipped step is then an
   /// AT fail and at most the final one crosses the fail threshold.
-  void advance_non_delivery(std::uint64_t count);
+  void advance_non_delivery(std::uint64_t count) {
+    UCR_CHECK(count <= constant_probability_slots(),
+              "bulk advance beyond the constant-probability horizon");
+    if (is_bt_step()) {
+      // Horizon is 1 here and a BT step is not a fail; replay exactly.
+      for (; count > 0; --count) advance(false);
+      return;
+    }
+    fails_ += count;
+    next_steps(count);
+    if (fails_ >= fail_threshold()) cross_fail_threshold();
+  }
 
   /// True while no delivery has been heard yet (multiplicative climb).
   bool in_search_phase() const { return searching_; }
@@ -105,15 +140,33 @@ class LogFailsState {
   static double track_decrease();
 
  private:
+  // Moves `count` steps on; never past the next BT step (count <=
+  // bt_period_ - phase_ whenever phase_ > 0, and count == 1 at phase 0).
+  void next_steps(std::uint64_t count) {
+    phase_ += count;
+    if (phase_ == bt_period_) phase_ = 0;
+  }
+  // advance()'s rare branches, out of line: a heard delivery, and the
+  // estimator update once fails_ reaches the threshold.
+  void hear_delivery();
+  void cross_fail_threshold();
+  void set_kappa(double kappa) {
+    kappa_ = kappa;
+    at_prob_ = 1.0 / kappa_;
+  }
+
   LogFailsParams params_;
   std::uint64_t bt_period_;
   std::uint64_t search_threshold_;
   std::uint64_t track_threshold_;
   double bt_prob_;
   double kappa_ = kKappaFloor;
+  double at_prob_ = 1.0 / kKappaFloor;  // 1.0 / kappa_, set with kappa_
   bool searching_ = true;
   std::uint64_t fails_ = 0;
-  std::uint64_t step_ = 1;
+  // The current step modulo bt_period_ (steps are 1-based, so step 1 is
+  // phase 1): a counter instead of a division per step.
+  std::uint64_t phase_ = 1;
 };
 
 /// Fair-engine view.
@@ -133,21 +186,31 @@ class LogFailsAdaptive final : public FairSlotProtocol {
   LogFailsState state_;
 };
 
-/// Per-node view.
+/// Per-node view. Catalogue stations are held by value
+/// (sim/node_engine.hpp), so the per-slot methods are inline.
 class LogFailsAdaptiveNode final : public NodeProtocol {
  public:
   LogFailsAdaptiveNode(const LogFailsParams& params, std::uint64_t k);
 
-  double transmit_probability() override;
-  void on_slot_end(const Feedback& fb) override;
+  double transmit_probability() override {
+    return state_.transmit_probability();
+  }
+  void on_slot_end(const Feedback& fb) override {
+    if (fb.delivered_mine) return;  // station goes idle
+    state_.advance(fb.heard_delivery);
+  }
 
   /// Same stationarity horizon as the fair view: the per-station update
   /// ignores the station's own transmissions (fails count silent *and*
   /// collided AT steps alike), so absent a delivery the state is a pure
   /// function of elapsed slots up to the next BT step or threshold
   /// crossing.
-  std::uint64_t stationary_slots() const override;
-  void on_non_delivery_slots(std::uint64_t count) override;
+  std::uint64_t stationary_slots() const override {
+    return state_.constant_probability_slots();
+  }
+  void on_non_delivery_slots(std::uint64_t count) override {
+    state_.advance_non_delivery(count);
+  }
 
   const LogFailsState& state() const { return state_; }
 

@@ -32,10 +32,11 @@ ProtocolFactory make_loglog_factory(const LogLogParams& params,
   f.window = [params](std::uint64_t) {
     return std::make_unique<LogLogIteratedBackoff>(params);
   };
-  f.node = [params](std::uint64_t, Xoshiro256& rng) {
-    return std::make_unique<WindowNodeProtocol>(
-        std::make_unique<LogLogIteratedBackoff>(params), rng);
-  };
+  f.node = node_view<WindowNodeProtocol>(
+      [params](std::uint64_t, Xoshiro256& rng) {
+        return WindowNodeProtocol(
+            std::make_unique<LogLogIteratedBackoff>(params), rng);
+      });
   return f;
 }
 

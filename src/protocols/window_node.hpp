@@ -34,12 +34,15 @@
 
 #include <memory>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sim/protocol.hpp"
 
 namespace ucr {
 
-/// Per-station view of a contention-window protocol.
+/// Per-station view of a contention-window protocol. Catalogue stations
+/// are held by value (sim/node_engine.hpp), so the per-slot methods are
+/// inline; one engine instantiation serves every window protocol.
 class WindowNodeProtocol final : public NodeProtocol {
  public:
   /// Takes ownership of this station's schedule generator (deterministic,
@@ -50,8 +53,17 @@ class WindowNodeProtocol final : public NodeProtocol {
   WindowNodeProtocol(std::unique_ptr<WindowSchedule> schedule,
                      Xoshiro256& engine_rng);
 
-  double transmit_probability() override;
-  void on_slot_end(const Feedback& fb) override;
+  double transmit_probability() override {
+    if (offset_ == window_) fetch_window();  // exhausted (or first call)
+    return offset_ == tx_offset_ ? 1.0 : 0.0;
+  }
+  void on_slot_end(const Feedback& /*fb*/) override {
+    // The pre-draw fixes the whole window at its start, so feedback
+    // carries no information this automaton can use: it transmits at
+    // tx_offset_ and only there, delivered or collided. The engine
+    // deactivates the station itself on delivered_mine.
+    ++offset_;
+  }
 
   /// Stationarity certificate for the batched node engine. Every slot of
   /// a pre-drawn window is deterministic, so the certificate covers the
@@ -60,8 +72,25 @@ class WindowNodeProtocol final : public NodeProtocol {
   /// this station transmits in), and the silent tail to the window end.
   /// Feedback never moves the state (one transmission per window whatever
   /// the channel says), so the certificate survives collision storms.
-  std::uint64_t stationary_slots() const override;
-  void on_non_delivery_slots(std::uint64_t count) override;
+  std::uint64_t stationary_slots() const override {
+    // Only meaningful right after transmit_probability() fetched the
+    // window (offset_ < window_ then).
+    if (offset_ >= window_) return 1;
+    if (offset_ < tx_offset_) return tx_offset_ - offset_;  // silent run-up
+    if (offset_ == tx_offset_) return 1;  // the transmission slot itself
+    return window_ - offset_;             // silent tail to the window end
+  }
+  void on_non_delivery_slots(std::uint64_t count) override {
+    if (count == 0) return;
+    const std::uint64_t certified =
+        offset_ < window_ && offset_ != tx_offset_
+            ? (offset_ < tx_offset_ ? tx_offset_ - offset_
+                                    : window_ - offset_)
+            : 0;
+    UCR_CHECK(count <= certified,
+              "bulk advance beyond the certified stationary stretch");
+    offset_ += count;
+  }
 
   std::uint64_t current_window() const { return window_; }
   std::uint64_t window_offset() const { return offset_; }

@@ -18,9 +18,11 @@
 // Poisson/burst workloads stay exact.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 
 #include "sim/arrival.hpp"
 #include "sim/metrics.hpp"
@@ -28,10 +30,18 @@
 
 namespace ucr {
 
-/// Creates a fresh protocol instance for one station. `rng` may be used by
-/// stateful protocols that pre-draw randomness (it outlives the instance).
-using NodeFactory =
-    std::function<std::unique_ptr<NodeProtocol>(Xoshiro256& rng)>;
+/// Creates one station's element of the engine's station table, the moment
+/// the station is activated. `rng` is the engine stream; stateful
+/// protocols that pre-draw randomness may use it (it outlives the station).
+///
+/// Station is the element type of the table. A catalogue protocol's
+/// stations are held by value as their concrete final NodeProtocol class,
+/// so every per-station call is direct and inlinable; BoxedStation holds
+/// any NodeProtocol behind a pointer, with virtual calls.
+template <class Station>
+using StationFactory = std::function<Station(Xoshiro256& rng)>;
+using BoxedStation = std::unique_ptr<NodeProtocol>;
+using NodeFactory = StationFactory<BoxedStation>;
 
 /// Per-message latency results (only filled when requested via options).
 struct LatencyMetrics {
@@ -42,13 +52,13 @@ struct LatencyMetrics {
 
 /// Runs the per-node engine on an arbitrary arrival pattern.
 ///
-/// `arrivals` must be sorted non-decreasing. Every station gets a protocol
-/// instance from `factory` the moment it is activated. Returns metrics with
-/// `k = arrivals.size()`. An EngineOptions::observer (exact mode only) is
-/// invoked once per resolved slot; SlotView::probability reports the mean
-/// per-station transmission probability of the slot (0 when no station is
-/// active), the per-node generalization of the fair engines' common
-/// probability.
+/// `arrivals` must be sorted non-decreasing. Every station gets its element
+/// from `factory` the moment it is activated, in arrival order. Returns
+/// metrics with `k = arrivals.size()`. An EngineOptions::observer (exact
+/// mode only) is invoked once per resolved slot; SlotView::probability
+/// reports the mean per-station transmission probability of the slot (0
+/// when no station is active), the per-node generalization of the fair
+/// engines' common probability.
 ///
 /// Batched mode (see the file comment) has the same law of outcomes — no
 /// approximation: within a stationary stretch the slots are i.i.d.
@@ -78,9 +88,76 @@ struct LatencyMetrics {
 /// sum_i p_i per slot of every bulk stretch, its success slot included —
 /// unbiased by Wald's identity, so its mean matches exact mode's realized
 /// mean, and for a run with no skipped stretches the two are equal.
-RunMetrics run_node_engine(const NodeFactory& factory,
+///
+/// One loop serves every element type: its body is a function template
+/// (sim/node_engine_loop.hpp), instantiated for BoxedStation in
+/// node_engine.cpp and for each catalogue station class in the file that
+/// defines the class. The element type changes no output byte.
+template <class Station>
+RunMetrics run_node_engine(const StationFactory<Station>& factory,
                            const ArrivalPattern& arrivals, Xoshiro256& rng,
                            const EngineOptions& options,
                            LatencyMetrics* latency = nullptr);
+
+/// The per-node view of one protocol configuration (ProtocolFactory::node).
+/// node_view() builds it from one station constructor, so its two entry
+/// points run the same stations:
+///  * operator()(k, rng) returns one boxed station — the reference path of
+///    run_node_engine(const NodeFactory&, ...), and how tests inspect
+///    single stations;
+///  * run(arrivals, rng, options) runs the per-node engine over a station
+///    table of the view's element type — what run_single_node calls.
+class NodeView {
+ public:
+  NodeView() = default;
+  NodeView(std::nullptr_t) {}  // `factory.node = nullptr` clears the view
+
+  explicit operator bool() const { return static_cast<bool>(boxed_); }
+
+  BoxedStation operator()(std::uint64_t k, Xoshiro256& rng) const {
+    return boxed_(k, rng);
+  }
+
+  RunMetrics run(const ArrivalPattern& arrivals, Xoshiro256& rng,
+                 const EngineOptions& options) const {
+    return run_(arrivals, rng, options);
+  }
+
+ private:
+  template <class Station, class Make>
+  friend NodeView node_view(Make make);
+
+  std::function<BoxedStation(std::uint64_t k, Xoshiro256& rng)> boxed_;
+  std::function<RunMetrics(const ArrivalPattern& arrivals, Xoshiro256& rng,
+                           const EngineOptions& options)>
+      run_;
+};
+
+/// Builds a per-node view from `make(k, rng)`, which returns one Station by
+/// value (`k` is the run's message count, `rng` as in StationFactory).
+/// run_node_engine<Station> must be instantiated in some translation unit:
+/// the catalogue classes' own .cpp files and node_engine.cpp (BoxedStation,
+/// which test protocols use) do so.
+template <class Station, class Make>
+NodeView node_view(Make make) {
+  NodeView view;
+  view.boxed_ = [make](std::uint64_t k, Xoshiro256& rng) -> BoxedStation {
+    if constexpr (std::is_same_v<Station, BoxedStation>) {
+      return make(k, rng);
+    } else {
+      return std::make_unique<Station>(make(k, rng));
+    }
+  };
+  view.run_ = [make](const ArrivalPattern& arrivals, Xoshiro256& rng,
+                     const EngineOptions& options) {
+    const std::uint64_t k = arrivals.size();
+    const StationFactory<Station> factory =
+        [&make, k](Xoshiro256& station_rng) -> Station {
+      return make(k, station_rng);
+    };
+    return run_node_engine<Station>(factory, arrivals, rng, options);
+  };
+  return view;
+}
 
 }  // namespace ucr

@@ -14,6 +14,18 @@
 //  * WindowSchedule   — the window-size generator of a fair contention-
 //                       window protocol (each pending station picks exactly
 //                       one uniform slot per window).
+//
+// How the per-node engine calls NodeProtocol (sim/node_engine.hpp): its
+// station table is typed by element. A catalogue protocol's stations are
+// held by value as their final class, whose per-slot methods are defined
+// inline in its header, so the engine's calls are direct and inline into
+// its per-station passes. Only the boxed element (BoxedStation, used by
+// test protocols and run_node_engine(const NodeFactory&, ...)) calls
+// through the virtual interface. Either way, each slot calls
+// transmit_probability() once per active station, in station order, and
+// draws that station's coin right after it (exact mode) or after the
+// whole gather (batched mode) — so transmit_probability() must not draw
+// from the engine stream, or the two modes' draws would diverge.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +88,15 @@ class NodeProtocol {
     const Feedback fb{};
     for (std::uint64_t i = 0; i < count; ++i) on_slot_end(fb);
   }
+
+ protected:
+  // The engine's station table holds catalogue stations by value and
+  // moves them; protected, so no caller can slice a NodeProtocol.
+  NodeProtocol() = default;
+  NodeProtocol(const NodeProtocol&) = default;
+  NodeProtocol(NodeProtocol&&) = default;
+  NodeProtocol& operator=(const NodeProtocol&) = default;
+  NodeProtocol& operator=(NodeProtocol&&) = default;
 };
 
 /// Shared-state automaton of a fair slot-probability protocol.

@@ -130,12 +130,8 @@ RunMetrics run_single_node(const ProtocolFactory& factory,
                            const EngineOptions& options) {
   UCR_REQUIRE(static_cast<bool>(factory.node),
               "protocol '" + factory.name + "' has no per-node view");
-  const std::uint64_t k = arrivals.size();
   Xoshiro256 rng = Xoshiro256::stream(seed, run_index);
-  const NodeFactory node_factory = [&](Xoshiro256& node_rng) {
-    return factory.node(k, node_rng);
-  };
-  return run_node_engine(node_factory, arrivals, rng, options);
+  return factory.node.run(arrivals, rng, options);
 }
 
 AggregateResult run_fair_experiment(const ProtocolFactory& factory,

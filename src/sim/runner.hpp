@@ -21,13 +21,13 @@ namespace ucr {
 
 /// The three engine views of one protocol configuration. Exactly one of
 /// `fair_slot` / `window` must be set (for the aggregate engine); `node`
-/// should be set whenever the per-node engine or dynamic workloads are used.
+/// should be set whenever the per-node engine or dynamic workloads are used,
+/// and only through node_view() (sim/node_engine.hpp).
 struct ProtocolFactory {
   std::string name;
   std::function<std::unique_ptr<FairSlotProtocol>(std::uint64_t k)> fair_slot;
   std::function<std::unique_ptr<WindowSchedule>(std::uint64_t k)> window;
-  std::function<std::unique_ptr<NodeProtocol>(std::uint64_t k, Xoshiro256& rng)>
-      node;
+  NodeView node;
 
   bool has_fair() const {
     return static_cast<bool>(fair_slot) || static_cast<bool>(window);
@@ -73,8 +73,9 @@ RunMetrics run_single_fair(const ProtocolFactory& factory, std::uint64_t k,
                            const EngineOptions& options);
 
 /// One execution through the per-node engine, seeded as
-/// stream(seed, run_index). EngineOptions::batched selects its batched
-/// mode (bulk-skipped stationary stretches; same law, different RNG path
+/// stream(seed, run_index), over the station table of the factory's node
+/// view (NodeView::run). EngineOptions::batched selects its batched mode
+/// (bulk-skipped stationary stretches; same law, different RNG path
 /// wherever a stretch is skipped).
 RunMetrics run_single_node(const ProtocolFactory& factory,
                            const ArrivalPattern& arrivals,

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace ucr {
 namespace {
@@ -54,6 +56,56 @@ TEST(LogFailsState, BtPeriodFromXiT) {
   EXPECT_EQ(LogFailsState(params_with(0.1), 10).bt_period(), 10u);
 }
 
+// Walks one state through at least `steps` steps of mixed advance(false),
+// advance(true) and advance_non_delivery(constant_probability_slots())
+// calls, checking every step-dependent answer against a reference 1-based
+// step count taken modulo bt_period().
+void walk_against_reference_step(double xi_t, std::uint64_t steps) {
+  LogFailsState st(params_with(xi_t), 1000);
+  const std::uint64_t period = st.bt_period();
+  Xoshiro256 rng(static_cast<std::uint64_t>(1.0 / xi_t));
+  std::uint64_t step = 1;
+  std::uint64_t at_bulk_advances = 0;  // bulk advances from an AT step
+  std::uint64_t threshold_crossings = 0;
+  while (step <= steps) {
+    const bool bt = step % period == 0;
+    ASSERT_EQ(st.is_bt_step(), bt) << "step " << step;
+    if (bt) {
+      ASSERT_EQ(st.constant_probability_slots(), 1u) << "step " << step;
+      ASSERT_EQ(st.transmit_probability(), st.bt_probability());
+    } else {
+      const std::uint64_t threshold = st.fail_threshold();
+      const std::uint64_t to_threshold =
+          st.fail_count() >= threshold ? 1 : threshold - st.fail_count();
+      ASSERT_EQ(st.constant_probability_slots(),
+                std::min(period - step % period, to_threshold))
+          << "step " << step;
+      ASSERT_EQ(st.transmit_probability(), 1.0 / st.kappa_estimate())
+          << "step " << step;
+    }
+    const std::uint64_t choice = rng.next_below(8);
+    if (choice == 0) {
+      st.advance(true);
+      ++step;
+    } else if (choice < 4) {
+      const std::uint64_t count = st.constant_probability_slots();
+      const double kappa = st.kappa_estimate();
+      st.advance_non_delivery(count);
+      step += count;
+      at_bulk_advances += bt ? 0 : 1;
+      threshold_crossings += st.kappa_estimate() != kappa;
+    } else {
+      const double kappa = st.kappa_estimate();
+      st.advance(false);
+      ++step;
+      threshold_crossings += st.kappa_estimate() != kappa;
+    }
+  }
+  // The walk reached both rare branches the per-step answers depend on.
+  EXPECT_GT(at_bulk_advances, 0u);
+  EXPECT_GT(threshold_crossings, 0u);
+}
+
 TEST(LogFailsState, BtStepsOccurAtPeriod) {
   LogFailsState st(params_with(0.5), 10);
   // Steps are 1-based: step 1 AT, step 2 BT, step 3 AT, ...
@@ -62,6 +114,9 @@ TEST(LogFailsState, BtStepsOccurAtPeriod) {
   EXPECT_TRUE(st.is_bt_step());
   st.advance(false);
   EXPECT_FALSE(st.is_bt_step());
+
+  walk_against_reference_step(0.5, 20000);
+  walk_against_reference_step(0.1, 20000);
 }
 
 TEST(LogFailsState, ThresholdsScaleWithLogAndLogSquared) {

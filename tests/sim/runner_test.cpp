@@ -81,9 +81,8 @@ TEST(RunFairExperiment, RunsUseIndependentStreams) {
 TEST(RunFairExperiment, RequiresFairView) {
   ProtocolFactory broken;
   broken.name = "node-only";
-  broken.node = [](std::uint64_t, Xoshiro256&) {
-    return std::unique_ptr<NodeProtocol>(nullptr);
-  };
+  broken.node = node_view<BoxedStation>(
+      [](std::uint64_t, Xoshiro256&) { return BoxedStation(nullptr); });
   EXPECT_THROW(run_fair_experiment(broken, 10, 1, 1, {}), ContractViolation);
 }
 

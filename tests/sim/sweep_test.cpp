@@ -110,9 +110,8 @@ TEST(SweepRunner, NodeCellMatchesSerialNodeExperiment) {
 TEST(SweepRunner, RejectsMalformedCellsBeforeRunning) {
   ProtocolFactory node_only;
   node_only.name = "node-only";
-  node_only.node = [](std::uint64_t, Xoshiro256&) {
-    return std::unique_ptr<NodeProtocol>(nullptr);
-  };
+  node_only.node = node_view<BoxedStation>(
+      [](std::uint64_t, Xoshiro256&) { return BoxedStation(nullptr); });
   SweepPoint bad = SweepPoint::fair(node_only, 10, 1, 1);
   EXPECT_THROW(SweepRunner().run({bad}), ContractViolation);
 

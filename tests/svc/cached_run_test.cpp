@@ -64,7 +64,10 @@ class KillSwitch final : public exp::ResultSink {
 class CachedRunTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "ucr_cached_run_test";
+    // One directory per instance: under `ctest -j` the instances run at
+    // once, and a shared directory would let one delete the other's cache.
+    root_ = fs::path(::testing::TempDir()) /
+            (std::string("ucr_cached_run_test_") + GetParam());
     fs::remove_all(root_);
   }
   void TearDown() override { fs::remove_all(root_); }
