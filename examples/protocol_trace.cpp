@@ -28,17 +28,16 @@ void trace_one_fail(std::uint64_t k, std::uint64_t seed,
   ucr::Table table({"slot", "type", "p(tx)", "outcome", "kappa~", "kappa",
                     "sigma"});
   for (std::uint64_t slot = 1; m > 0 && slot <= max_rows; ++slot) {
-    const auto& st = protocol.state();
     const double p = protocol.transmit_probability();
     const auto cat = ucr::sample_slot_category(rng, m, p);
     const bool delivery = cat == ucr::SlotCategory::kSuccess;
     const char* outcome = cat == ucr::SlotCategory::kSilence ? "silence"
                           : delivery                         ? "SUCCESS"
                                                              : "collision";
-    table.add_row({std::to_string(slot), st.is_bt_step() ? "BT" : "AT",
+    table.add_row({std::to_string(slot), protocol.is_bt_step() ? "BT" : "AT",
                    ucr::format_double(p, 4), outcome,
-                   ucr::format_double(st.kappa_estimate(), 2),
-                   std::to_string(m), std::to_string(st.sigma())});
+                   ucr::format_double(protocol.kappa_estimate(), 2),
+                   std::to_string(m), std::to_string(protocol.sigma())});
     if (delivery) --m;
     protocol.on_slot_end(delivery);
   }

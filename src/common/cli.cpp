@@ -66,7 +66,11 @@ double CliArgs::get_double(const std::string& key, double def) const {
 bool CliArgs::get_bool(const std::string& key, bool def) const {
   const auto v = get(key);
   if (!v) return def;
-  return *v == "1" || *v == "true" || *v == "yes" || *v == "on";
+  if (*v == "1" || *v == "true" || *v == "yes" || *v == "on") return true;
+  UCR_REQUIRE(*v == "0" || *v == "false" || *v == "no" || *v == "off",
+              "--" + key + " must be 1/true/yes/on or 0/false/no/off, got '" +
+                  *v + "'");
+  return false;
 }
 
 std::uint64_t parse_u64_strict(const std::string& text,

@@ -30,6 +30,9 @@ class CliArgs {
   /// truncated value ("--k=1e3" as k = 1, "--seed=0x10" as seed 0).
   std::uint64_t get_u64(const std::string& key, std::uint64_t def) const;
   double get_double(const std::string& key, double def) const;
+  /// A present value must be 1/true/yes/on or 0/false/no/off (a bare
+  /// `--key` reads "1"); anything else throws ContractViolation naming the
+  /// flag rather than reading as false ("--batched=ture", "--csv=True").
   bool get_bool(const std::string& key, bool def) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -52,16 +52,20 @@
 
 namespace ucr {
 
-/// Shared state machine of the dynamic variant.
-class DynamicOneFailState {
+/// The dynamic variant's state machine: the shared state of all active
+/// stations under batched arrivals; under dynamic arrivals (the case that
+/// matters) each station runs its own copy (FairSlotStation,
+/// sim/protocol.hpp).
+class DynamicOneFail final : public FairSlotProtocol {
  public:
-  explicit DynamicOneFailState(const OneFailParams& params);
+  explicit DynamicOneFail(const OneFailParams& params = {});
 
   /// Per-station transmission probability (1/kappa~ every slot).
-  double transmit_probability() const { return 1.0 / kappa_; }
+  double transmit_probability() const override { return 1.0 / kappa_; }
 
-  /// End-of-slot update; `heard_delivery` as in OneFailState::advance.
-  void advance(bool heard_delivery) {
+  /// End-of-slot update; `heard_delivery` as in
+  /// OneFailAdaptive::on_slot_end.
+  void on_slot_end(bool heard_delivery) override {
     const double floor = params_.delta + 1.0;
     if (heard_delivery) {
       fast_start_ = false;
@@ -90,6 +94,13 @@ class DynamicOneFailState {
     }
   }
 
+  /// Provably hint-1, like OneFailAdaptive: kappa~ moves on every slot —
+  /// +1 per silent track step, doubling (or the sawtooth reset) per
+  /// fast-start step, -(1+delta) on deliveries — so no two consecutive
+  /// slots share a probability and the batched engine degenerates to (and
+  /// stays bit-identical with) the exact per-slot path.
+  std::uint64_t constant_probability_slots() const override { return 1; }
+
   double kappa_estimate() const { return kappa_; }
   /// True while sweeping (before the first heard delivery, or after a
   /// silence-triggered resweep).
@@ -108,48 +119,6 @@ class DynamicOneFailState {
   double ceiling_;
   bool fast_start_ = true;
   std::uint64_t silent_run_ = 0;
-};
-
-/// Fair-engine view (valid for batched arrivals).
-class DynamicOneFail final : public FairSlotProtocol {
- public:
-  explicit DynamicOneFail(const OneFailParams& params = {});
-
-  double transmit_probability() const override;
-  void on_slot_end(bool delivery) override;
-
-  /// Provably hint-1, like OneFailAdaptive: kappa~ moves on every slot —
-  /// +1 per silent track step, doubling (or the sawtooth reset) per
-  /// fast-start step, -(1+delta) on deliveries — so no two consecutive
-  /// slots share a probability and the batched engine degenerates to (and
-  /// stays bit-identical with) the exact per-slot path.
-  std::uint64_t constant_probability_slots() const override { return 1; }
-
-  const DynamicOneFailState& state() const { return state_; }
-
- private:
-  DynamicOneFailState state_;
-};
-
-/// Per-node view (the view that matters: dynamic arrivals). Catalogue
-/// stations are held by value (sim/node_engine.hpp), so the per-slot
-/// methods are inline.
-class DynamicOneFailNode final : public NodeProtocol {
- public:
-  explicit DynamicOneFailNode(const OneFailParams& params = {});
-
-  double transmit_probability() override {
-    return state_.transmit_probability();
-  }
-  void on_slot_end(const Feedback& fb) override {
-    if (fb.delivered_mine) return;  // station goes idle
-    state_.advance(fb.heard_delivery);
-  }
-
-  const DynamicOneFailState& state() const { return state_; }
-
- private:
-  DynamicOneFailState state_;
 };
 
 /// Bundles both views for the experiment runner.

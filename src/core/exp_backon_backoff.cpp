@@ -32,17 +32,9 @@ std::uint64_t ExpBackonBackoff::next_window_slots() {
 ProtocolFactory make_exp_backon_factory(const ExpBackonParams& params,
                                         std::string name) {
   params.validate();
-  ProtocolFactory f;
-  f.name = std::move(name);
-  f.window = [params](std::uint64_t) {
+  return window_protocol_factory(std::move(name), [params] {
     return std::make_unique<ExpBackonBackoff>(params);
-  };
-  f.node = node_view<WindowNodeProtocol>(
-      [params](std::uint64_t, Xoshiro256& rng) {
-        return WindowNodeProtocol(
-            std::make_unique<ExpBackonBackoff>(params), rng);
-      });
-  return f;
+  });
 }
 
 }  // namespace ucr

@@ -25,12 +25,12 @@ void OneFailParams::validate() const {
               "One-Fail Adaptive requires delta <= sum_{j=1..5}(5/6)^j");
 }
 
-OneFailState::OneFailState(const OneFailParams& params)
+OneFailAdaptive::OneFailAdaptive(const OneFailParams& params)
     : params_(params), kappa_(params.delta + 1.0) {
   params_.validate();
 }
 
-void OneFailState::hear_delivery() {
+void OneFailAdaptive::hear_delivery() {
   const double floor = params_.delta + 1.0;
   if (is_bt_step()) {
     kappa_ = std::max(kappa_ - params_.delta, floor);  // Task 2, BT branch
@@ -44,35 +44,12 @@ void OneFailState::hear_delivery() {
   bt_probability_ = 1.0 / (1.0 + log2x(static_cast<double>(sigma_) + 1.0));
 }
 
-OneFailAdaptive::OneFailAdaptive(const OneFailParams& params)
-    : state_(params) {}
-
-double OneFailAdaptive::transmit_probability() const {
-  return state_.transmit_probability();
-}
-
-void OneFailAdaptive::on_slot_end(bool delivery) { state_.advance(delivery); }
-
-OneFailAdaptiveNode::OneFailAdaptiveNode(const OneFailParams& params)
-    : state_(params) {}
-
-// The per-node engine over One-Fail stations held by value (node_view).
-template RunMetrics run_node_engine<OneFailAdaptiveNode>(
-    const StationFactory<OneFailAdaptiveNode>&, const ArrivalPattern&,
-    Xoshiro256&, const EngineOptions&, LatencyMetrics*);
-
 ProtocolFactory make_one_fail_factory(const OneFailParams& params,
                                       std::string name) {
   params.validate();
-  ProtocolFactory f;
-  f.name = std::move(name);
-  f.fair_slot = [params](std::uint64_t) {
-    return std::make_unique<OneFailAdaptive>(params);
-  };
-  f.node = node_view<OneFailAdaptiveNode>([params](std::uint64_t, Xoshiro256&) {
-    return OneFailAdaptiveNode(params);
-  });
-  return f;
+  return slot_protocol_factory<OneFailAdaptive>(
+      std::move(name),
+      [params](std::uint64_t) { return OneFailAdaptive(params); });
 }
 
 }  // namespace ucr

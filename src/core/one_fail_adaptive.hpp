@@ -37,12 +37,14 @@ struct OneFailParams {
   void validate() const;
 };
 
-/// The per-station state machine of Algorithm 1, written once and shared by
-/// both engine views. Communication steps are numbered from 1; step t is a
-/// BT step iff t ≡ 0 (mod 2), matching the pseudocode.
-class OneFailState {
+/// Algorithm 1's state machine. Under batched arrivals it is the shared
+/// state of every active station (the fair view); under dynamic arrivals
+/// each station runs its own copy through FairSlotStation
+/// (sim/protocol.hpp). Communication steps are numbered from 1; step t is
+/// a BT step iff t ≡ 0 (mod 2), matching the pseudocode.
+class OneFailAdaptive final : public FairSlotProtocol {
  public:
-  explicit OneFailState(const OneFailParams& params);
+  explicit OneFailAdaptive(const OneFailParams& params = {});
 
   /// True if the *current* step (the one whose probability
   /// transmit_probability() reports) is a BT step.
@@ -51,14 +53,14 @@ class OneFailState {
   /// Transmission probability for the current step: line 8's
   /// 1/(1 + log2(sigma + 1)) on a BT step, line 10's 1/kappa~ on an AT
   /// step (kappa~ >= delta + 1 > 1, so it is a probability).
-  double transmit_probability() const {
+  double transmit_probability() const override {
     return is_bt_step() ? bt_probability_ : 1.0 / kappa_;
   }
 
   /// Applies the end-of-step updates (Task 1 line 11 and Task 2) and moves
   /// to the next step. `heard_delivery` is true iff some other station's
   /// message was delivered in this step.
-  void advance(bool heard_delivery) {
+  void on_slot_end(bool heard_delivery) override {
     if (heard_delivery) {
       hear_delivery();
     } else if (!is_bt_step()) {
@@ -67,14 +69,20 @@ class OneFailState {
     ++step_;
   }
 
+  /// The estimator moves every AT step and AT/BT steps alternate, so no
+  /// two consecutive slots share a probability: the batched engine
+  /// degenerates to (and stays bit-identical with) the exact per-slot
+  /// path.
+  std::uint64_t constant_probability_slots() const override { return 1; }
+
   double kappa_estimate() const { return kappa_; }
   std::uint64_t sigma() const { return sigma_; }
   std::uint64_t step() const { return step_; }
   const OneFailParams& params() const { return params_; }
 
  private:
-  // advance()'s heard-delivery branch, out of line: the same updates as a
-  // silent step plus Task 2's decrease and the sigma / line 8 update.
+  // on_slot_end()'s heard-delivery branch, out of line: the same updates
+  // as a silent step plus Task 2's decrease and the sigma / line 8 update.
   void hear_delivery();
 
   OneFailParams params_;
@@ -83,48 +91,6 @@ class OneFailState {
   std::uint64_t step_ = 1;   // current communication step (1-based)
   // Line 8's 1/(1 + log2(sigma + 1)), recomputed only when sigma moves.
   double bt_probability_ = 1.0;
-};
-
-/// Fair-engine view (shared state of all active stations).
-class OneFailAdaptive final : public FairSlotProtocol {
- public:
-  explicit OneFailAdaptive(const OneFailParams& params = {});
-
-  double transmit_probability() const override;
-  void on_slot_end(bool delivery) override;
-
-  /// The estimator moves every AT step and AT/BT steps alternate, so no
-  /// two consecutive slots share a probability: the batched engine
-  /// degenerates to (and stays bit-identical with) the exact per-slot
-  /// path.
-  std::uint64_t constant_probability_slots() const override { return 1; }
-
-  const OneFailState& state() const { return state_; }
-
- private:
-  OneFailState state_;
-};
-
-/// Per-node view (one instance per station). Catalogue stations are held
-/// by value (sim/node_engine.hpp), so the per-slot methods are inline.
-class OneFailAdaptiveNode final : public NodeProtocol {
- public:
-  explicit OneFailAdaptiveNode(const OneFailParams& params = {});
-
-  double transmit_probability() override {
-    return state_.transmit_probability();
-  }
-  void on_slot_end(const Feedback& fb) override {
-    if (fb.delivered_mine) {
-      return;  // Task 3: stop upon message delivery; the engine deactivates us.
-    }
-    state_.advance(fb.heard_delivery);
-  }
-
-  const OneFailState& state() const { return state_; }
-
- private:
-  OneFailState state_;
 };
 
 /// Bundles both views for the experiment runner.

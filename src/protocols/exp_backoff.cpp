@@ -32,17 +32,9 @@ ProtocolFactory make_exp_backoff_factory(const ExpBackoffParams& params,
     std::snprintf(buf, sizeof buf, "Exponential Back-off (r=%g)", params.r);
     name = buf;
   }
-  ProtocolFactory f;
-  f.name = std::move(name);
-  f.window = [params](std::uint64_t) {
+  return window_protocol_factory(std::move(name), [params] {
     return std::make_unique<ExponentialBackoff>(params);
-  };
-  f.node = node_view<WindowNodeProtocol>(
-      [params](std::uint64_t, Xoshiro256& rng) {
-        return WindowNodeProtocol(
-            std::make_unique<ExponentialBackoff>(params), rng);
-      });
-  return f;
+  });
 }
 
 }  // namespace ucr

@@ -18,54 +18,35 @@
 
 namespace ucr {
 
-/// Fair-engine view of the genie.
+/// The genie's automaton: k minus the deliveries heard so far. Under
+/// batched arrivals it is the shared state of all active stations; under
+/// dynamic arrivals each station keeps its own count (FairSlotStation,
+/// sim/protocol.hpp).
 class KnownKGenie final : public FairSlotProtocol {
  public:
   explicit KnownKGenie(std::uint64_t k);
 
-  double transmit_probability() const override;
-  void on_slot_end(bool delivery) override;
-
-  /// The genie's probability changes only on deliveries, so the batched
-  /// engine may skip any number of non-delivery slots at once — the whole
-  /// run costs O(k) regardless of makespan.
-  std::uint64_t constant_probability_slots() const override;
-  void on_non_delivery_slots(std::uint64_t count) override;
-
-  std::uint64_t remaining() const { return remaining_; }
-
- private:
-  std::uint64_t remaining_;
-};
-
-/// Per-node view (each station tracks k minus the deliveries it heard and
-/// whether its own message is still pending). Catalogue stations are held
-/// by value (sim/node_engine.hpp), so the per-slot methods are inline.
-class KnownKGenieNode final : public NodeProtocol {
- public:
-  explicit KnownKGenieNode(std::uint64_t k);
-
-  double transmit_probability() override {
+  double transmit_probability() const override {
     UCR_CHECK(remaining_ > 0, "probability requested after completion");
     return 1.0 / static_cast<double>(remaining_);
   }
-  void on_slot_end(const Feedback& fb) override {
-    if (fb.delivered_mine) return;  // engine deactivates this station
-    if (fb.heard_delivery) {
-      UCR_CHECK(remaining_ > 0, "heard a delivery after completion");
+  void on_slot_end(bool delivery) override {
+    if (delivery) {
+      UCR_CHECK(remaining_ > 0, "delivery after completion");
       --remaining_;
     }
   }
 
-  /// Like the fair view: the station's state moves only on heard
-  /// deliveries, so any number of non-success slots may be skipped at
-  /// once and the bulk advance is a no-op.
-  std::uint64_t stationary_slots() const override {
-    return ~std::uint64_t{0};  // constant until the next heard delivery
+  /// The genie's probability changes only on deliveries, so the batched
+  /// engines may skip any number of non-delivery slots at once — the whole
+  /// run costs O(k) regardless of makespan — and the bulk advance is a
+  /// no-op.
+  std::uint64_t constant_probability_slots() const override {
+    return ~std::uint64_t{0};  // constant until the next delivery
   }
-  void on_non_delivery_slots(std::uint64_t /*count*/) override {
-    // Non-success slots do not change the genie's state.
-  }
+  void on_non_delivery_slots(std::uint64_t /*count*/) override {}
+
+  std::uint64_t remaining() const { return remaining_; }
 
  private:
   std::uint64_t remaining_;

@@ -17,9 +17,10 @@ void LogFailsParams::validate() const {
               "epsilon must be a small error probability (or 0 = derive)");
 }
 
-double LogFailsState::track_decrease() { return std::exp(1.0); }
+double LogFailsAdaptive::track_decrease() { return std::exp(1.0); }
 
-LogFailsState::LogFailsState(const LogFailsParams& params, std::uint64_t k)
+LogFailsAdaptive::LogFailsAdaptive(const LogFailsParams& params,
+                                   std::uint64_t k)
     : params_(params) {
   params_.validate();
   if (params_.epsilon == 0.0) {
@@ -37,12 +38,12 @@ LogFailsState::LogFailsState(const LogFailsParams& params, std::uint64_t k)
   bt_prob_ = 1.0 / (1.0 + log2x(1.0 / params_.epsilon));
 }
 
-void LogFailsState::hear_delivery() {
+void LogFailsAdaptive::hear_delivery() {
   searching_ = false;  // the channel is live: switch to tracking
   set_kappa(std::max(kappa_ - track_decrease(), kKappaFloor));
 }
 
-void LogFailsState::cross_fail_threshold() {
+void LogFailsAdaptive::cross_fail_threshold() {
   if (searching_) {
     set_kappa(kappa_ * (1.0 + params_.xi_delta));
   } else {
@@ -50,33 +51,6 @@ void LogFailsState::cross_fail_threshold() {
   }
   fails_ = 0;
 }
-
-LogFailsAdaptive::LogFailsAdaptive(const LogFailsParams& params,
-                                   std::uint64_t k)
-    : state_(params, k) {}
-
-double LogFailsAdaptive::transmit_probability() const {
-  return state_.transmit_probability();
-}
-
-void LogFailsAdaptive::on_slot_end(bool delivery) { state_.advance(delivery); }
-
-std::uint64_t LogFailsAdaptive::constant_probability_slots() const {
-  return state_.constant_probability_slots();
-}
-
-void LogFailsAdaptive::on_non_delivery_slots(std::uint64_t count) {
-  state_.advance_non_delivery(count);
-}
-
-LogFailsAdaptiveNode::LogFailsAdaptiveNode(const LogFailsParams& params,
-                                           std::uint64_t k)
-    : state_(params, k) {}
-
-// The per-node engine over Log-Fails stations held by value (node_view).
-template RunMetrics run_node_engine<LogFailsAdaptiveNode>(
-    const StationFactory<LogFailsAdaptiveNode>&, const ArrivalPattern&,
-    Xoshiro256&, const EngineOptions&, LatencyMetrics*);
 
 ProtocolFactory make_log_fails_factory(const LogFailsParams& params,
                                        std::string name) {
@@ -86,16 +60,9 @@ ProtocolFactory make_log_fails_factory(const LogFailsParams& params,
            std::to_string(static_cast<int>(std::llround(1.0 / params.xi_t))) +
            ")";
   }
-  ProtocolFactory f;
-  f.name = std::move(name);
-  f.fair_slot = [params](std::uint64_t k) {
-    return std::make_unique<LogFailsAdaptive>(params, k);
-  };
-  f.node = node_view<LogFailsAdaptiveNode>(
-      [params](std::uint64_t k, Xoshiro256&) {
-        return LogFailsAdaptiveNode(params, k);
-      });
-  return f;
+  return slot_protocol_factory<LogFailsAdaptive>(
+      std::move(name),
+      [params](std::uint64_t k) { return LogFailsAdaptive(params, k); });
 }
 
 }  // namespace ucr

@@ -64,19 +64,22 @@ struct LogFailsParams {
   void validate() const;
 };
 
-/// Shared state machine (see file comment for the reconstruction).
-class LogFailsState {
+/// The state machine (see file comment for the reconstruction): the shared
+/// state of all active stations under batched arrivals; under dynamic
+/// arrivals each station runs its own copy (FairSlotStation,
+/// sim/protocol.hpp).
+class LogFailsAdaptive final : public FairSlotProtocol {
  public:
   /// `k` is used only to derive epsilon when params.epsilon == 0.
-  LogFailsState(const LogFailsParams& params, std::uint64_t k);
+  LogFailsAdaptive(const LogFailsParams& params, std::uint64_t k);
 
   /// Steps are 1-based; step t is a BT step iff t is a multiple of
   /// bt_period().
   bool is_bt_step() const { return phase_ == 0; }
-  double transmit_probability() const {
+  double transmit_probability() const override {
     return is_bt_step() ? bt_prob_ : at_prob_;
   }
-  void advance(bool heard_delivery) {
+  void on_slot_end(bool heard_delivery) override {
     if (heard_delivery) {
       hear_delivery();
     } else if (!is_bt_step()) {
@@ -93,7 +96,7 @@ class LogFailsState {
   /// fail-threshold crossing, whichever comes first. Always >= 1; the
   /// batched fair engine uses it to resolve whole runs of AT fails at
   /// once.
-  std::uint64_t constant_probability_slots() const {
+  std::uint64_t constant_probability_slots() const override {
     if (is_bt_step()) return 1;  // the next step is AT with p = 1/kappa
     const std::uint64_t to_bt_step = bt_period_ - phase_;
     // A SEARCH->TRACK switch can leave fails_ at or above the (smaller)
@@ -104,15 +107,15 @@ class LogFailsState {
     return to_bt_step < to_threshold ? to_bt_step : to_threshold;
   }
 
-  /// Bulk equivalent of `count` advance(false) calls. Requires
+  /// Bulk equivalent of `count` on_slot_end(false) calls. Requires
   /// count <= constant_probability_slots(): every skipped step is then an
   /// AT fail and at most the final one crosses the fail threshold.
-  void advance_non_delivery(std::uint64_t count) {
+  void on_non_delivery_slots(std::uint64_t count) override {
     UCR_CHECK(count <= constant_probability_slots(),
               "bulk advance beyond the constant-probability horizon");
     if (is_bt_step()) {
       // Horizon is 1 here and a BT step is not a fail; replay exactly.
-      for (; count > 0; --count) advance(false);
+      for (; count > 0; --count) on_slot_end(false);
       return;
     }
     fails_ += count;
@@ -146,7 +149,7 @@ class LogFailsState {
     phase_ += count;
     if (phase_ == bt_period_) phase_ = 0;
   }
-  // advance()'s rare branches, out of line: a heard delivery, and the
+  // on_slot_end()'s rare branches, out of line: a heard delivery, and the
   // estimator update once fails_ reaches the threshold.
   void hear_delivery();
   void cross_fail_threshold();
@@ -167,55 +170,6 @@ class LogFailsState {
   // The current step modulo bt_period_ (steps are 1-based, so step 1 is
   // phase 1): a counter instead of a division per step.
   std::uint64_t phase_ = 1;
-};
-
-/// Fair-engine view.
-class LogFailsAdaptive final : public FairSlotProtocol {
- public:
-  LogFailsAdaptive(const LogFailsParams& params, std::uint64_t k);
-
-  double transmit_probability() const override;
-  void on_slot_end(bool delivery) override;
-
-  std::uint64_t constant_probability_slots() const override;
-  void on_non_delivery_slots(std::uint64_t count) override;
-
-  const LogFailsState& state() const { return state_; }
-
- private:
-  LogFailsState state_;
-};
-
-/// Per-node view. Catalogue stations are held by value
-/// (sim/node_engine.hpp), so the per-slot methods are inline.
-class LogFailsAdaptiveNode final : public NodeProtocol {
- public:
-  LogFailsAdaptiveNode(const LogFailsParams& params, std::uint64_t k);
-
-  double transmit_probability() override {
-    return state_.transmit_probability();
-  }
-  void on_slot_end(const Feedback& fb) override {
-    if (fb.delivered_mine) return;  // station goes idle
-    state_.advance(fb.heard_delivery);
-  }
-
-  /// Same stationarity horizon as the fair view: the per-station update
-  /// ignores the station's own transmissions (fails count silent *and*
-  /// collided AT steps alike), so absent a delivery the state is a pure
-  /// function of elapsed slots up to the next BT step or threshold
-  /// crossing.
-  std::uint64_t stationary_slots() const override {
-    return state_.constant_probability_slots();
-  }
-  void on_non_delivery_slots(std::uint64_t count) override {
-    state_.advance_non_delivery(count);
-  }
-
-  const LogFailsState& state() const { return state_; }
-
- private:
-  LogFailsState state_;
 };
 
 /// Factory; the default name encodes xi_t the way the paper labels curves,

@@ -32,17 +32,9 @@ ProtocolFactory make_poly_backoff_factory(const PolyBackoffParams& params,
     std::snprintf(buf, sizeof buf, "Polynomial Back-on (c=%g)", params.c);
     name = buf;
   }
-  ProtocolFactory f;
-  f.name = std::move(name);
-  f.window = [params](std::uint64_t) {
+  return window_protocol_factory(std::move(name), [params] {
     return std::make_unique<PolynomialBackoff>(params);
-  };
-  f.node = node_view<WindowNodeProtocol>(
-      [params](std::uint64_t, Xoshiro256& rng) {
-        return WindowNodeProtocol(
-            std::make_unique<PolynomialBackoff>(params), rng);
-      });
-  return f;
+  });
 }
 
 }  // namespace ucr

@@ -23,6 +23,6 @@ void WindowNodeProtocol::fetch_window() {
 // instantiation for every window protocol.
 template RunMetrics run_node_engine<WindowNodeProtocol>(
     const StationFactory<WindowNodeProtocol>&, const ArrivalPattern&,
-    Xoshiro256&, const EngineOptions&, LatencyMetrics*);
+    Xoshiro256&, const EngineOptions&);
 
 }  // namespace ucr

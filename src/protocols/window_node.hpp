@@ -33,10 +33,13 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sim/protocol.hpp"
+#include "sim/runner.hpp"
 
 namespace ucr {
 
@@ -106,5 +109,22 @@ class WindowNodeProtocol final : public NodeProtocol {
   std::uint64_t offset_ = 0;
   std::uint64_t tx_offset_ = 0;
 };
+
+/// The factory of a window protocol, built from one constructor: `make()`
+/// returns a fresh schedule (a std::unique_ptr to the WindowSchedule). The
+/// window view runs one schedule per run; the node view gives every station
+/// its own, in a WindowNodeProtocol (whose run_node_engine instantiation,
+/// in window_node.cpp, serves every window protocol).
+template <class Make>
+ProtocolFactory window_protocol_factory(std::string name, Make make) {
+  ProtocolFactory f;
+  f.name = std::move(name);
+  f.window = [make](std::uint64_t) { return make(); };
+  f.node = node_view<WindowNodeProtocol>(
+      [make](std::uint64_t, Xoshiro256& rng) {
+        return WindowNodeProtocol(make(), rng);
+      });
+  return f;
+}
 
 }  // namespace ucr

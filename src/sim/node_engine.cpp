@@ -7,7 +7,6 @@ namespace ucr {
 template RunMetrics run_node_engine<BoxedStation>(const NodeFactory&,
                                                   const ArrivalPattern&,
                                                   Xoshiro256&,
-                                                  const EngineOptions&,
-                                                  LatencyMetrics*);
+                                                  const EngineOptions&);
 
 }  // namespace ucr

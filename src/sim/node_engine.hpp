@@ -43,13 +43,6 @@ using StationFactory = std::function<Station(Xoshiro256& rng)>;
 using BoxedStation = std::unique_ptr<NodeProtocol>;
 using NodeFactory = StationFactory<BoxedStation>;
 
-/// Per-message latency results (only filled when requested via options).
-struct LatencyMetrics {
-  /// delivery_slot[i] - arrival_slot[i] + 1 for each delivered message, in
-  /// delivery order.
-  std::vector<std::uint64_t> latencies;
-};
-
 /// Runs the per-node engine on an arbitrary arrival pattern.
 ///
 /// `arrivals` must be sorted non-decreasing. Every station gets its element
@@ -90,14 +83,12 @@ struct LatencyMetrics {
 /// mean, and for a run with no skipped stretches the two are equal.
 ///
 /// One loop serves every element type: its body is a function template
-/// (sim/node_engine_loop.hpp), instantiated for BoxedStation in
-/// node_engine.cpp and for each catalogue station class in the file that
-/// defines the class. The element type changes no output byte.
+/// (sim/node_engine_loop.hpp), instantiated once per element type — see
+/// that header for where. The element type changes no output byte.
 template <class Station>
 RunMetrics run_node_engine(const StationFactory<Station>& factory,
                            const ArrivalPattern& arrivals, Xoshiro256& rng,
-                           const EngineOptions& options,
-                           LatencyMetrics* latency = nullptr);
+                           const EngineOptions& options);
 
 /// The per-node view of one protocol configuration (ProtocolFactory::node).
 /// node_view() builds it from one station constructor, so its two entry
@@ -135,9 +126,8 @@ class NodeView {
 
 /// Builds a per-node view from `make(k, rng)`, which returns one Station by
 /// value (`k` is the run's message count, `rng` as in StationFactory).
-/// run_node_engine<Station> must be instantiated in some translation unit:
-/// the catalogue classes' own .cpp files and node_engine.cpp (BoxedStation,
-/// which test protocols use) do so.
+/// run_node_engine<Station> must be instantiated in some translation unit
+/// (sim/node_engine_loop.hpp lists where).
 template <class Station, class Make>
 NodeView node_view(Make make) {
   NodeView view;

@@ -1,13 +1,15 @@
 // The per-node engine's loop, written once as a function template over the
 // station element type (sim/node_engine.hpp, run_node_engine<Station>).
 //
-// Include this header only where the loop is instantiated: node_engine.cpp
-// for BoxedStation, and the .cpp file defining each catalogue station
-// class for that class, e.g.
-//
-//   template RunMetrics run_node_engine<OneFailAdaptiveNode>(
-//       const StationFactory<OneFailAdaptiveNode>&, const ArrivalPattern&,
-//       Xoshiro256&, const EngineOptions&, LatencyMetrics*);
+// Include this header only where the loop is instantiated, once per
+// station element type:
+//  * node_engine.cpp explicitly, for BoxedStation;
+//  * window_node.cpp explicitly, for WindowNodeProtocol (every window
+//    protocol);
+//  * the .cpp file defining each slot protocol's make_*_factory,
+//    implicitly: its slot_protocol_factory call (sim/runner.hpp) builds a
+//    node_view<FairSlotStation<Fair>>, whose run entry point instantiates
+//    the loop for FairSlotStation<Fair> there.
 //
 // Station state lives in a StationSoA<Station> (sim/station_soa.hpp):
 // parallel arrays instead of a vector of per-station structs, so each
@@ -36,8 +38,7 @@ namespace ucr {
 template <class Station>
 RunMetrics run_node_engine(const StationFactory<Station>& factory,
                            const ArrivalPattern& arrivals, Xoshiro256& rng,
-                           const EngineOptions& options,
-                           LatencyMetrics* latency) {
+                           const EngineOptions& options) {
   UCR_REQUIRE(std::is_sorted(arrivals.begin(), arrivals.end()),
               "arrival pattern must be sorted");
   const std::uint64_t k = arrivals.size();
@@ -75,13 +76,8 @@ RunMetrics run_node_engine(const StationFactory<Station>& factory,
     if (options.record_deliveries) {
       metrics.delivery_slots.push_back(now);
     }
-    if (latency != nullptr || options.record_latencies) {
-      const std::uint64_t message_latency =
-          now - active.arrival_slot(index) + 1;
-      if (latency != nullptr) latency->latencies.push_back(message_latency);
-      if (options.record_latencies) {
-        metrics.latencies.push_back(message_latency);
-      }
+    if (options.record_latencies) {
+      metrics.latencies.push_back(now - active.arrival_slot(index) + 1);
     }
     // Fold the delivered station's energy, then swap-remove it (station
     // order is irrelevant to the model).

@@ -15,6 +15,12 @@
 //                       window protocol (each pending station picks exactly
 //                       one uniform slot per window).
 //
+// A slot protocol is written once, as its final FairSlotProtocol class;
+// under dynamic arrivals each station runs its own copy of that automaton,
+// and FairSlotStation<Fair> below is that per-station NodeProtocol. A
+// window protocol is its WindowSchedule, and WindowNodeProtocol
+// (protocols/window_node.hpp) is its per-station view.
+//
 // How the per-node engine calls NodeProtocol (sim/node_engine.hpp): its
 // station table is typed by element. A catalogue protocol's stations are
 // held by value as their final class, whose per-slot methods are defined
@@ -30,6 +36,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "channel/slot.hpp"
 
@@ -129,6 +137,46 @@ class FairSlotProtocol {
   virtual void on_non_delivery_slots(std::uint64_t count) {
     for (std::uint64_t i = 0; i < count; ++i) on_slot_end(false);
   }
+};
+
+/// The per-station view of a fair slot protocol: one station running its
+/// own copy of the shared automaton `Fair` (a final FairSlotProtocol).
+///
+/// Why the automaton's constant-probability horizon is a valid
+/// stationarity certificate: a fair automaton reads only "did another
+/// station deliver" — never the station's own coin, nor the silence /
+/// collision split — so absent a success its state is a pure function of
+/// the elapsed slots, which is exactly the stationary_slots() contract.
+template <class Fair>
+class FairSlotStation final : public NodeProtocol {
+  static_assert(std::is_base_of_v<FairSlotProtocol, Fair> &&
+                    std::is_final_v<Fair>,
+                "the automaton must be a final FairSlotProtocol class, so "
+                "that every call the station makes on it is direct");
+
+ public:
+  explicit FairSlotStation(Fair automaton) : automaton_(std::move(automaton)) {}
+
+  double transmit_probability() override {
+    return automaton_.transmit_probability();
+  }
+  void on_slot_end(const Feedback& fb) override {
+    // The station stops on its own delivery (the engine deactivates it);
+    // every other slot advances the automaton on the common feedback.
+    if (fb.delivered_mine) return;
+    automaton_.on_slot_end(fb.heard_delivery);
+  }
+  std::uint64_t stationary_slots() const override {
+    return automaton_.constant_probability_slots();
+  }
+  void on_non_delivery_slots(std::uint64_t count) override {
+    automaton_.on_non_delivery_slots(count);
+  }
+
+  const Fair& automaton() const { return automaton_; }
+
+ private:
+  Fair automaton_;
 };
 
 /// Window-size generator of a contention-window protocol.

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -33,6 +34,27 @@ struct ProtocolFactory {
     return static_cast<bool>(fair_slot) || static_cast<bool>(window);
   }
 };
+
+/// The factory of a slot protocol, built from one constructor: `make(k)`
+/// returns the protocol's final FairSlotProtocol class `Fair` by value.
+/// The fair view runs one shared copy per run; the node view gives every
+/// station its own copy, held by value in a FairSlotStation<Fair>.
+/// run_node_engine<FairSlotStation<Fair>> is instantiated where this is
+/// called with sim/node_engine_loop.hpp included: the .cpp file that
+/// defines the protocol's make_*_factory.
+template <class Fair, class Make>
+ProtocolFactory slot_protocol_factory(std::string name, Make make) {
+  ProtocolFactory f;
+  f.name = std::move(name);
+  f.fair_slot = [make](std::uint64_t k) -> std::unique_ptr<FairSlotProtocol> {
+    return std::make_unique<Fair>(make(k));
+  };
+  f.node = node_view<FairSlotStation<Fair>>(
+      [make](std::uint64_t k, Xoshiro256&) {
+        return FairSlotStation<Fair>(make(k));
+      });
+  return f;
+}
 
 /// Aggregated outcome of `runs` independent executions at one k.
 struct AggregateResult {

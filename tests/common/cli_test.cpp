@@ -55,6 +55,12 @@ TEST(CliArgs, BoolSpellings) {
   EXPECT_TRUE(parse({"--x=1"}, {"x"}).get_bool("x", false));
   EXPECT_FALSE(parse({"--x=0"}, {"x"}).get_bool("x", true));
   EXPECT_FALSE(parse({"--x=no"}, {"x"}).get_bool("x", true));
+  EXPECT_FALSE(parse({"--x=off"}, {"x"}).get_bool("x", true));
+  EXPECT_FALSE(parse({"--x=false"}, {"x"}).get_bool("x", true));
+  for (const char* bad : {"--x=ture", "--x=2", "--x=", "--x=TRUE"}) {
+    EXPECT_THROW(parse({bad}, {"x"}).get_bool("x", false), ContractViolation)
+        << bad;
+  }
 }
 
 TEST(CliArgs, DoubleParsing) {

@@ -13,7 +13,7 @@ namespace ucr {
 namespace {
 
 TEST(DynamicOneFailState, InitialState) {
-  const DynamicOneFailState st(OneFailParams{2.72});
+  const DynamicOneFail st(OneFailParams{2.72});
   EXPECT_DOUBLE_EQ(st.kappa_estimate(), 3.72);
   EXPECT_TRUE(st.in_fast_start());
   EXPECT_DOUBLE_EQ(st.fast_start_ceiling(), 7.44);
@@ -21,51 +21,51 @@ TEST(DynamicOneFailState, InitialState) {
 }
 
 TEST(DynamicOneFailState, FastStartDoublesThenSweeps) {
-  DynamicOneFailState st(OneFailParams{2.72});
-  st.advance(false);  // 3.72 -> 7.44 (== ceiling, no reset)
+  DynamicOneFail st(OneFailParams{2.72});
+  st.on_slot_end(false);  // 3.72 -> 7.44 (== ceiling, no reset)
   EXPECT_DOUBLE_EQ(st.kappa_estimate(), 7.44);
-  st.advance(false);  // 14.88 > 7.44 -> reset to floor, ceiling 14.88
+  st.on_slot_end(false);  // 14.88 > 7.44 -> reset to floor, ceiling 14.88
   EXPECT_DOUBLE_EQ(st.kappa_estimate(), 3.72);
   EXPECT_DOUBLE_EQ(st.fast_start_ceiling(), 14.88);
-  st.advance(false);  // 7.44
-  st.advance(false);  // 14.88 (== ceiling)
+  st.on_slot_end(false);  // 7.44
+  st.on_slot_end(false);  // 14.88 (== ceiling)
   EXPECT_DOUBLE_EQ(st.kappa_estimate(), 14.88);
-  st.advance(false);  // 29.76 > 14.88 -> reset, ceiling 29.76
+  st.on_slot_end(false);  // 29.76 > 14.88 -> reset, ceiling 29.76
   EXPECT_DOUBLE_EQ(st.kappa_estimate(), 3.72);
 }
 
 TEST(DynamicOneFailState, IsolatedStationStaysLive) {
   // The sawtooth guarantees the transmission probabilities do not sum to a
   // convergent series: the floor probability 1/(delta+1) recurs forever.
-  DynamicOneFailState st(OneFailParams{2.72});
+  DynamicOneFail st(OneFailParams{2.72});
   int floor_visits = 0;
   for (int i = 0; i < 10000; ++i) {
     if (st.transmit_probability() > 0.25) ++floor_visits;
-    st.advance(false);
+    st.on_slot_end(false);
   }
   EXPECT_GE(floor_visits, 10);  // revisited on every phase
 }
 
 TEST(DynamicOneFailState, DeliveryEndsFastStart) {
-  DynamicOneFailState st(OneFailParams{2.72});
-  for (int i = 0; i < 7; ++i) st.advance(false);
-  st.advance(true);
+  DynamicOneFail st(OneFailParams{2.72});
+  for (int i = 0; i < 7; ++i) st.on_slot_end(false);
+  st.on_slot_end(true);
   EXPECT_FALSE(st.in_fast_start());
   // Track mode: +1 per silent slot now.
   const double k0 = st.kappa_estimate();
-  st.advance(false);
+  st.on_slot_end(false);
   EXPECT_DOUBLE_EQ(st.kappa_estimate(), k0 + 1.0);
 }
 
 TEST(DynamicOneFailState, TrackModeMatchesOneFailDrift) {
-  DynamicOneFailState st(OneFailParams{2.72});
-  st.advance(true);  // enter track at the floor
-  for (int i = 0; i < 20; ++i) st.advance(false);
+  DynamicOneFail st(OneFailParams{2.72});
+  st.on_slot_end(true);  // enter track at the floor
+  for (int i = 0; i < 20; ++i) st.on_slot_end(false);
   const double before = st.kappa_estimate();
-  st.advance(true);
+  st.on_slot_end(true);
   EXPECT_NEAR(st.kappa_estimate(), before - 2.72, 1e-12);
   // Floor is respected.
-  for (int i = 0; i < 50; ++i) st.advance(true);
+  for (int i = 0; i < 50; ++i) st.on_slot_end(true);
   EXPECT_DOUBLE_EQ(st.kappa_estimate(), 3.72);
 }
 
@@ -88,11 +88,11 @@ TEST(DynamicOneFail, StaticRatioWellBelowAlgorithmOne) {
 }
 
 TEST(DynamicOneFailState, ResweepAfterSilenceLimit) {
-  DynamicOneFailState st(OneFailParams{2.72});
-  st.advance(true);  // enter track mode
+  DynamicOneFail st(OneFailParams{2.72});
+  st.on_slot_end(true);  // enter track mode
   ASSERT_FALSE(st.in_fast_start());
-  for (std::uint64_t i = 0; i < DynamicOneFailState::kSilenceLimit; ++i) {
-    st.advance(false);
+  for (std::uint64_t i = 0; i < DynamicOneFail::kSilenceLimit; ++i) {
+    st.on_slot_end(false);
   }
   EXPECT_TRUE(st.in_fast_start());
   EXPECT_DOUBLE_EQ(st.kappa_estimate(), 3.72);
@@ -100,13 +100,13 @@ TEST(DynamicOneFailState, ResweepAfterSilenceLimit) {
 }
 
 TEST(DynamicOneFailState, DeliveryResetsSilentRun) {
-  DynamicOneFailState st(OneFailParams{2.72});
-  st.advance(true);
-  for (std::uint64_t i = 0; i + 1 < DynamicOneFailState::kSilenceLimit; ++i) {
-    st.advance(false);
+  DynamicOneFail st(OneFailParams{2.72});
+  st.on_slot_end(true);
+  for (std::uint64_t i = 0; i + 1 < DynamicOneFail::kSilenceLimit; ++i) {
+    st.on_slot_end(false);
   }
-  EXPECT_EQ(st.silent_run(), DynamicOneFailState::kSilenceLimit - 1);
-  st.advance(true);
+  EXPECT_EQ(st.silent_run(), DynamicOneFail::kSilenceLimit - 1);
+  st.on_slot_end(true);
   EXPECT_EQ(st.silent_run(), 0u);
   EXPECT_FALSE(st.in_fast_start());
 }
@@ -120,22 +120,14 @@ TEST(DynamicOneFail, SurvivesPoissonArrivalsWhereOriginalLivelocks) {
     const auto arrivals = poisson_arrivals(300, 0.1, arrival_rng);
     Xoshiro256 rng = Xoshiro256::stream(6, r);
     const NodeFactory node_factory = [&](Xoshiro256&) {
-      return std::make_unique<DynamicOneFailNode>();
+      return std::make_unique<FairSlotStation<DynamicOneFail>>(
+          DynamicOneFail());
     };
     EngineOptions opts;
     opts.max_slots = 300000;
     const RunMetrics run = run_node_engine(node_factory, arrivals, rng, opts);
     EXPECT_TRUE(run.completed) << "run " << r;
   }
-}
-
-TEST(DynamicOneFailNode, StopsOnOwnDelivery) {
-  DynamicOneFailNode node;
-  Feedback fb;
-  fb.delivered_mine = true;
-  node.on_slot_end(fb);
-  EXPECT_TRUE(node.state().in_fast_start());
-  EXPECT_DOUBLE_EQ(node.state().kappa_estimate(), 3.72);
 }
 
 TEST(DynamicOneFailFactory, Views) {

@@ -86,13 +86,13 @@ TEST(EstimatorInvariant, DeterministicBoundsAlongTrajectories) {
     std::uint64_t m = 500;
     std::uint64_t at_steps = 0;
     while (m > 0) {
-      if (!protocol.state().is_bt_step()) ++at_steps;
+      if (!protocol.is_bt_step()) ++at_steps;
       const double p = protocol.transmit_probability();
       const auto cat = sample_slot_category(rng, m, p);
       const bool delivery = cat == SlotCategory::kSuccess;
       if (delivery) --m;
       protocol.on_slot_end(delivery);
-      const double kappa_tilde = protocol.state().kappa_estimate();
+      const double kappa_tilde = protocol.kappa_estimate();
       ASSERT_GE(kappa_tilde, params.delta + 1.0);
       ASSERT_LE(kappa_tilde,
                 params.delta + 1.0 + static_cast<double>(at_steps) + 1e-9);
@@ -114,7 +114,7 @@ TEST(EstimatorTracking, KappaEstimateApproachesTrueDensityAtDeliveries) {
       const double p = protocol.transmit_probability();
       const auto cat = sample_slot_category(rng, m, p);
       if (cat == SlotCategory::kSuccess) {
-        ratio_at_first_delivery.add(protocol.state().kappa_estimate() /
+        ratio_at_first_delivery.add(protocol.kappa_estimate() /
                                     static_cast<double>(m));
         --m;
       }

@@ -57,15 +57,16 @@ TEST(DynamicArrivalsDetail, LatenciesArePerMessage) {
   const auto factory = factory_by_name("One-Fail Adaptive");
   const auto arrivals = burst_arrivals(2, 20, 500);
   Xoshiro256 rng(15);
-  LatencyMetrics latency;
   const NodeFactory node_factory = [&](Xoshiro256& r) {
     return factory.node(40, r);
   };
+  EngineOptions options;
+  options.record_latencies = true;
   const RunMetrics run =
-      run_node_engine(node_factory, arrivals, rng, EngineOptions{}, &latency);
+      run_node_engine(node_factory, arrivals, rng, options);
   ASSERT_TRUE(run.completed);
-  ASSERT_EQ(latency.latencies.size(), 40u);
-  for (const auto l : latency.latencies) {
+  ASSERT_EQ(run.latencies.size(), 40u);
+  for (const auto l : run.latencies) {
     EXPECT_GE(l, 1u);
     EXPECT_LE(l, run.slots);
   }

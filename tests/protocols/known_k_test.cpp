@@ -24,16 +24,6 @@ TEST(KnownKGenie, ProbabilityIsOneOverRemaining) {
 
 TEST(KnownKGenie, RejectsZeroK) {
   EXPECT_THROW(KnownKGenie(0), ContractViolation);
-  EXPECT_THROW(KnownKGenieNode(0), ContractViolation);
-}
-
-TEST(KnownKGenieNode, TracksHeardDeliveries) {
-  KnownKGenieNode node(3);
-  EXPECT_DOUBLE_EQ(node.transmit_probability(), 1.0 / 3.0);
-  Feedback fb;
-  fb.heard_delivery = true;
-  node.on_slot_end(fb);
-  EXPECT_DOUBLE_EQ(node.transmit_probability(), 0.5);
 }
 
 TEST(KnownKGenie, AchievesRatioNearE) {

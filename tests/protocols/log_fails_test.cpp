@@ -19,11 +19,11 @@ LogFailsParams params_with(double xi_t, double epsilon = 0.0) {
 }
 
 // Feeds silent steps until `n` AT fails have accumulated.
-void feed_at_fails(LogFailsState& st, std::uint64_t n) {
+void feed_at_fails(LogFailsAdaptive& st, std::uint64_t n) {
   std::uint64_t fails = 0;
   while (fails < n) {
     if (!st.is_bt_step()) ++fails;
-    st.advance(false);
+    st.on_slot_end(false);
   }
 }
 
@@ -42,18 +42,18 @@ TEST(LogFailsParams, Validation) {
 
 TEST(LogFailsState, DerivesEpsilonFromK) {
   // epsilon = 1/(k+1) = 1/101 -> BT probability 1/(1+log2(101)).
-  const LogFailsState st(params_with(0.5), 100);
+  const LogFailsAdaptive st(params_with(0.5), 100);
   EXPECT_NEAR(st.bt_probability(), 1.0 / (1.0 + std::log2(101.0)), 1e-12);
 }
 
 TEST(LogFailsState, ExplicitEpsilonWins) {
-  const LogFailsState st(params_with(0.5, 1.0 / 17.0), 100);
+  const LogFailsAdaptive st(params_with(0.5, 1.0 / 17.0), 100);
   EXPECT_NEAR(st.bt_probability(), 1.0 / (1.0 + std::log2(17.0)), 1e-12);
 }
 
 TEST(LogFailsState, BtPeriodFromXiT) {
-  EXPECT_EQ(LogFailsState(params_with(0.5), 10).bt_period(), 2u);
-  EXPECT_EQ(LogFailsState(params_with(0.1), 10).bt_period(), 10u);
+  EXPECT_EQ(LogFailsAdaptive(params_with(0.5), 10).bt_period(), 2u);
+  EXPECT_EQ(LogFailsAdaptive(params_with(0.1), 10).bt_period(), 10u);
 }
 
 // Walks one state through at least `steps` steps of mixed advance(false),
@@ -61,7 +61,7 @@ TEST(LogFailsState, BtPeriodFromXiT) {
 // calls, checking every step-dependent answer against a reference 1-based
 // step count taken modulo bt_period().
 void walk_against_reference_step(double xi_t, std::uint64_t steps) {
-  LogFailsState st(params_with(xi_t), 1000);
+  LogFailsAdaptive st(params_with(xi_t), 1000);
   const std::uint64_t period = st.bt_period();
   Xoshiro256 rng(static_cast<std::uint64_t>(1.0 / xi_t));
   std::uint64_t step = 1;
@@ -85,18 +85,18 @@ void walk_against_reference_step(double xi_t, std::uint64_t steps) {
     }
     const std::uint64_t choice = rng.next_below(8);
     if (choice == 0) {
-      st.advance(true);
+      st.on_slot_end(true);
       ++step;
     } else if (choice < 4) {
       const std::uint64_t count = st.constant_probability_slots();
       const double kappa = st.kappa_estimate();
-      st.advance_non_delivery(count);
+      st.on_non_delivery_slots(count);
       step += count;
       at_bulk_advances += bt ? 0 : 1;
       threshold_crossings += st.kappa_estimate() != kappa;
     } else {
       const double kappa = st.kappa_estimate();
-      st.advance(false);
+      st.on_slot_end(false);
       ++step;
       threshold_crossings += st.kappa_estimate() != kappa;
     }
@@ -107,12 +107,12 @@ void walk_against_reference_step(double xi_t, std::uint64_t steps) {
 }
 
 TEST(LogFailsState, BtStepsOccurAtPeriod) {
-  LogFailsState st(params_with(0.5), 10);
+  LogFailsAdaptive st(params_with(0.5), 10);
   // Steps are 1-based: step 1 AT, step 2 BT, step 3 AT, ...
   EXPECT_FALSE(st.is_bt_step());
-  st.advance(false);
+  st.on_slot_end(false);
   EXPECT_TRUE(st.is_bt_step());
-  st.advance(false);
+  st.on_slot_end(false);
   EXPECT_FALSE(st.is_bt_step());
 
   walk_against_reference_step(0.5, 20000);
@@ -120,7 +120,7 @@ TEST(LogFailsState, BtStepsOccurAtPeriod) {
 }
 
 TEST(LogFailsState, ThresholdsScaleWithLogAndLogSquared) {
-  const LogFailsState st(params_with(0.5), 100);
+  const LogFailsAdaptive st(params_with(0.5), 100);
   const double ln101 = std::log(101.0);
   // F_s = ceil(10 ln^2(101)), F_t = ceil(10 ln(101)).
   EXPECT_EQ(st.search_threshold(),
@@ -131,13 +131,13 @@ TEST(LogFailsState, ThresholdsScaleWithLogAndLogSquared) {
 }
 
 TEST(LogFailsState, StartsInSearchPhaseWithSearchThreshold) {
-  LogFailsState st(params_with(0.5), 100);
+  LogFailsAdaptive st(params_with(0.5), 100);
   EXPECT_TRUE(st.in_search_phase());
   EXPECT_EQ(st.fail_threshold(), st.search_threshold());
 }
 
 TEST(LogFailsState, SearchClimbsMultiplicatively) {
-  LogFailsState st(params_with(0.5), 100);
+  LogFailsAdaptive st(params_with(0.5), 100);
   const double kappa0 = st.kappa_estimate();
   feed_at_fails(st, st.search_threshold());
   EXPECT_NEAR(st.kappa_estimate(), kappa0 * 1.1, 1e-9);
@@ -146,18 +146,18 @@ TEST(LogFailsState, SearchClimbsMultiplicatively) {
 }
 
 TEST(LogFailsState, FirstDeliverySwitchesToTracking) {
-  LogFailsState st(params_with(0.5), 100);
-  st.advance(true);
+  LogFailsAdaptive st(params_with(0.5), 100);
+  st.on_slot_end(true);
   EXPECT_FALSE(st.in_search_phase());
   EXPECT_EQ(st.fail_threshold(), st.track_threshold());
 }
 
 TEST(LogFailsState, TrackingAddsFailBatch) {
-  LogFailsState st(params_with(0.5), 100);
+  LogFailsAdaptive st(params_with(0.5), 100);
   // Climb a few times so the estimator is well above the floor, then
   // switch to tracking.
   feed_at_fails(st, 40 * st.search_threshold());
-  st.advance(true);
+  st.on_slot_end(true);
   const double after_delivery = st.kappa_estimate();
   const std::uint64_t f = st.track_threshold();
   feed_at_fails(st, f);
@@ -166,53 +166,53 @@ TEST(LogFailsState, TrackingAddsFailBatch) {
 }
 
 TEST(LogFailsState, BtStepsDoNotCountAsFails) {
-  LogFailsState st(params_with(0.5), 100);
+  LogFailsAdaptive st(params_with(0.5), 100);
   EXPECT_FALSE(st.is_bt_step());
-  st.advance(false);  // AT fail
+  st.on_slot_end(false);  // AT fail
   EXPECT_EQ(st.fail_count(), 1u);
   EXPECT_TRUE(st.is_bt_step());
-  st.advance(false);  // silent BT: not a fail
+  st.on_slot_end(false);  // silent BT: not a fail
   EXPECT_EQ(st.fail_count(), 1u);
 }
 
 TEST(LogFailsState, DeliveryLowersEstimatorByE) {
-  LogFailsState st(params_with(0.5), 100);
+  LogFailsAdaptive st(params_with(0.5), 100);
   feed_at_fails(st, 40 * st.search_threshold());
   const double climbed = st.kappa_estimate();
   ASSERT_GT(climbed, 10.0);
-  st.advance(true);
+  st.on_slot_end(true);
   EXPECT_NEAR(st.kappa_estimate(),
-              std::max(climbed - LogFailsState::track_decrease(),
-                       LogFailsState::kKappaFloor),
+              std::max(climbed - LogFailsAdaptive::track_decrease(),
+                       LogFailsAdaptive::kKappaFloor),
               1e-9);
 }
 
 TEST(LogFailsState, DeliveryDoesNotResetFailCounter) {
   // Fails accumulate cumulatively in the TRACK phase (this is what lets the
   // estimator keep pace with the density; see DESIGN.md §5.1).
-  LogFailsState st(params_with(0.5), 100);
-  st.advance(true);  // enter tracking
-  st.advance(false);  // step 2: BT, not a fail
-  st.advance(false);  // step 3: AT fail
+  LogFailsAdaptive st(params_with(0.5), 100);
+  st.on_slot_end(true);  // enter tracking
+  st.on_slot_end(false);  // step 2: BT, not a fail
+  st.on_slot_end(false);  // step 3: AT fail
   EXPECT_EQ(st.fail_count(), 1u);
-  st.advance(true);  // delivery
+  st.on_slot_end(true);  // delivery
   EXPECT_EQ(st.fail_count(), 1u);
 }
 
 TEST(LogFailsState, EstimatorNeverBelowFloor) {
-  LogFailsState st(params_with(0.5), 100);
-  for (int i = 0; i < 50; ++i) st.advance(true);
-  EXPECT_DOUBLE_EQ(st.kappa_estimate(), LogFailsState::kKappaFloor);
+  LogFailsAdaptive st(params_with(0.5), 100);
+  for (int i = 0; i < 50; ++i) st.on_slot_end(true);
+  EXPECT_DOUBLE_EQ(st.kappa_estimate(), LogFailsAdaptive::kKappaFloor);
   EXPECT_LE(st.transmit_probability(), 0.5);
 }
 
 TEST(LogFailsState, ProbabilitiesAreValid) {
-  LogFailsState st(params_with(0.1), 1000);
+  LogFailsAdaptive st(params_with(0.1), 1000);
   for (int i = 0; i < 5000; ++i) {
     const double p = st.transmit_probability();
     ASSERT_GE(p, 0.0);
     ASSERT_LE(p, 1.0);
-    st.advance(i % 7 == 0);
+    st.on_slot_end(i % 7 == 0);
   }
 }
 
@@ -232,16 +232,6 @@ TEST(LogFailsFactory, ProvidesBothViews) {
   auto node = f.node(100, rng);
   EXPECT_NE(fair, nullptr);
   EXPECT_NE(node, nullptr);
-}
-
-TEST(LogFailsNode, StopsOnOwnDelivery) {
-  LogFailsAdaptiveNode node(params_with(0.5), 100);
-  Feedback fb;
-  fb.delivered_mine = true;
-  node.on_slot_end(fb);
-  // State frozen: still step 1, still searching.
-  EXPECT_TRUE(node.state().in_search_phase());
-  EXPECT_EQ(node.state().fail_count(), 0u);
 }
 
 }  // namespace

@@ -152,36 +152,36 @@ TEST(NodeEngine, LatencyMeasuredFromArrival) {
     return std::make_unique<AlwaysTransmit>();
   };
   ArrivalPattern arrivals{0, 50};
-  LatencyMetrics latency;
-  (void)run_node_engine(factory, arrivals, rng, EngineOptions{}, &latency);
-  ASSERT_EQ(latency.latencies.size(), 2u);
-  EXPECT_EQ(latency.latencies[0], 1u);  // delivered in its arrival slot
-  EXPECT_EQ(latency.latencies[1], 1u);
+  EngineOptions options;
+  options.record_latencies = true;
+  const RunMetrics m = run_node_engine(factory, arrivals, rng, options);
+  ASSERT_EQ(m.latencies.size(), 2u);
+  EXPECT_EQ(m.latencies[0], 1u);  // delivered in its arrival slot
+  EXPECT_EQ(m.latencies[1], 1u);
 }
 
 TEST(NodeEngine, RecordLatenciesFillsRunMetrics) {
-  // EngineOptions::record_latencies carries the same per-message values
-  // as the LatencyMetrics out-parameter, but inside RunMetrics — the form
-  // that survives aggregation and the parallel sweep pipeline.
+  // EngineOptions::record_latencies carries the per-message latencies
+  // inside RunMetrics — the form that survives aggregation and the
+  // parallel sweep pipeline. Off by default.
   Xoshiro256 rng_a(9);
   Xoshiro256 rng_b(9);
   const NodeFactory factory = [](Xoshiro256&) {
     return std::make_unique<AlwaysTransmit>();
   };
   ArrivalPattern arrivals{0, 50};
-  LatencyMetrics latency;
   const RunMetrics plain =
-      run_node_engine(factory, arrivals, rng_a, EngineOptions{}, &latency);
+      run_node_engine(factory, arrivals, rng_a, EngineOptions{});
   EXPECT_TRUE(plain.latencies.empty());  // off by default
 
   EngineOptions options;
   options.record_latencies = true;
   const RunMetrics recorded =
       run_node_engine(factory, arrivals, rng_b, options);
-  ASSERT_EQ(recorded.latencies.size(), latency.latencies.size());
-  for (std::size_t i = 0; i < latency.latencies.size(); ++i) {
-    EXPECT_EQ(recorded.latencies[i], latency.latencies[i]);
-  }
+  // delivery_slot - arrival_slot + 1 per message, in delivery order.
+  ASSERT_EQ(recorded.latencies.size(), 2u);
+  EXPECT_EQ(recorded.latencies[0], 1u);
+  EXPECT_EQ(recorded.latencies[1], 1u);
 }
 
 TEST(NodeEngine, ListenersHearDeliveries) {
@@ -352,17 +352,14 @@ TEST(BatchedNodeEngine, StationaryStretchDeliversWithLatencies) {
   EngineOptions opts;
   opts.record_deliveries = true;
   opts.record_latencies = true;
-  LatencyMetrics latency;
   const RunMetrics m =
-      run_node_engine(factory, arrivals, rng, batched_mode(opts), &latency);
+      run_node_engine(factory, arrivals, rng, batched_mode(opts));
   ASSERT_TRUE(m.completed);
   ASSERT_EQ(m.delivery_slots.size(), 1u);
   EXPECT_GE(m.delivery_slots[0], 7u);  // cannot deliver before arrival
   EXPECT_EQ(m.slots, m.delivery_slots[0] + 1);
-  ASSERT_EQ(latency.latencies.size(), 1u);
-  EXPECT_EQ(latency.latencies[0], m.delivery_slots[0] - 7 + 1);
   ASSERT_EQ(m.latencies.size(), 1u);
-  EXPECT_EQ(m.latencies[0], latency.latencies[0]);
+  EXPECT_EQ(m.latencies[0], m.delivery_slots[0] - 7 + 1);
   EXPECT_EQ(m.transmissions, 1u);  // only the success slot materializes
 }
 

@@ -92,7 +92,8 @@ TEST(Observer, NodeEngineCallsOncePerSlot) {
   // fair engines honour.
   DownsampledSeries series(1);
   const NodeFactory factory = [](Xoshiro256&) {
-    return std::make_unique<OneFailAdaptiveNode>();
+    return std::make_unique<FairSlotStation<OneFailAdaptive>>(
+        OneFailAdaptive());
   };
   Xoshiro256 rng(5);
   EngineOptions opts;
@@ -116,7 +117,8 @@ TEST(Observer, NodeEngineSeesEmptyArrivalGapSlots) {
   // 0 — so observer traces never diverge from RunMetrics.
   DownsampledSeries series(1);
   const NodeFactory factory = [](Xoshiro256&) {
-    return std::make_unique<OneFailAdaptiveNode>();
+    return std::make_unique<FairSlotStation<OneFailAdaptive>>(
+        OneFailAdaptive());
   };
   Xoshiro256 rng(6);
   EngineOptions opts;
@@ -149,7 +151,8 @@ TEST(Observer, BatchedNodeEngineRejectsObservers) {
   // as for the batched fair engines.
   DownsampledSeries series(1);
   const NodeFactory factory = [](Xoshiro256&) {
-    return std::make_unique<OneFailAdaptiveNode>();
+    return std::make_unique<FairSlotStation<OneFailAdaptive>>(
+        OneFailAdaptive());
   };
   Xoshiro256 rng(7);
   EngineOptions opts;

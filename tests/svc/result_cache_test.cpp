@@ -24,7 +24,12 @@ namespace fs = std::filesystem;
 class ResultCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "ucr_result_cache_test";
+    // One directory per case: under `ctest -j` every case is its own
+    // process, and a shared directory would let one delete another's
+    // records.
+    root_ = fs::path(::testing::TempDir()) /
+            (std::string("ucr_result_cache_test_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(root_);
     exp::ExperimentSpec spec;
     spec.runs = 2;

@@ -20,8 +20,12 @@ Six checks, all hard failures:
    docs/ARCHITECTURE.md "Pre-drawn window slots", so renaming that
    section without updating the pointers fails here.
 5. Every `run_*` identifier inside a backticked code span of those
-   documents must be declared in some src/**/*.hpp — an entry point
-   that was renamed or deleted must not live on in the docs.
+   documents must be declared in some src/**/*.hpp, and every backticked
+   CamelCase identifier must be a type declared there (`class`,
+   `struct`, `enum class` or `using`) or appear in a tests/ or bench/
+   source (a test or benchmark name, a benchmark option). Comments and
+   GoogleTest suite names do not count — an entry point or class that
+   was renamed or deleted must not live on in the docs.
 6. With --cli=<path to ucr_cli>, every protocol name `ucr_cli --list`
    prints must appear as a `## <name>` section heading in
    docs/PROTOCOLS.md — the same contract the tier-1 drift test
@@ -45,6 +49,11 @@ SECTION_REF_RE = re.compile(r"docs/([A-Za-z0-9._-]+\.md) \"([^\"]+)\"")
 HEADING_RE = re.compile(r"^#{1,6} +(.+?)\s*$", re.MULTILINE)
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 RUN_IDENT_RE = re.compile(r"\brun_[A-Za-z0-9_]+")
+CAMEL_IDENT_RE = re.compile(r"\b[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+\b")
+TYPE_DECL_RE = re.compile(r"\b(?:class|struct|using)\s+([A-Za-z_]\w*)")
+# A TEST / TEST_F / TYPED_TEST ... macro and its first argument, the suite.
+TEST_SUITE_RE = re.compile(r"\b\w*TEST\w*\(\s*\w+")
+WORD_RE = re.compile(r"\w+")
 LINE_COMMENT_RE = re.compile(r"//.*")
 
 
@@ -138,24 +147,39 @@ def check_section_refs(root: pathlib.Path) -> list[str]:
     return errors
 
 
-def check_run_identifiers(root: pathlib.Path) -> list[str]:
+def check_identifiers(root: pathlib.Path) -> list[str]:
     """Every backticked `run_*` identifier in a document must be declared
-    (outside comments) in some src/**/*.hpp."""
+    (outside comments) in some src/**/*.hpp; every backticked CamelCase
+    identifier must be a type declared there or a word of tests/ or
+    bench/ code outside comments and test-suite names."""
     headers = "\n".join(
         LINE_COMMENT_RE.sub("", h.read_text(encoding="utf-8"))
         for h in sorted((root / "src").rglob("*.hpp"))
     )
+    known = set(TYPE_DECL_RE.findall(headers))
+    for tree in ("tests", "bench"):
+        for source in sorted((root / tree).rglob("*.[ch]pp")):
+            code = LINE_COMMENT_RE.sub("", source.read_text(encoding="utf-8"))
+            known.update(WORD_RE.findall(TEST_SUITE_RE.sub("", code)))
     errors = []
     for doc in iter_doc_files(root):
-        cited = set()
+        runs = set()
+        camels = set()
         for span in CODE_SPAN_RE.findall(doc.read_text(encoding="utf-8")):
-            cited.update(RUN_IDENT_RE.findall(span))
-        for name in sorted(cited):
+            runs.update(RUN_IDENT_RE.findall(span))
+            camels.update(CAMEL_IDENT_RE.findall(span))
+        for name in sorted(runs):
             if not re.search(rf"\b{name}\s*\(", headers):
                 errors.append(
                     f"{doc.relative_to(root)}: cites `{name}`, which no "
                     "src/**/*.hpp declares"
                 )
+        for name in sorted(camels - known):
+            errors.append(
+                f"{doc.relative_to(root)}: cites `{name}`, which no "
+                "src/**/*.hpp declares as a type and no tests/ or bench/ "
+                "code uses"
+            )
     return errors
 
 
@@ -208,7 +232,7 @@ def main() -> int:
 
     errors = (check_links(root) + check_spec_refs(root)
               + check_spec_coverage(root) + check_section_refs(root)
-              + check_run_identifiers(root))
+              + check_identifiers(root))
     if args.cli:
         try:
             errors += check_protocol_catalog(root, args.cli)
@@ -222,7 +246,7 @@ def main() -> int:
     if errors:
         return 1
     checked = ("links + spec refs + spec coverage + section refs"
-               " + run_* identifiers") + (
+               " + identifiers") + (
         " + protocol catalog" if args.cli else ""
     )
     print(f"docs check ok ({checked})")
