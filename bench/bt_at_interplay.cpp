@@ -67,16 +67,7 @@ class InterplaySink final : public ucr::exp::ResultSink {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto cfg = ucr::bench::parse_harness_config(argc, argv, 100000);
-  if (cfg.spec_file) {
-    // Loud, not silent: the AT/BT attribution needs record_deliveries
-    // and One-Fail's even-step BT numbering — a foreign grid would
-    // digest to zeros. Run this harness's own grid instead.
-    std::cout << "note: --spec/UCR_SPEC is ignored by bt_at_interplay "
-                 "(the AT/BT digest is specific to One-Fail Adaptive's "
-                 "delivery recording)\n\n";
-    cfg.spec_file.reset();
-  }
+  const auto cfg = ucr::bench::parse_harness_config(argc, argv, 100000);
 
   std::cout << "=== One-Fail Adaptive: AT vs BT division of labour ("
             << cfg.runs << " runs) ===\n\n";
@@ -90,11 +81,8 @@ int main(int argc, char** argv) {
   spec.with_factory(ucr::make_one_fail_factory());
 
   InterplaySink sink;
-  ucr::bench::run_spec_with_sinks(cfg, spec, {&sink});
+  ucr::exp::run(ucr::exp::compile(spec), {&sink}, {cfg.threads});
 
-  if (!cfg.shard.is_whole()) {
-    std::cout << "shard " << cfg.shard.label() << " of the grid:\n";
-  }
   ucr::Table table({"k", "deliv. by AT", "deliv. by BT", "BT share",
                     "BT share of last 32", "mean ratio"});
   for (const CellDigest& digest : sink.digests()) {

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const auto cfg = ucr::bench::parse_harness_config(argc, argv, 100000);
 
   std::cout << "=== Collision detection vs the paper's model "
-            << "(ratio steps/k, " << cfg.effective_runs() << " runs) ===\n\n";
+            << "(ratio steps/k, " << cfg.runs << " runs) ===\n\n";
 
   std::vector<std::uint64_t> ks;
   for (std::uint64_t k = 100; k <= cfg.k_max; k *= 10) ks.push_back(k);
@@ -30,13 +30,7 @@ int main(int argc, char** argv) {
   spec.with_factory(ucr::make_one_fail_factory())
       .with_factory(ucr::make_exp_backon_factory())
       .with_factory(ucr::make_known_k_factory());
-  const auto run = ucr::bench::run_spec(cfg, spec);
-
-  if (!cfg.pivot_render()) {
-    std::cout << "(stack-tree column omitted on non-pivot runs)\n";
-    ucr::bench::print_generic(std::cout, cfg, run);
-    return 0;
-  }
+  const auto results = ucr::bench::run_spec(cfg, spec);
 
   ucr::Table table({"k", "stack-tree (CD)", "One-Fail (no CD)",
                     "Sawtooth (no CD)", "genie (knows k)"});
@@ -50,9 +44,9 @@ int main(int argc, char** argv) {
     }
     const double stack_ratio = stack_sum / static_cast<double>(cfg.runs);
 
-    const auto& r_ofa = run.results[0 * ks.size() + j];
-    const auto& r_ebobo = run.results[1 * ks.size() + j];
-    const auto& r_genie = run.results[2 * ks.size() + j];
+    const auto& r_ofa = results[0 * ks.size() + j];
+    const auto& r_ebobo = results[1 * ks.size() + j];
+    const auto& r_genie = results[2 * ks.size() + j];
 
     table.add_row({std::to_string(k), ucr::format_double(stack_ratio, 2),
                    ucr::format_double(r_ofa.ratio.mean, 2),

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const auto cfg = ucr::bench::parse_harness_config(argc, argv, 10000);
   const std::uint64_t k = cfg.k_max;
 
-  std::cout << "=== delta ablation at k = " << k << " (" << cfg.effective_runs()
+  std::cout << "=== delta ablation at k = " << k << " (" << cfg.runs
             << " runs) ===\n\n";
 
   // Both ablation axes run as one spec; the grid is the OFA deltas
@@ -37,13 +37,7 @@ int main(int argc, char** argv) {
     spec.with_factory(
         ucr::make_exp_backon_factory(ucr::ExpBackonParams{delta}, "ebobo"));
   }
-  const auto run = ucr::bench::run_spec(cfg, spec);
-
-  if (!cfg.pivot_render()) {
-    ucr::bench::print_generic(std::cout, cfg, run);
-    return 0;
-  }
-  const auto& results = run.results;
+  const auto results = ucr::bench::run_spec(cfg, spec);
 
   {
     std::cout << "One-Fail Adaptive (admissible: e < delta <= 2.9906)\n";

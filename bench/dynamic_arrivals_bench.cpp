@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   const auto cfg = ucr::bench::parse_harness_config(argc, argv, 200);
   const std::uint64_t k = cfg.k_max;  // per-node engine: keep k moderate
 
-  std::cout << "=== Dynamic arrivals (k = " << k << ", " << cfg.effective_runs()
+  std::cout << "=== Dynamic arrivals (k = " << k << ", " << cfg.runs
             << " runs per cell, per-node engine) ===\n\n";
 
   const std::vector<double> lambdas{0.02, 0.1, 0.5};
@@ -80,12 +80,7 @@ int main(int argc, char** argv) {
   const std::size_t protocol_count = spec.protocols.size();
   const std::size_t arrival_count = spec.arrivals.size();
 
-  const auto run = ucr::bench::run_spec(cfg, spec);
-
-  if (!cfg.pivot_render()) {
-    ucr::bench::print_generic(std::cout, cfg, run);
-    return 0;
-  }
+  const auto results = ucr::bench::run_spec(cfg, spec);
 
   // Cells are protocol-major: cell (p, a) = p * arrival_count + a. Render
   // one table per arrival workload, protocols as rows.
@@ -101,7 +96,7 @@ int main(int argc, char** argv) {
         {"protocol", "mean makespan", "mean latency", "p50 latency",
          "p95 latency", "p99 latency", "fairness", "incomplete"});
     for (std::size_t p = 0; p < protocol_count; ++p) {
-      const auto& res = run.results[p * arrival_count + a];
+      const auto& res = results[p * arrival_count + a];
       const LatencyDigest lat = digest_latencies(res);
       table.add_row({res.protocol, ucr::format_count(res.makespan.mean),
                      ucr::format_double(lat.mean, 1),

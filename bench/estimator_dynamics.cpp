@@ -20,10 +20,6 @@ namespace {
 // Prints checkpoints of kappa~/kappa along one run of a slot protocol,
 // executed as a single-cell, single-run ExperimentSpec with the observer
 // attached (the only spec shape a shared per-slot observer is valid for).
-// Runs through compile()/run_collect() directly — NOT bench::run_spec —
-// because this harness traces twice and run_spec would truncate a shared
-// UCR_CSV_OUT archive on the second call (observer traces are not
-// aggregate archives anyway).
 void trace(const char* name, const ucr::bench::HarnessConfig& cfg,
            ucr::ProtocolFactory factory, std::uint64_t k,
            bool at_steps_are_odd) {
@@ -31,11 +27,9 @@ void trace(const char* name, const ucr::bench::HarnessConfig& cfg,
   auto spec = cfg.spec().with_ks({k});
   spec.runs = 1;
   spec.engine = ucr::exp::EngineMode::kFair;  // observers need exact slots
-  spec.shard = {};  // a single-trace spec is never sharded
   spec.engine_options.observer = &series;
   spec.with_factory(std::move(factory));
-  const auto results =
-      ucr::exp::run_collect(ucr::exp::compile(spec), {cfg.threads});
+  const auto results = ucr::bench::run_spec(cfg, spec);
   const ucr::RunMetrics& metrics = results.front().details.front();
 
   std::cout << name << " (k = " << k << ", makespan " << metrics.slots
@@ -64,15 +58,8 @@ void trace(const char* name, const ucr::bench::HarnessConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto cfg = ucr::bench::parse_harness_config(argc, argv, 100000);
+  const auto cfg = ucr::bench::parse_harness_config(argc, argv, 100000);
   const std::uint64_t k = cfg.k_max;
-  cfg.batched = false;  // per-slot observers require the exact engine
-  if (cfg.spec_file) {
-    // Loud, not silent: this harness traces fixed protocol pairs through
-    // per-slot observers; an external grid cannot replace that.
-    std::cout << "note: --spec/UCR_SPEC is ignored by estimator_dynamics "
-                 "(observer traces run its own fixed cells)\n\n";
-  }
 
   std::cout << "=== Density-estimator trajectories (observer hook) ===\n\n";
 

@@ -20,23 +20,16 @@ int main(int argc, char** argv) {
   const auto ks = ucr::paper_k_sweep(cfg.k_max);
 
   std::cout << "=== Figure 1: steps to solve static k-selection "
-            << "(mean of " << cfg.effective_runs() << " runs, seed "
-            << cfg.effective_seed() << ") ===\n\n";
+            << "(mean of " << cfg.runs << " runs, seed " << cfg.seed
+            << ") ===\n\n";
 
   // The protocol x k grid is one declarative spec; run_spec executes it on
-  // the shared pipeline (results in grid order, UCR_CSV_OUT streaming,
-  // --shard partitioning all inherited).
+  // the shared pipeline.
   auto spec = cfg.spec().with_ks(ks);
   for (const auto& factory : protocols) spec.with_factory(factory);
-  const auto run = ucr::bench::run_spec(cfg, spec);
-
-  if (!cfg.pivot_render()) {
-    ucr::bench::print_generic(std::cout, cfg, run);
-    return 0;
-  }
 
   // protocol x k -> aggregate (cells arrive protocol-major, in grid order).
-  const auto& flat = run.results;
+  const auto flat = ucr::bench::run_spec(cfg, spec);
   std::vector<std::string> header{"k"};
   for (const auto& factory : protocols) header.push_back(factory.name);
   ucr::Table table(header);

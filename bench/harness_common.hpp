@@ -1,86 +1,41 @@
 // Shared plumbing of the reproduction harnesses (bench/ executables).
 //
-// Every harness accepts the same overrides, with the command line taking
-// precedence over the environment:
-//   --kmax=N     / UCR_KMAX     largest k of the sweep   (default varies)
-//   --runs=N     / UCR_RUNS     runs per (protocol, k)   (default 10, as in
-//                               the paper)
-//   --seed=N     / UCR_SEED     base seed                (default 2011)
-//   --threads=N  / UCR_THREADS  sweep worker threads     (default: all
-//                               hardware threads; N >= 1, junk and 0 are
-//                               rejected)
-//   --batched=1  / UCR_BATCHED  run every cell through the batched engine
-//                               fast paths — fair cells via
-//                               sim/fair_engine.hpp, non-batch (dynamic
-//                               arrival) cells via the batched per-node
-//                               engine (sim/node_engine.hpp) — same law
-//                               of outcomes as the exact engines but a
-//                               different RNG path, so per-run numbers
-//                               differ; means/quantiles agree
-//   --channel=SPEC / UCR_CHANNEL  run every cell under this channel model
-//                               (channel/model.hpp grammar: clean,
-//                               capture(<p>), jamming(<q>) or
-//                               jam_burst(<period>,<len>)); applies to the
-//                               harness grid AND to a --spec file's grid.
-//                               Non-clean cells run on the exact node
-//                               engine (docs/SCENARIOS.md), so this is
-//                               also the quick robustness check of any
-//                               archived sweep
-//   --shard=i/N  / UCR_SHARD    own shard i of N of the flattened grid
-//                               (cross-machine sweeps; concatenated
-//                               UCR_CSV_OUT files are byte-identical to
-//                               the unsharded sweep)
-//   --spec=FILE  / UCR_SPEC     run the spec file's grid INSTEAD of the
-//                               harness's own (exp/spec_io.hpp format;
-//                               protocol names resolve against
-//                               default_catalogue()). The harness then
-//                               renders the generic flat cell listing —
-//                               its pivot tables describe its own grid —
-//                               while UCR_CSV_OUT / UCR_JSONL_OUT archive
-//                               the file's sweep, so a versioned spec in
-//                               specs/ IS the regression workload.
-//                               --shard and --threads (and their
-//                               environment forms) still override the
-//                               file; --kmax/--runs/--seed/--batched
-//                               describe the harness grid and are ignored
-//                               with a spec override.
+// Every harness accepts the same five settings:
+//   --kmax=N     largest k of the sweep   (default varies)
+//   --runs=N     runs per (protocol, k)   (default 10, as in the paper)
+//   --seed=N     base seed                (default 2011)
+//   --threads=N  sweep worker threads, or UCR_THREADS (default: all
+//                hardware threads; N >= 1, junk and 0 are rejected)
+//   --batched=1  run every cell through the batched engine fast paths —
+//                fair cells via sim/fair_engine.hpp, non-batch (dynamic
+//                arrival) cells via the batched per-node engine
+//                (sim/node_engine.hpp) — same law of outcomes as the
+//                exact engines but a different RNG path, so per-run
+//                numbers differ; means/quantiles agree
 //
 // Harnesses describe their grid as an ExperimentSpec (exp/spec.hpp) and
 // execute it with run_spec() below — the same spec -> plan -> sink
-// pipeline ucr_cli drives — so there are no per-harness grid loops and
-// every harness inherits sharding and streaming archival for free:
-// UCR_CSV_OUT=<path> streams the aggregate rows in the sim/resultio
-// format and UCR_JSONL_OUT=<path> the JSONL form (use the latter for
-// grids with several arrival workloads — CSV rows cannot name the
-// workload), both while the sweep is still running.
+// pipeline ucr_cli drives — so there are no per-harness grid loops. A
+// harness renders its own paper table; spec files, shards, channel
+// overrides and CSV/JSONL archives of a sweep are ucr_cli's (--spec,
+// --shard, --channel, --format).
 //
 // Results are bit-identical for every thread count (see sim/sweep.hpp), so
 // --threads is purely a wall-clock knob; --batched is the paper-scale
-// wall-clock knob (UCR_KMAX=10000000 sweeps).
+// wall-clock knob (--kmax=10000000 sweeps).
 //
-// Full-scale reproduction of the paper (k up to 10^7) is run with
-// UCR_KMAX=10000000; defaults are sized so that `for b in build/bench/*`
-// finishes in minutes on one core. EXPERIMENTS.md records both the
-// single-machine and the sharded invocation.
+// Defaults are sized so that `for b in build/bench/*` finishes in minutes
+// on one core; EXPERIMENTS.md records the paper-scale invocations.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/cli.hpp"
-#include "common/table.hpp"
-#include "core/registry.hpp"
 #include "exp/plan.hpp"
 #include "exp/run.hpp"
-#include "exp/sink.hpp"
 #include "exp/spec.hpp"
-#include "exp/spec_io.hpp"
-#include "sim/metrics.hpp"
+#include "sim/runner.hpp"
 
 namespace ucr::bench {
 
@@ -90,197 +45,37 @@ struct HarnessConfig {
   std::uint64_t seed;
   unsigned threads;
   bool batched;
-  exp::ShardSpec shard;
-  /// Set by --channel / UCR_CHANNEL: channel model forced onto every cell
-  /// of the executed grid (harness-own or spec-file).
-  std::optional<ChannelModel> channel;
-  /// Set by --spec / UCR_SPEC: the file's grid replaces the harness's own
-  /// in run_spec / run_spec_with_sinks.
-  std::optional<exp::SpecFile> spec_file;
-  /// Whether --shard / --threads were given explicitly (they then beat
-  /// the spec file's values too).
-  bool shard_given = false;
-  bool threads_given = false;
 
   /// Spec pre-filled with this harness invocation's runs / seed / engine
-  /// mode / shard; the harness adds its protocol, k and arrival axes.
+  /// mode; the harness adds its protocol, k and arrival axes.
   exp::ExperimentSpec spec() const {
     exp::ExperimentSpec spec;
     spec.runs = runs;
     spec.seed = seed;
     spec.engine =
         batched ? exp::EngineMode::kBatched : exp::EngineMode::kFair;
-    spec.shard = shard;
-    if (channel) spec.channels = {*channel};
     return spec;
-  }
-
-  /// True when the harness's own pivot rendering applies: the whole grid
-  /// is present (unsharded) and it is the harness's own grid (no
-  /// spec-file override). Sharded blocks and file-defined grids render
-  /// through print_generic instead.
-  bool pivot_render() const {
-    return effective_shard().is_whole() && !spec_file;
-  }
-
-  /// What the executed grid actually uses — the spec file's values when
-  /// one overrides the harness grid — so banners and listings never
-  /// report the harness defaults for a run they did not perform.
-  std::uint64_t effective_runs() const {
-    return spec_file ? spec_file->spec.runs : runs;
-  }
-  std::uint64_t effective_seed() const {
-    return spec_file ? spec_file->spec.seed : seed;
-  }
-  exp::ShardSpec effective_shard() const {
-    return (spec_file && !shard_given) ? spec_file->spec.shard : shard;
   }
 };
 
 inline HarnessConfig parse_harness_config(int argc, const char* const* argv,
                                           std::uint64_t default_kmax) {
-  const CliArgs args(argc, argv, {"kmax", "runs", "seed", "threads",
-                                  "batched", "channel", "shard", "spec"});
+  const CliArgs cli(argc, argv, {"kmax", "runs", "seed", "threads", "batched"});
   HarnessConfig cfg;
-  cfg.k_max = args.get_u64("kmax", env_u64("UCR_KMAX", default_kmax));
-  cfg.runs = args.get_u64("runs", env_u64("UCR_RUNS", 10));
-  cfg.seed = args.get_u64("seed", env_u64("UCR_SEED", 2011));
-  cfg.threads = thread_count_option(args, "UCR_THREADS");
-  // An empty UCR_THREADS means unset, exactly as thread_count_option
-  // treats it — it must not count as an override of a spec file.
-  const char* threads_env = std::getenv("UCR_THREADS");
-  cfg.threads_given = args.get("threads").has_value() ||
-                      (threads_env != nullptr && *threads_env != '\0');
-  cfg.batched = args.get_bool("batched", env_u64("UCR_BATCHED", 0) != 0);
-  std::optional<std::string> channel = args.get("channel");
-  if (!channel) {
-    if (const char* env = std::getenv("UCR_CHANNEL")) {
-      if (*env != '\0') channel = std::string(env);
-    }
-  }
-  if (channel) cfg.channel = ChannelModel::parse(*channel);
-  std::optional<std::string> shard = args.get("shard");
-  if (!shard) {
-    if (const char* env = std::getenv("UCR_SHARD")) shard = std::string(env);
-  }
-  if (shard) {
-    cfg.shard = exp::ShardSpec::parse(*shard);
-    cfg.shard_given = true;
-  }
-  std::optional<std::string> spec_path = args.get("spec");
-  if (!spec_path) {
-    if (const char* env = std::getenv("UCR_SPEC")) {
-      if (*env != '\0') spec_path = std::string(env);
-    }
-  }
-  if (spec_path) {
-    cfg.spec_file = exp::load_spec_file(*spec_path);
-  }
+  cfg.k_max = cli.get_u64("kmax", default_kmax);
+  cfg.runs = cli.get_u64("runs", 10);
+  cfg.seed = cli.get_u64("seed", 2011);
+  cfg.threads = thread_count_option(cli, "UCR_THREADS");
+  cfg.batched = cli.get_bool("batched", false);
   return cfg;
 }
 
-/// This shard's cells and their aggregates, in grid order. For an
-/// unsharded run cells[i].index == i, so pivot-table harnesses can index
-/// the results directly by grid position.
-struct SpecRun {
-  std::vector<exp::CellInfo> cells;
-  std::vector<AggregateResult> results;
-};
-
-/// Compiles and runs a harness spec through the shared pipeline with the
-/// caller's sinks. When UCR_CSV_OUT is set (and non-empty), the rows also
-/// stream to that file as cells complete (header on shard 0 only, so
-/// per-shard files concatenate to the unsharded archive). UCR_JSONL_OUT
-/// streams the JSONL form the same way — the archive to use for
-/// heterogeneous-arrival grids, where the flat CSV row cannot name the
-/// workload and rows of different arrival cells would be
-/// indistinguishable.
-inline void run_spec_with_sinks(const HarnessConfig& cfg,
-                                const exp::ExperimentSpec& spec,
-                                std::vector<exp::ResultSink*> sinks) {
-  // --spec / UCR_SPEC: the file's grid replaces the harness's own
-  // (explicit --shard / --threads still win). File specs select protocols
-  // by name, so they compile against the shared live catalogue.
-  unsigned threads = cfg.threads;
-  exp::ExperimentPlan plan;
-  if (cfg.spec_file) {
-    exp::ExperimentSpec file_spec = cfg.spec_file->spec;
-    file_spec.shard = cfg.effective_shard();
-    if (cfg.channel) file_spec.channels = {*cfg.channel};
-    if (!cfg.threads_given) threads = cfg.spec_file->threads;
-    plan = exp::compile(file_spec, default_catalogue());
-  } else {
-    exp::ExperimentSpec own = spec;
-    if (cfg.channel) own.channels = {*cfg.channel};
-    plan = exp::compile(own);
-  }
-  const auto open_archive = [](const char* env, std::ofstream& file) {
-    const char* out = std::getenv(env);
-    if (out == nullptr || *out == '\0') return false;  // unset/empty: off
-    file.open(out);
-    UCR_REQUIRE(file.is_open(), std::string("cannot open ") + env +
-                                    " path '" + out + "'");
-    return true;
-  };
-  std::ofstream csv_file;
-  std::optional<exp::CsvStreamSink> csv;
-  if (open_archive("UCR_CSV_OUT", csv_file)) {
-    csv.emplace(csv_file);
-    sinks.push_back(&*csv);
-  }
-  std::ofstream jsonl_file;
-  std::optional<exp::JsonlSink> jsonl;
-  if (open_archive("UCR_JSONL_OUT", jsonl_file)) {
-    jsonl.emplace(jsonl_file);
-    sinks.push_back(&*jsonl);
-  }
-  exp::run(plan, sinks, {threads});
-}
-
-/// run_spec_with_sinks through a MemorySink — the fit for table-rendering
-/// harnesses. Harnesses that post-process heavy per-run details should
-/// pass their own digesting sink to run_spec_with_sinks instead, so the
-/// details are dropped cell by cell.
-inline SpecRun run_spec(const HarnessConfig& cfg,
-                        const exp::ExperimentSpec& spec) {
-  exp::MemorySink memory;
-  run_spec_with_sinks(cfg, spec, {&memory});
-  return SpecRun{memory.cells(), memory.take_results()};
-}
-
-/// Flat per-cell listing, the rendering for invocations whose grid is not
-/// the harness's own pivot shape (a pivot table over the full grid cannot
-/// be assembled from one shard's block, nor from a spec-file grid).
-inline void print_cells(std::ostream& os, const SpecRun& run) {
-  Table table({"cell", "protocol", "k", "arrivals", "channel",
-               "mean makespan", "mean ratio", "incomplete"});
-  for (std::size_t i = 0; i < run.results.size(); ++i) {
-    const AggregateResult& res = run.results[i];
-    table.add_row({std::to_string(run.cells[i].index), res.protocol,
-                   std::to_string(res.k), run.cells[i].arrival.label(),
-                   run.cells[i].channel.label(),
-                   format_double(res.makespan.mean, 1),
-                   format_double(res.ratio.mean, 3),
-                   std::to_string(res.incomplete_runs)});
-  }
-  table.print(os);
-}
-
-/// The non-pivot rendering path (`!cfg.pivot_render()`): names why the
-/// grid is generic — one shard block, or a spec-file grid — with the
-/// runs/seed/shard the grid actually used, then lists the cells flat.
-inline void print_generic(std::ostream& os, const HarnessConfig& cfg,
-                          const SpecRun& run) {
-  const exp::ShardSpec shard = cfg.effective_shard();
-  if (cfg.spec_file) {
-    os << "spec-file grid (" << run.results.size() << " cells"
-       << (shard.is_whole() ? std::string() : ", shard " + shard.label())
-       << ", " << cfg.effective_runs() << " runs, seed "
-       << cfg.effective_seed() << "):\n";
-  } else {
-    os << "shard " << shard.label() << " of the grid:\n";
-  }
-  print_cells(os, run);
+/// Compiles and runs a harness's spec on cfg.threads workers. The
+/// aggregates come back in grid order, so a pivot table indexes them by
+/// grid position (protocol-major: cell (p, j) is results[p * cols + j]).
+inline std::vector<AggregateResult> run_spec(const HarnessConfig& cfg,
+                                             const exp::ExperimentSpec& spec) {
+  return exp::run_collect(exp::compile(spec), {cfg.threads});
 }
 
 }  // namespace ucr::bench

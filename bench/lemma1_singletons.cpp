@@ -42,12 +42,6 @@ std::uint64_t sample_singletons(ucr::Xoshiro256& rng, std::uint64_t m,
 
 int main(int argc, char** argv) {
   const auto cfg = ucr::bench::parse_harness_config(argc, argv, 1000000);
-  if (cfg.spec_file) {
-    // Loud, not silent: this harness is a balls-in-bins Monte Carlo, not
-    // a protocol sweep — there is no grid a spec file could replace.
-    std::cout << "note: --spec/UCR_SPEC is ignored by lemma1_singletons "
-                 "(no protocol grid)\n\n";
-  }
   const double delta = 0.366;  // the paper's Exp Back-on/Back-off constant
   const double beta = 1.0;
   const std::uint64_t trials = cfg.runs * 20;  // default 200 throws per m

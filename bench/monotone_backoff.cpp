@@ -35,12 +35,7 @@ int main(int argc, char** argv) {
   const auto ks = ucr::paper_k_sweep(cfg.k_max);
   auto spec = cfg.spec().with_ks(ks);
   for (const auto& factory : protocols) spec.with_factory(factory);
-  const auto run = ucr::bench::run_spec(cfg, spec);
-
-  if (!cfg.pivot_render()) {
-    ucr::bench::print_generic(std::cout, cfg, run);
-    return 0;
-  }
+  const auto results = ucr::bench::run_spec(cfg, spec);
 
   std::vector<std::string> header{"protocol"};
   for (const auto k : ks) header.push_back(std::to_string(k));
@@ -49,7 +44,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{protocols[i].name};
     for (std::size_t j = 0; j < ks.size(); ++j) {
       row.push_back(
-          ucr::format_double(run.results[i * ks.size() + j].ratio.mean, 1));
+          ucr::format_double(results[i * ks.size() + j].ratio.mean, 1));
     }
     table.add_row(std::move(row));
   }

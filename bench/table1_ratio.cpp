@@ -20,17 +20,12 @@ int main(int argc, char** argv) {
   const auto ks = ucr::paper_k_sweep(cfg.k_max);
 
   std::cout << "=== Table 1: ratio steps/nodes as a function of k "
-            << "(mean of " << cfg.effective_runs() << " runs, seed "
-            << cfg.effective_seed() << ") ===\n\n";
+            << "(mean of " << cfg.runs << " runs, seed " << cfg.seed
+            << ") ===\n\n";
 
   auto spec = cfg.spec().with_ks(ks);
   for (const auto& factory : protocols) spec.with_factory(factory);
-  const auto run = ucr::bench::run_spec(cfg, spec);
-
-  if (!cfg.pivot_render()) {
-    ucr::bench::print_generic(std::cout, cfg, run);
-    return 0;
-  }
+  const auto results = ucr::bench::run_spec(cfg, spec);
 
   std::vector<std::string> header{"k"};
   for (const auto k : ks) header.push_back(std::to_string(k));
@@ -40,7 +35,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < protocols.size(); ++i) {
     std::vector<std::string> row{protocols[i].name};
     for (std::size_t j = 0; j < ks.size(); ++j) {
-      const auto& res = run.results[i * ks.size() + j];
+      const auto& res = results[i * ks.size() + j];
       row.push_back(ucr::format_double(res.ratio.mean, 1));
     }
     row.push_back(ucr::analysis_cell(protocols[i].name));

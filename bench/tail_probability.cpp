@@ -49,19 +49,14 @@ int main(int argc, char** argv) {
           ucr::make_one_fail_factory(ucr::OneFailParams{ofa_delta}, "ofa"))
       .with_factory(ucr::make_exp_backon_factory(
           ucr::ExpBackonParams{ebobo_delta}, "ebobo"));
-  const auto run = ucr::bench::run_spec(cfg, spec);
-
-  if (!cfg.pivot_render()) {
-    ucr::bench::print_generic(std::cout, cfg, run);
-    return 0;
-  }
+  const auto results = ucr::bench::run_spec(cfg, spec);
 
   ucr::Table table({"protocol", "k", "bound (slots)", "worst run", "margin",
                     "P[exceed] emp", "P[fail] theory"});
   for (std::size_t j = 0; j < ks.size(); ++j) {
     const std::uint64_t k = ks[j];
     {
-      const auto& res = run.results[j];  // OFA block
+      const auto& res = results[j];  // OFA block
       // Theorem 1 with the additive O(log^2 k) term instantiated at c = 1;
       // the linear term dominates at these k.
       const double bound = ucr::one_fail_bound(ofa_delta, k, 1.0);
@@ -75,7 +70,7 @@ int main(int argc, char** argv) {
            ucr::format_double(ucr::one_fail_error(k), 5)});
     }
     {
-      const auto& res = run.results[ks.size() + j];  // EBOBO block
+      const auto& res = results[ks.size() + j];  // EBOBO block
       const double bound = ucr::exp_backon_bound(ebobo_delta, k);
       const std::uint64_t exceed = count_exceedances(res, bound);
       table.add_row(

@@ -1,35 +1,11 @@
 #include "channel/model.hpp"
 
-#include <cstdlib>
-
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
 namespace ucr {
-
-namespace {
-
-double parse_double_strict(const std::string& text,
-                           const std::string& source) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  UCR_REQUIRE(end != text.c_str() && *end == '\0' && !text.empty(),
-              "malformed number '" + text + "' in " + source);
-  return value;
-}
-
-std::uint64_t parse_u64_local(const std::string& text,
-                              const std::string& source) {
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-  UCR_REQUIRE(end != text.c_str() && *end == '\0' && !text.empty() &&
-                  text.find('-') == std::string::npos,
-              "malformed integer '" + text + "' in " + source);
-  return value;
-}
-
-}  // namespace
 
 ChannelModel ChannelModel::clean() { return ChannelModel{}; }
 
@@ -96,16 +72,16 @@ ChannelModel ChannelModel::parse(const std::string& text) {
     const std::string source = "channel '" + value + "'";
     ChannelModel model;
     if (head == "capture") {
-      model = capture(parse_double_strict(trim(args), source));
+      model = capture(parse_finite_double(trim(args), source));
     } else if (head == "jamming") {
-      model = jamming(parse_double_strict(trim(args), source));
+      model = jamming(parse_finite_double(trim(args), source));
     } else {
       const std::size_t comma = args.find(',');
       UCR_REQUIRE(comma != std::string::npos,
                   "malformed channel '" + value +
                       "' (expected jam_burst(<period>,<len>))");
-      model = jam_burst(parse_u64_local(trim(args.substr(0, comma)), source),
-                        parse_u64_local(trim(args.substr(comma + 1)), source));
+      model = jam_burst(parse_u64_strict(trim(args.substr(0, comma)), source),
+                        parse_u64_strict(trim(args.substr(comma + 1)), source));
     }
     model.validate();
     return model;

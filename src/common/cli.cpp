@@ -9,21 +9,6 @@
 
 namespace ucr {
 
-namespace {
-
-/// The whole of `text` must be one finite number: strtod alone stops at
-/// the first bad character ("1e3x" read as 1000) and accepts inf/nan.
-double parse_finite_double(const std::string& text,
-                           const std::string& source) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  UCR_REQUIRE(!text.empty() && *end == '\0' && std::isfinite(value),
-              source + " must be a finite number, got '" + text + "'");
-  return value;
-}
-
-}  // namespace
-
 CliArgs::CliArgs(int argc, const char* const* argv,
                  const std::vector<std::string>& allowed_keys) {
   for (int i = 1; i < argc; ++i) {
@@ -84,6 +69,15 @@ std::uint64_t parse_u64_strict(const std::string& text,
   return value;
 }
 
+double parse_finite_double(const std::string& text,
+                           const std::string& source) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  UCR_REQUIRE(!text.empty() && *end == '\0' && std::isfinite(value),
+              source + " must be a finite number, got '" + text + "'");
+  return value;
+}
+
 unsigned parse_thread_count(const std::string& text,
                             const std::string& source) {
   UCR_REQUIRE(!text.empty(), source + " must be a positive integer (or be "
@@ -113,18 +107,6 @@ unsigned thread_count_option(const CliArgs& args, const char* env_name) {
     }
   }
   return 0;  // auto: all hardware threads
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return parse_u64_strict(v, name);
-}
-
-double env_double(const char* name, double def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return parse_finite_double(v, name);
 }
 
 }  // namespace ucr

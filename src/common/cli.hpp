@@ -1,10 +1,7 @@
-// Tiny command-line / environment configuration helper for harness binaries.
-//
-// All reproduction harnesses accept the same style of overrides:
+// Tiny command-line helper shared by every binary (ucr_cli, the daemons,
+// the reproduction harnesses), plus the strict number parsers behind it:
 //   ./fig1_makespan --kmax=1000000 --runs=10 --seed=42
-// and equivalently via environment (UCR_KMAX, UCR_RUNS, UCR_SEED), with the
-// command line taking precedence. Unknown --flags are rejected so typos in
-// experiment scripts fail loudly.
+// Unknown --flags are rejected so typos in experiment scripts fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -42,18 +39,19 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// Environment lookup with default (uses std::getenv); an empty variable
-/// is unset. Set values follow the get_u64 / get_double rules and throw
-/// naming the variable.
-std::uint64_t env_u64(const char* name, std::uint64_t def);
-double env_double(const char* name, double def);
-
 /// Strict unsigned-64 parsing: decimal digits only, in range, nothing
 /// else. Throws ContractViolation naming `source` otherwise — the shared
 /// loud-failure parser for values where silent truncation or saturation
-/// would corrupt an experiment description (--ks lists, shard selectors).
+/// would corrupt an experiment description (--ks lists, shard selectors,
+/// arrival and channel arguments, archived CSV cells).
 std::uint64_t parse_u64_strict(const std::string& text,
                                const std::string& source);
+
+/// Strict floating-point parsing, the twin of parse_u64_strict: the whole
+/// of `text` must be one finite number. strtod alone stops at the first
+/// bad character ("1e3x" read as 1000) and accepts inf/nan. Throws
+/// ContractViolation naming `source` otherwise.
+double parse_finite_double(const std::string& text, const std::string& source);
 
 /// Strict worker-thread-count parsing shared by every binary that takes
 /// --threads / UCR_THREADS. A present value must be a positive decimal

@@ -23,9 +23,9 @@ std::vector<ProtocolFactory> all_protocols();
 
 /// The live catalogue every name-resolving front end shares:
 /// all_protocols() plus this repository's Dynamic One-Fail variant.
-/// ucr_cli, the bench harnesses' spec-file override (UCR_SPEC) and the
-/// specs/ round-trip tests all resolve protocol names against this, so a
-/// spec file means the same sweep everywhere.
+/// ucr_cli, the sweep daemons and the specs/ round-trip tests all
+/// resolve protocol names against this, so a spec file means the same
+/// sweep everywhere.
 std::vector<ProtocolFactory> default_catalogue();
 
 /// Looks `name` up in a catalogue: first exact match (first wins — the

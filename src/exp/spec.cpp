@@ -1,6 +1,5 @@
 #include "exp/spec.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <utility>
 
@@ -11,19 +10,6 @@
 #include "core/registry.hpp"
 
 namespace ucr::exp {
-
-namespace {
-
-double parse_double_strict(const std::string& text,
-                           const std::string& source) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  UCR_REQUIRE(end != text.c_str() && *end == '\0' && !text.empty(),
-              "malformed number '" + text + "' in " + source);
-  return value;
-}
-
-}  // namespace
 
 ArrivalSpec ArrivalSpec::batch() { return ArrivalSpec{}; }
 
@@ -140,7 +126,7 @@ ArrivalSpec ArrivalSpec::parse(const std::string& text) {
     ArrivalSpec spec;
     if (head == "poisson") {
       want(1);
-      spec = poisson(parse_double_strict(args[0], source));
+      spec = poisson(parse_finite_double(args[0], source));
     } else if (head == "burst") {
       want(2);
       spec = burst(parse_u64_strict(args[0], source),
@@ -154,13 +140,13 @@ ArrivalSpec ArrivalSpec::parse(const std::string& text) {
       spec = schedule(std::move(slots));
     } else if (head == "mmpp") {
       want(3);
-      spec = mmpp(parse_double_strict(args[0], source),
-                  parse_double_strict(args[1], source),
+      spec = mmpp(parse_finite_double(args[0], source),
+                  parse_finite_double(args[1], source),
                   parse_u64_strict(args[2], source));
     } else {
       want(2);
-      spec = pareto(parse_double_strict(args[0], source),
-                    parse_double_strict(args[1], source));
+      spec = pareto(parse_finite_double(args[0], source),
+                    parse_finite_double(args[1], source));
     }
     spec.validate();
     return spec;

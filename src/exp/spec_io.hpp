@@ -5,8 +5,8 @@
 // (spec -> compile() -> plan -> run() -> sinks), so an experiment can be
 // committed next to its archive, diffed, handed to a remote shard driver,
 // and replayed bit for bit. The repository ships the paper's canonical
-// sweeps under specs/ (see specs/README.md); `ucr_cli --spec=FILE` and the
-// bench harnesses (UCR_SPEC) consume them directly.
+// sweeps under specs/ (see specs/README.md); `ucr_cli --spec=FILE`
+// consumes them directly.
 //
 // Format, by example (canonical key order; '#' starts a comment):
 //
@@ -106,7 +106,7 @@ using SpecLoader = std::function<std::string(const std::string& name)>;
 SpecFile parse_spec(const std::string& text, const SpecLoader& loader);
 
 /// Reads `path` and parse_spec()s its contents — the one spec-loading
-/// path every front end (ucr_cli --spec, the bench harnesses' UCR_SPEC,
+/// path every front end (ucr_cli --spec, the fleet coordinator,
 /// engine_micro's BM_SpecSweep) shares. `include` names resolve relative
 /// to the directory containing `path` (absolute names stand alone).
 /// Throws ContractViolation naming the path when a file cannot be opened.

@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/samplers.hpp"
 
 namespace ucr {
+
+namespace {
+
+/// Floors an arrival time to its slot, saturating at UINT64_MAX: a time
+/// at or past 2^64 slots (a tiny rate or a huge heavy-tailed gap) never
+/// arrives. The bare cast is undefined there; x86-64 yields 0, which
+/// would put a message that never arrives into a slot-0 batch.
+std::uint64_t arrival_slot(double t) {
+  return t < 0x1p64 ? static_cast<std::uint64_t>(t) : UINT64_MAX;
+}
+
+}  // namespace
 
 ArrivalPattern batched_arrivals(std::uint64_t k) {
   return ArrivalPattern(k, 0);
@@ -22,7 +35,7 @@ ArrivalPattern poisson_arrivals(std::uint64_t k, double lambda,
     // Exponential inter-arrival with mean 1/lambda slots.
     const double u = rng.next_double();
     t += -std::log1p(-u) / lambda;
-    arrivals.push_back(static_cast<std::uint64_t>(t));
+    arrivals.push_back(arrival_slot(t));
   }
   return arrivals;
 }
@@ -93,7 +106,7 @@ ArrivalPattern pareto_arrivals(std::uint64_t k, double alpha, double xm,
     // in (0, 1] and X >= xm always.
     const double u = rng.next_double();
     t += xm * std::pow(1.0 - u, -1.0 / alpha);
-    arrivals.push_back(static_cast<std::uint64_t>(t));
+    arrivals.push_back(arrival_slot(t));
   }
   return arrivals;
 }

@@ -15,6 +15,8 @@ namespace ucr {
 
 /// A concrete workload: arrival_slot[i] is the slot at whose beginning
 /// station i is activated with one message. Always sorted non-decreasing.
+/// The random generators saturate a time at or past 2^64 slots to
+/// UINT64_MAX, a message that never arrives within any slot cap.
 using ArrivalPattern = std::vector<std::uint64_t>;
 
 /// All k messages arrive simultaneously at slot 0 (the paper's setting).

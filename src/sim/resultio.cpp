@@ -1,10 +1,10 @@
 #include "sim/resultio.hpp"
 
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
 
@@ -34,22 +34,6 @@ constexpr const char* kHeader[] = {
     "spec_hash",
 };
 constexpr std::size_t kColumns = sizeof(kHeader) / sizeof(kHeader[0]);
-
-double parse_double(const std::string& cell) {
-  char* end = nullptr;
-  const double v = std::strtod(cell.c_str(), &end);
-  UCR_REQUIRE(end != cell.c_str() && *end == '\0',
-              "malformed numeric cell '" + cell + "'");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& cell) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(cell.c_str(), &end, 10);
-  UCR_REQUIRE(end != cell.c_str() && *end == '\0',
-              "malformed integer cell '" + cell + "'");
-  return v;
-}
 
 }  // namespace
 
@@ -142,38 +126,42 @@ std::vector<std::string> parse_csv_line(const std::string& line) {
 }
 
 std::vector<AggregateRow> read_aggregate_csv(std::istream& is) {
+  const std::vector<std::string> header(kHeader, kHeader + kColumns);
   std::string line;
   UCR_REQUIRE(static_cast<bool>(std::getline(is, line)),
               "empty CSV input");
-  const auto header = parse_csv_line(line);
-  UCR_REQUIRE(header.size() == kColumns && header[0] == kHeader[0] &&
-                  header[kColumns - 1] == kHeader[kColumns - 1],
-              "unexpected CSV header");
+  UCR_REQUIRE(parse_csv_line(line) == header, "unexpected CSV header");
 
   std::vector<AggregateRow> rows;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto cells = parse_csv_line(line);
     UCR_REQUIRE(cells.size() == kColumns, "wrong number of columns");
+    const auto u64 = [&](std::size_t i) {
+      return parse_u64_strict(cells[i], "CSV column '" + header[i] + "'");
+    };
+    const auto number = [&](std::size_t i) {
+      return parse_finite_double(cells[i], "CSV column '" + header[i] + "'");
+    };
     AggregateRow row;
     row.protocol = cells[0];
-    row.k = parse_u64(cells[1]);
-    row.runs = parse_u64(cells[2]);
-    row.incomplete_runs = parse_u64(cells[3]);
-    row.mean_makespan = parse_double(cells[4]);
-    row.stddev_makespan = parse_double(cells[5]);
-    row.min_makespan = parse_double(cells[6]);
-    row.p25_makespan = parse_double(cells[7]);
-    row.median_makespan = parse_double(cells[8]);
-    row.p75_makespan = parse_double(cells[9]);
-    row.p95_makespan = parse_double(cells[10]);
-    row.max_makespan = parse_double(cells[11]);
-    row.mean_ratio = parse_double(cells[12]);
-    row.latency_p50 = parse_double(cells[13]);
-    row.latency_p95 = parse_double(cells[14]);
-    row.latency_p99 = parse_double(cells[15]);
-    row.energy_mean = parse_double(cells[16]);
-    row.energy_max = parse_double(cells[17]);
+    row.k = u64(1);
+    row.runs = u64(2);
+    row.incomplete_runs = u64(3);
+    row.mean_makespan = number(4);
+    row.stddev_makespan = number(5);
+    row.min_makespan = number(6);
+    row.p25_makespan = number(7);
+    row.median_makespan = number(8);
+    row.p75_makespan = number(9);
+    row.p95_makespan = number(10);
+    row.max_makespan = number(11);
+    row.mean_ratio = number(12);
+    row.latency_p50 = number(13);
+    row.latency_p95 = number(14);
+    row.latency_p99 = number(15);
+    row.energy_mean = number(16);
+    row.energy_max = number(17);
     row.spec_hash = cells[18];
     rows.push_back(std::move(row));
   }

@@ -1,6 +1,7 @@
 // Persistence of experiment results: aggregate rows written to / read back
-// from CSV, so harness outputs can be archived, diffed against
-// EXPERIMENTS.md, and re-plotted without re-running the sweeps.
+// from CSV, so sweep outputs (ucr_cli --format=csv) can be archived,
+// diffed against EXPERIMENTS.md, and re-plotted without re-running the
+// sweeps.
 #pragma once
 
 #include <iosfwd>
@@ -66,7 +67,9 @@ void write_aggregate_header(std::ostream& os);
 void write_aggregate_row(std::ostream& os, const AggregateRow& row);
 
 /// Reads rows written by write_aggregate_csv. Throws ContractViolation on
-/// malformed input (wrong header, wrong column count, non-numeric cells).
+/// malformed input: a header that differs from the written one in any
+/// cell, a wrong column count, an integer cell that is not decimal digits
+/// or a number cell that is not one finite number.
 std::vector<AggregateRow> read_aggregate_csv(std::istream& is);
 
 /// Splits one CSV line into cells, honouring RFC 4180 quoting (the inverse

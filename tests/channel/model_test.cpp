@@ -28,6 +28,12 @@ TEST(ChannelModel, ParseRejectsUnknownAndMalformed) {
   EXPECT_THROW(ChannelModel::parse("capture(0.5,1)"), ContractViolation);
   EXPECT_THROW(ChannelModel::parse("jam_burst(16)"), ContractViolation);
   EXPECT_THROW(ChannelModel::parse("jamming(nope)"), ContractViolation);
+  // Integers are decimal digits only, probabilities finite numbers.
+  for (const char* bad : {"jam_burst(+4,2)", "jam_burst(4,+2)",
+                          "jam_burst(4,2x)", "jamming(inf)", "capture(nan)",
+                          "capture(0.5x)"}) {
+    EXPECT_THROW(ChannelModel::parse(bad), ContractViolation) << bad;
+  }
 }
 
 TEST(ChannelModel, ValidateRejectsOutOfRangeParameters) {

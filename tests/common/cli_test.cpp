@@ -91,36 +91,6 @@ TEST(CliArgs, LastValueWins) {
   EXPECT_EQ(args.get_u64("k", 0), 2u);
 }
 
-TEST(EnvHelpers, ReadAndDefault) {
-  ::setenv("UCR_TEST_ENV_U64", "123", 1);
-  EXPECT_EQ(env_u64("UCR_TEST_ENV_U64", 5), 123u);
-  ::unsetenv("UCR_TEST_ENV_U64");
-  EXPECT_EQ(env_u64("UCR_TEST_ENV_U64", 5), 5u);
-
-  ::setenv("UCR_TEST_ENV_DBL", "0.25", 1);
-  EXPECT_DOUBLE_EQ(env_double("UCR_TEST_ENV_DBL", 1.0), 0.25);
-  ::unsetenv("UCR_TEST_ENV_DBL");
-  EXPECT_DOUBLE_EQ(env_double("UCR_TEST_ENV_DBL", 1.0), 1.0);
-
-  // Set values follow the flag rules.
-  ::setenv("UCR_TEST_ENV_U64", "1e3", 1);
-  EXPECT_THROW(env_u64("UCR_TEST_ENV_U64", 5), ContractViolation);
-  ::setenv("UCR_TEST_ENV_U64", "12x", 1);
-  EXPECT_THROW(env_u64("UCR_TEST_ENV_U64", 5), ContractViolation);
-  ::unsetenv("UCR_TEST_ENV_U64");
-  ::setenv("UCR_TEST_ENV_DBL", "0.25abc", 1);
-  EXPECT_THROW(env_double("UCR_TEST_ENV_DBL", 1.0), ContractViolation);
-  ::setenv("UCR_TEST_ENV_DBL", "inf", 1);
-  EXPECT_THROW(env_double("UCR_TEST_ENV_DBL", 1.0), ContractViolation);
-  ::unsetenv("UCR_TEST_ENV_DBL");
-}
-
-TEST(EnvHelpers, EmptyStringIsDefault) {
-  ::setenv("UCR_TEST_ENV_EMPTY", "", 1);
-  EXPECT_EQ(env_u64("UCR_TEST_ENV_EMPTY", 9), 9u);
-  ::unsetenv("UCR_TEST_ENV_EMPTY");
-}
-
 TEST(ParseThreadCount, AcceptsPositiveIntegers) {
   EXPECT_EQ(parse_thread_count("1", "--threads"), 1u);
   EXPECT_EQ(parse_thread_count("8", "--threads"), 8u);

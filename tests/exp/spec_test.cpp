@@ -67,6 +67,13 @@ TEST(ArrivalSpec, ParseRejectsMalformedText) {
   EXPECT_THROW(ArrivalSpec::parse("burst(4)"), ContractViolation);
   EXPECT_THROW(ArrivalSpec::parse("burst(0,8)"), ContractViolation);
   EXPECT_THROW(ArrivalSpec::parse("burst(4,64"), ContractViolation);
+  // Rates and scales are finite numbers in full; poisson(inf) is not a
+  // batch.
+  for (const char* bad : {"poisson(inf)", "poisson(nan)", "mmpp(inf,0.1,8)",
+                          "mmpp(0.5,inf,8)", "pareto(1.5,inf)", "pareto(inf,1)",
+                          "poisson(0.1x)", "burst(+4,64)"}) {
+    EXPECT_THROW(ArrivalSpec::parse(bad), ContractViolation) << bad;
+  }
   try {
     ArrivalSpec::parse("possion(0.1)");
     FAIL() << "expected ContractViolation";

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
+#include "core/exp_backon_backoff.hpp"
+#include "sim/runner.hpp"
 
 namespace ucr {
 namespace {
@@ -60,6 +63,42 @@ TEST(BurstArrivals, SingleBurstIsBatch) {
 TEST(BurstArrivals, RejectsEmptyShape) {
   EXPECT_THROW(burst_arrivals(0, 4, 10), ContractViolation);
   EXPECT_THROW(burst_arrivals(4, 0, 10), ContractViolation);
+}
+
+// A time at or past 2^64 slots saturates to UINT64_MAX, a message that
+// never arrives. The bare double -> uint64 cast is undefined there and
+// yields slot 0 on x86-64, a slot-0 batch.
+TEST(ArrivalTimes, PastTwoToThe64Saturate) {
+  Xoshiro256 rng(4);
+  const ArrivalPattern poisson = poisson_arrivals(50, 1e-30, rng);
+  ASSERT_EQ(poisson.size(), 50u);
+  for (const auto slot : poisson) EXPECT_EQ(slot, UINT64_MAX);
+
+  const ArrivalPattern pareto = pareto_arrivals(50, 1.5, 1e30, rng);
+  ASSERT_EQ(pareto.size(), 50u);
+  for (const auto slot : pareto) EXPECT_EQ(slot, UINT64_MAX);
+
+  // Below 2^64 times still floor to their slot: a mean gap of 10^17
+  // slots keeps 50 arrivals far from both 0 and the saturation value.
+  const ArrivalPattern sparse = poisson_arrivals(50, 1e-17, rng);
+  EXPECT_TRUE(std::is_sorted(sparse.begin(), sparse.end()));
+  EXPECT_GT(sparse.front(), 0u);
+  EXPECT_LT(sparse.back(), UINT64_MAX);
+}
+
+TEST(ArrivalTimes, NeverArrivingMessagesLeaveTheRunIncomplete) {
+  Xoshiro256 rng(5);
+  const ArrivalPattern never = poisson_arrivals(50, 1e-30, rng);
+  for (const bool batched : {false, true}) {
+    EngineOptions options;
+    options.max_slots = 1000;
+    options.batched = batched;
+    const RunMetrics run =
+        run_single_node(make_exp_backon_factory(), never, 0, 1, options);
+    EXPECT_FALSE(run.completed) << "batched=" << batched;
+    EXPECT_EQ(run.deliveries, 0u) << "batched=" << batched;
+    EXPECT_EQ(run.slots, 1000u) << "batched=" << batched;
+  }
 }
 
 }  // namespace

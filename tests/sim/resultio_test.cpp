@@ -147,6 +147,29 @@ TEST(ResultIo, RejectsGarbage) {
       "0,0,h\n");
   EXPECT_THROW(read_aggregate_csv(bad_number), ContractViolation);
 
+  // Integer cells are decimal digits only (k = -1 is not 2^64 - 1) and
+  // number cells finite.
+  const std::string header =
+      "protocol,k,runs,incomplete_runs,mean_makespan,stddev,min,p25,median,"
+      "p75,p95,max,mean_ratio,latency_p50,latency_p95,latency_p99,"
+      "energy_mean,energy_max,spec_hash\n";
+  for (const char* row : {"X,-1,2,0,1,1,1,1,1,1,1,1,1,0,0,0,0,0,h\n",
+                          "X,1,+2,0,1,1,1,1,1,1,1,1,1,0,0,0,0,0,h\n",
+                          "X,1,2,0,inf,1,1,1,1,1,1,1,1,0,0,0,0,0,h\n",
+                          "X,1,2,0,1,1,1,1,1,1,1,1,nan,0,0,0,0,0,h\n"}) {
+    std::stringstream bad_cell(header + row);
+    EXPECT_THROW(read_aggregate_csv(bad_cell), ContractViolation) << row;
+  }
+
+  // Every header cell is checked: with latency_p50 and latency_p95
+  // swapped, each value would land in the other's field.
+  std::stringstream swapped(
+      "protocol,k,runs,incomplete_runs,mean_makespan,stddev,min,p25,median,"
+      "p75,p95,max,mean_ratio,latency_p95,latency_p50,latency_p99,"
+      "energy_mean,energy_max,spec_hash\nX,1,2,0,1,1,1,1,1,1,1,1,1,0,0,0,"
+      "0,0,h\n");
+  EXPECT_THROW(read_aggregate_csv(swapped), ContractViolation);
+
   // Superseded formats are rejected loudly, not misread: the
   // pre-percentile 9-column layout, the pre-latency/provenance 13-column
   // layout, and the pre-energy 17-column layout.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate for CI (.github/workflows/ci.yml, `docs` job).
 
-Six checks, all hard failures:
+Seven checks, all hard failures:
 
 1. Relative markdown links in README.md, EXPERIMENTS.md, docs/*.md and
    specs/README.md must resolve to files inside the repository (no 404s
@@ -31,6 +31,14 @@ Six checks, all hard failures:
    docs/PROTOCOLS.md — the same contract the tier-1 drift test
    (tests/docs/protocols_doc_test.cpp) enforces, re-checked here from
    the built binary so the docs job cannot pass with a stale catalog.
+7. Environment variables. (a) Every `UCR_*` name in those documents
+   must be spelled as a whole string literal (the form every getenv
+   call takes) in some src/, tools/ or bench/ C++ source, outside
+   comments; CMake `-DUCR_...` options do not count as names. (b) Every
+   `UCR_X=... ./build/<dir>/<binary>` command in them may set only
+   variables that `<dir>/<binary>.cpp`, or a header of its own directory
+   that it includes, spells that way — an environment override the
+   binary does not read must not be documented as if it did.
 
 Exit codes: 0 ok, 1 check failed, 2 usage/environment error.
 """
@@ -55,6 +63,15 @@ TYPE_DECL_RE = re.compile(r"\b(?:class|struct|using)\s+([A-Za-z_]\w*)")
 TEST_SUITE_RE = re.compile(r"\b\w*TEST\w*\(\s*\w+")
 WORD_RE = re.compile(r"\w+")
 LINE_COMMENT_RE = re.compile(r"//.*")
+ENV_NAME_RE = re.compile(r"\bUCR_[A-Z0-9_]+")
+# A run of UCR_X=value assignments (backslash continuations allowed) in
+# front of a ./build/<dir>/<binary> command.
+ENV_COMMAND_RE = re.compile(
+    r"((?:\bUCR_[A-Z0-9_]+=\S*[ \t]+(?:\\\n[ \t]*)?)+)\./build/(\w+)/(\w+)")
+# C++ string and character literals and comments, in source order.
+CPP_TOKEN_RE = re.compile(
+    r"\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'|//[^\n]*|/\*.*?\*/", re.S)
+LOCAL_INCLUDE_RE = re.compile(r'^#include "([^"/]+)"', re.MULTILINE)
 
 
 def iter_doc_files(root: pathlib.Path):
@@ -183,6 +200,54 @@ def check_identifiers(root: pathlib.Path) -> list[str]:
     return errors
 
 
+def env_literals(source: pathlib.Path) -> set[str]:
+    """The UCR_* names a C++ source spells as a whole string literal
+    outside comments."""
+    return {
+        token[1:-1]
+        for token in CPP_TOKEN_RE.findall(source.read_text(encoding="utf-8"))
+        if re.fullmatch(r'"UCR_[A-Z0-9_]+"', token)
+    }
+
+
+def check_env_vars(root: pathlib.Path) -> list[str]:
+    """Every documented UCR_* variable is read by some code, and every
+    documented `UCR_X=... ./build/<dir>/<binary>` command sets only
+    variables that binary reads."""
+    read_anywhere: set[str] = set()
+    for tree in ("src", "tools", "bench"):
+        for source in sorted((root / tree).rglob("*.[ch]pp")):
+            read_anywhere |= env_literals(source)
+    errors = []
+    for doc in iter_doc_files(root):
+        text = doc.read_text(encoding="utf-8")
+        rel = doc.relative_to(root)
+        for name in sorted(set(ENV_NAME_RE.findall(text)) - read_anywhere):
+            errors.append(
+                f"{rel}: names environment variable {name}, which no "
+                "src/, tools/ or bench/ code reads"
+            )
+        for assignments, directory, binary in ENV_COMMAND_RE.findall(text):
+            command = f"./build/{directory}/{binary}"
+            source = root / directory / f"{binary}.cpp"
+            if not source.is_file():
+                errors.append(f"{rel}: {command} has no source {directory}/"
+                              f"{binary}.cpp")
+                continue
+            reads = env_literals(source)
+            for header in LOCAL_INCLUDE_RE.findall(
+                    source.read_text(encoding="utf-8")):
+                if (source.parent / header).is_file():
+                    reads |= env_literals(source.parent / header)
+            for name in sorted(set(ENV_NAME_RE.findall(assignments))
+                               - reads):
+                errors.append(
+                    f"{rel}: sets {name} for {command}, which does not "
+                    "read it"
+                )
+    return errors
+
+
 def registered_names(cli: str) -> list[str]:
     out = subprocess.run(
         [cli, "--list"], check=True, capture_output=True, text=True
@@ -232,7 +297,7 @@ def main() -> int:
 
     errors = (check_links(root) + check_spec_refs(root)
               + check_spec_coverage(root) + check_section_refs(root)
-              + check_identifiers(root))
+              + check_identifiers(root) + check_env_vars(root))
     if args.cli:
         try:
             errors += check_protocol_catalog(root, args.cli)
@@ -246,7 +311,7 @@ def main() -> int:
     if errors:
         return 1
     checked = ("links + spec refs + spec coverage + section refs"
-               " + identifiers") + (
+               " + identifiers + environment variables") + (
         " + protocol catalog" if args.cli else ""
     )
     print(f"docs check ok ({checked})")
