@@ -1,6 +1,7 @@
-// Ablation of One-Fail Adaptive's two-regime design (DESIGN.md §5.0): the
-// AT algorithm is built to drain the batch while contention is high, the
-// BT algorithm to finish the O(log)-sized tail. This harness measures, per
+// Ablation of One-Fail Adaptive's two-regime design (see
+// docs/PROTOCOLS.md "One-Fail Adaptive"): the AT algorithm is built to
+// drain the batch while contention is high, the BT algorithm to finish
+// the O(log)-sized tail. This harness measures, per
 // k, which step type actually delivers each message and when the hand-off
 // happens — making the Lemma 5 / Lemma 6 division of labour visible in
 // simulation.

@@ -1,4 +1,6 @@
-// Ablation of the delta design constants (DESIGN.md §5.0):
+// Ablation of the delta design constants of
+// docs/PROTOCOLS.md "One-Fail Adaptive" and
+// docs/PROTOCOLS.md "Exp Back-on/Back-off":
 //  * One-Fail Adaptive admits e < delta <= 2.9906; the paper picked 2.72.
 //    The analysis ratio 2(delta+1) grows with delta, so smaller delta looks
 //    better on paper — this harness shows the measured effect.

@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
   for (const auto& factory : ucr::paper_protocols()) {
     spec.with_factory(factory);
   }
-  // This repo's future-work variant (DESIGN.md / dynamic_one_fail.hpp).
+  // This repo's future-work variant (see
+  // docs/PROTOCOLS.md "Dynamic One-Fail Adaptive").
   spec.with_factory(ucr::make_dynamic_one_fail_factory());
   const std::size_t protocol_count = spec.protocols.size();
   const std::size_t arrival_count = spec.arrivals.size();

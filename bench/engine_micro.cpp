@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate: sampler
 // throughput and slots/second of both engines. These justify the engine
-// split documented in DESIGN.md §4 — the aggregate engine is what makes
-// the paper's k = 10^7 sweep feasible on a laptop. BM_SpecSweep times the
-// whole spec -> plan -> run pipeline on a *versioned* workload
-// (specs/engine-micro.spec, overridable with UCR_SPEC), so the CI
-// regression baseline is itself a spec file next to the code.
+// split of docs/ARCHITECTURE.md "The engine matrix" — the aggregate
+// engine is what makes the paper's k = 10^7 sweep feasible on a laptop.
+// BM_SpecSweep times the whole spec -> plan -> run pipeline on a
+// *versioned* workload (specs/engine-micro.spec, overridable with
+// UCR_SPEC), so the CI regression baseline is itself a spec file next to
+// the code.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -119,10 +120,11 @@ void BM_FairSlotEngine_OneFail(benchmark::State& state) {
 BENCHMARK(BM_FairSlotEngine_OneFail)->Arg(1000)->Arg(100000);
 
 // Log-Fails Adaptive (2) puts a BT step on every other slot, so its
-// constant-probability horizon is one slot and batched mode takes the same
-// one-slot steps timed here. Its BT probability is fixed and its AT
-// probability moves only every F fails, so most slots reuse a slot law the
-// engine already stored, where One-Fail's AT steps compute a fresh one.
+// constant-probability horizon is one slot: batched mode gives it the
+// thinned step, and exact mode, timed here, one category draw per slot.
+// Its BT probability is fixed and its AT probability moves only every F
+// fails, so most slots reuse a slot law the engine already stored, where
+// One-Fail's AT steps compute a fresh one.
 void BM_FairSlotEngine_LogFails2(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
   ucr::LogFailsParams params;

@@ -5,8 +5,9 @@
 //
 // Shows (a) One-Fail Adaptive's +1-per-step climb locking onto kappa and
 // tracking it down at a fixed distance, and (b) Log-Fails Adaptive's slow
-// multiplicative SEARCH phase followed by the batched TRACK phase
-// (DESIGN.md §5.1) — the two regimes that explain Figure 1's curves.
+// multiplicative SEARCH phase followed by the batched TRACK phase (see
+// docs/PROTOCOLS.md "Log-Fails Adaptive (2)") — the two regimes that
+// explain Figure 1's curves.
 #include <iostream>
 
 #include "harness_common.hpp"

@@ -97,8 +97,9 @@ class DynamicOneFail final : public FairSlotProtocol {
   /// Provably hint-1, like OneFailAdaptive: kappa~ moves on every slot —
   /// +1 per silent track step, doubling (or the sawtooth reset) per
   /// fast-start step, -(1+delta) on deliveries — so no two consecutive
-  /// slots share a probability and the batched engine degenerates to (and
-  /// stays bit-identical with) the exact per-slot path.
+  /// slots share a probability. The batched fair engine takes its thinned
+  /// step (sim/fair_engine.hpp); the batched node engine degenerates to
+  /// (and stays bit-identical with) the exact per-slot path.
   std::uint64_t constant_probability_slots() const override { return 1; }
 
   double kappa_estimate() const { return kappa_; }

@@ -70,9 +70,10 @@ class OneFailAdaptive final : public FairSlotProtocol {
   }
 
   /// The estimator moves every AT step and AT/BT steps alternate, so no
-  /// two consecutive slots share a probability: the batched engine
-  /// degenerates to (and stays bit-identical with) the exact per-slot
-  /// path.
+  /// two consecutive slots share a probability: the batched fair engine
+  /// takes its thinned step (sim/fair_engine.hpp), same law as exact mode
+  /// on a different sample path, and the batched node engine the exact
+  /// one-slot step, bit-identical to exact mode.
   std::uint64_t constant_probability_slots() const override { return 1; }
 
   double kappa_estimate() const { return kappa_; }

@@ -2,40 +2,26 @@
 // k-selection protocol of Fernández Anta & Mosteiro (DMAA 2(4), 2010),
 // reference [7] of the paper.
 //
-// RECONSTRUCTION NOTICE (see DESIGN.md §5.1): [7]'s pseudocode is not
-// reproduced in the paper, so this is a faithful-in-spirit reconstruction
-// from the paper's own description of it:
-//   * two interleaved algorithms AT/BT, like One-Fail Adaptive;
-//   * the BT transmission probability is *fixed* (vs. OFA's adaptive one);
-//   * the AT probability is 1/kappa~, with the estimator updated only
-//     "after some steps without communication" (vs. OFA's every step) —
-//     hence the name the paper gives it: *Log-fails* Adaptive;
-//   * it requires knowledge of epsilon <= 1/(n+1), i.e. of a bound on the
-//     number of stations; the evaluation uses epsilon ~= 1/(k+1).
+// RECONSTRUCTION NOTICE: [7]'s pseudocode is not reproduced in the paper,
+// so this is a reconstruction from the paper's own description of it. What
+// that description fixes, and why each remaining choice was made, is in
+// docs/PROTOCOLS.md "Log-Fails Adaptive (2)".
 //
 // Reconstruction (two phases, each updating only after a logarithmic
 // number of accumulated silent AT steps — "fails"):
 //
 //   SEARCH (no delivery heard yet): every F_s =
 //   ceil((1/xi_beta) ln^2(1/epsilon)) fails multiply kappa~ by
-//   (1 + xi_delta). The quadratic threshold (a union bound over the whole
-//   climb, which must succeed w.p. 1-epsilon) is the expensive
-//   Theta(log^3) cold start that reproduces [7]'s observed pathology at
-//   small-to-moderate k.
+//   (1 + xi_delta).
 //
 //   TRACK (after the first delivery): every F_t =
 //   ceil((1/xi_beta) ln(1/epsilon)) accumulated silent AT steps add F_t to
 //   kappa~ (a batched version of One-Fail Adaptive's +1 per AT step), and
-//   every delivery subtracts e from kappa~. The drift balance
-//   (+1 per silent AT step amortized, -e per delivery) makes the estimator
-//   lock onto the true density, for an asymptotic per-delivery cost of
-//   ~(e+1) AT steps — matching [7]'s published (e+1+xi)k bound and hence
-//   the Table 1 "Analysis" entries 7.8 (xi_t = 1/2) and 4.4 (xi_t = 1/10)
-//   once divided by the AT-step density 1 - xi_t.
+//   every delivery subtracts e from kappa~.
 //
-// A BT step occurs once every round(1/xi_t) slots (the only reading of
-// xi_t under which [7]'s two analysis ratios follow from its bound).
-// BT transmits with the fixed probability 1/(1 + log2(1/epsilon)).
+// A BT step occurs once every round(1/xi_t) slots and transmits with the
+// fixed probability 1/(1 + log2(1/epsilon)); every other step is an AT
+// step transmitting with 1/kappa~.
 #pragma once
 
 #include <cstdint>

@@ -4,11 +4,11 @@
 // reference [2] of the paper. Makespan Theta(k loglog k / logloglog k)
 // w.h.p. for batched arrivals; uses no knowledge of k or n.
 //
-// RECONSTRUCTION NOTICE (see DESIGN.md §5.2): implemented from [2]'s
-// specification of the strategy: contention windows that grow by the slow
+// RECONSTRUCTION NOTICE: implemented from [2]'s specification of the
+// strategy, not from code: contention windows that grow by the slow
 // multiplicative factor (1 + 1/lglg w) — monotone back-off — starting from
-// w = r; the paper's evaluation uses r = 2. lg lg w is clamped below at 1
-// so the schedule is defined for the first windows.
+// w = r = 2, with lg lg w clamped below at 1. The rationale is in
+// docs/PROTOCOLS.md "LogLog-Iterated Back-off".
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numbers>
 #include <vector>
 
 #include "common/check.hpp"
@@ -25,17 +26,41 @@ void require_fair_run(std::uint64_t k, const EngineOptions& options) {
               "exp pipeline routes them there automatically");
 }
 
-// The slot laws of the last two (m, p) pairs the slot engine asked for.
-// m only changes on a delivery, and in between the protocols that cannot
-// batch interleave an AT and a BT probability of which at least one holds
-// (One-Fail's BT probability, both of Log-Fails' until an estimator
-// update), so most of their slots find their law here instead of paying a
-// log1p and two exp. A stored law is the double slot_law returns, so no
-// draw and no outcome moves. Evicting the least recently used entry keeps
-// the probability that holds while the other one changes every step.
-class SlotLawMemo {
+double transmit_probability(const FairSlotProtocol& protocol) {
+  const double p = protocol.transmit_probability();
+  UCR_CHECK(p >= 0.0 && p <= 1.0,
+            "protocol produced a probability outside [0, 1]");
+  return p;
+}
+
+// An upper bound on m·p·(1 − p)^(m−1), the success probability of m
+// stations that all transmit with p, over every p. By the paper's Fact 4
+// (fact4_f, analysis/theory_checks.hpp, with a = m and x = 1/p) it peaks
+// at p = 1/m, at (1 − 1/m)^(m−1), which lies below (1 + 1/m)/e: in log
+// space by at least 0.197/m for every m >= 2 (checked for m up to 2·10^5
+// and at 10^6..10^10; the gap tends to 1/(2m)). Rounding the bound up by
+// a relative 1e-12 keeps it above any rounding of prob_success.
+double success_envelope(std::uint64_t m) {
+  if (m == 1) return 1.0;
+  const double md = static_cast<double>(m);
+  return (1.0 + 1.0 / md) / std::numbers::e * (1.0 + 1e-12);
+}
+
+// The laws of the last two (m, p) pairs the slot engine asked for, as
+// `compute` returns them: the whole SlotLaw for exact steps and
+// constant-p stretches, and just P[success] (prob_success, one exp fewer)
+// for thinned steps. m only changes on a delivery, and in between the
+// protocols that cannot batch interleave an AT and a BT probability of
+// which at least one holds (One-Fail's BT probability, both of Log-Fails'
+// until an estimator update), so most of their slots find their law here
+// instead of paying a log1p and an exp or two. A stored law is the double
+// `compute` returns, so no draw and no outcome moves. Evicting the least
+// recently used entry keeps the probability that holds while the other
+// one changes every step.
+template <class Law, Law (*compute)(std::uint64_t, double)>
+class RecentLaws {
  public:
-  const SlotLaw& get(std::uint64_t m, double p) {
+  const Law& get(std::uint64_t m, double p) {
     for (int i = 0; i < 2; ++i) {
       if (entries_[i].m == m && entries_[i].p == p) {
         victim_ = 1 - i;
@@ -43,7 +68,7 @@ class SlotLawMemo {
       }
     }
     Entry& entry = entries_[victim_];
-    entry = {m, p, slot_law(m, p)};
+    entry = {m, p, compute(m, p)};
     victim_ = 1 - victim_;
     return entry.law;
   }
@@ -52,7 +77,7 @@ class SlotLawMemo {
   struct Entry {
     std::uint64_t m = 0;
     double p = -1.0;  // no probability matches: both entries start empty
-    SlotLaw law;
+    Law law{};
   };
   Entry entries_[2];
   int victim_ = 0;
@@ -69,25 +94,64 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
   const std::uint64_t cap = options.resolved_cap(k);
   KahanSum expected_tx;  // ~10^7 tiny addends at paper scale
 
-  SlotLawMemo laws;
+  RecentLaws<SlotLaw, slot_law> laws;
+  RecentLaws<double, prob_success> successes;
   std::uint64_t m = k;  // active stations
   while (m > 0 && metrics.slots < cap) {
-    const double p = protocol.transmit_probability();
-    UCR_CHECK(p >= 0.0 && p <= 1.0,
-              "protocol produced a probability outside [0, 1]");
-    const SlotLaw& law = laws.get(m, p);
+    double p = transmit_probability(protocol);
     std::uint64_t stretch = 1;
     if (options.batched) {
       const std::uint64_t horizon = protocol.constant_probability_slots();
       UCR_CHECK(horizon >= 1, "constant-probability horizon must be >= 1");
+      if (horizon == 1) {
+        // Thinned step, run to the next delivery or the cap: one uniform
+        // u per slot, and the slot delivers iff u < s = P[success]. Every
+        // s lies below the envelope, so a u at or above it decides "no
+        // delivery" without the law — about 63% of slots at paper scale.
+        // P[u < s] = s, so the step is exact; what it gives up is the
+        // silence/collision split of the non-delivery slots.
+        metrics.silence_collision_sampled = false;
+        const double envelope = success_envelope(m);
+        const double md = static_cast<double>(m);
+        // A local count: the protocol's virtual calls cannot reach it, so
+        // it stays in a register across them.
+        std::uint64_t slots = metrics.slots;
+        bool delivery = false;
+        for (;;) {
+          expected_tx.add(md * p);
+          const double u = rng.next_double();
+          if (u < envelope) {
+            const double s = successes.get(m, p);
+            UCR_CHECK(s <= envelope,
+                      "slot success probability above its envelope");
+            delivery = u < s;
+          }
+          ++slots;
+          if (delivery || slots == cap) break;
+          protocol.on_slot_end(false);
+          p = transmit_probability(protocol);
+        }
+        metrics.slots = slots;
+        if (delivery) {
+          ++metrics.success_slots;
+          ++metrics.deliveries;
+          --m;
+          if (options.record_deliveries) {
+            metrics.delivery_slots.push_back(slots - 1);
+          }
+        }
+        protocol.on_slot_end(delivery);
+        continue;
+      }
       stretch = std::min(horizon, cap - metrics.slots);
     }
 
+    const SlotLaw& law = laws.get(m, p);
     if (stretch == 1) {
-      // One slot, one category draw: every slot in exact mode, and the
-      // same draw in batched mode for a protocol with no batching horizon
-      // (bit-identical runs for hint-1 protocols). p == 0 is silence
-      // without a draw, as in the stateless sample_slot_category.
+      // One slot, one category draw: every slot in exact mode, and in
+      // batched mode a constant-probability stretch the cap cuts to one
+      // slot. p == 0 is silence without a draw, as in the stateless
+      // sample_slot_category.
       const SlotCategory cat = p == 0.0 ? SlotCategory::kSilence
                                         : sample_slot_category(rng, law);
       expected_tx.add(static_cast<double>(m) * p);
@@ -152,6 +216,11 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
     }
   }
 
+  if (!metrics.silence_collision_sampled) {
+    // Any counts left by this run's other steps would be partial.
+    metrics.silence_slots = 0;
+    metrics.collision_slots = 0;
+  }
   metrics.expected_transmissions = expected_tx.value();
   metrics.completed = m == 0;
   metrics.validate();

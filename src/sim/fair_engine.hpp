@@ -10,6 +10,10 @@
 // from its closed-form probabilities yields a process with exactly the same
 // joint law of outcomes as the per-node engine — in O(1) per slot.
 //
+// Batched mode's thinned step rests on the same law with less of it: given
+// (m, p) a slot delivers with probability s = m·p·(1 − p)^(m−1), so a
+// uniform u delivers iff u < s, with P[u < s] = s.
+//
 // Window protocols additionally need the exact transmitter count (a
 // transmitter leaves the within-window pending pool even on collision); the
 // count at slot j of a W-slot window is Binomial(pending, 1/(W - j)) by the
@@ -29,11 +33,12 @@ namespace ucr {
 // Exact mode resolves one slot per step and accepts an
 // EngineOptions::observer. Batched mode — the paper-scale mode — resolves
 // a whole stretch of slots per step wherever the protocol certifies one,
-// producing a process with exactly the same law of outcomes (no
-// approximation is involved) but a different RNG consumption pattern: a
-// batched run and an exact run from the same seed are different sample
-// paths of the same distribution, pinned statistically (tests/integration)
-// and by golden outputs of each mode
+// and decides each uncertified slot with one uniform against its success
+// probability, producing a process with exactly the same law of outcomes
+// (no approximation is involved) but a different RNG consumption pattern:
+// a batched run and an exact run from the same seed are different sample
+// paths of the same distribution, pinned statistically (tests/integration,
+// tests/sim/fair_engine_test.cpp) and by golden outputs of each mode
 // (tests/integration/spec_golden_test.cpp). Batched mode never
 // materializes skipped slots, so it throws ContractViolation if an
 // observer is attached.
@@ -41,15 +46,23 @@ namespace ucr {
 /// Runs a fair slot-probability protocol on a batch of k messages.
 ///
 /// Exact mode: one categorical draw per slot, O(1) work per slot. Batched
-/// mode: over a stretch of slots where the protocol guarantees constant p
-/// (FairSlotProtocol::constant_probability_slots), the number of
-/// non-success slots before the next success is Geometric(P[success]);
-/// the engine draws it in O(1) and splits the skipped slots into
-/// silence/collision with one binomial draw. Cost: O(successes +
-/// probability changes) — for a constant-p protocol, O(k) total regardless
-/// of the makespan. Protocols that return the default hint of 1 take the
-/// one-slot step in both modes, so their runs are bit-identical across
-/// modes from the same seed.
+/// mode picks its step by the protocol's batching hint
+/// (FairSlotProtocol::constant_probability_slots):
+///  * a hint above 1 certifies a stretch of constant p, over which the
+///    number of non-success slots before the next success is
+///    Geometric(P[success]); the engine draws it in O(1) and splits the
+///    skipped slots into silence/collision with one binomial draw. For a
+///    constant-p protocol that is O(k) in total, whatever the makespan.
+///  * a hint of 1 (One-Fail Adaptive, Log-Fails Adaptive (2), Dynamic
+///    One-Fail) gets the thinned step, run to the next delivery or the
+///    cap: one uniform u per slot, and the slot delivers iff
+///    u < s = m·p·(1 − p)^(m−1). s peaks at p = 1/m (the paper's Fact
+///    4) below (1 + 1/m)/e, so a u above that envelope decides the slot
+///    with no law at all, which is about 63% of slots; the rest look s
+///    up among the last two it computed. O(1) per slot, the automaton
+///    stepping through on_slot_end, and no silence/collision split: a run
+///    that takes this step reports both counts as 0 and
+///    RunMetrics::silence_collision_sampled as false.
 RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
                                 Xoshiro256& rng, const EngineOptions& options);
 

@@ -10,8 +10,15 @@ double RunMetrics::ratio() const {
 }
 
 void RunMetrics::validate() const {
-  UCR_CHECK(silence_slots + success_slots + collision_slots == slots,
-            "slot outcome counts do not sum to the makespan");
+  if (silence_collision_sampled) {
+    UCR_CHECK(silence_slots + success_slots + collision_slots == slots,
+              "slot outcome counts do not sum to the makespan");
+  } else {
+    UCR_CHECK(silence_slots == 0 && collision_slots == 0,
+              "a run that did not sample the silence/collision split "
+              "reports both counts as 0");
+    UCR_CHECK(success_slots <= slots, "more success slots than slots");
+  }
   UCR_CHECK(deliveries == success_slots,
             "every success slot delivers exactly one message");
   if (completed) {

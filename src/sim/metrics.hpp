@@ -21,9 +21,16 @@ struct RunMetrics {
   std::uint64_t slots = 0;
   std::uint64_t deliveries = 0;
 
+  /// Outcome counts; success_slots is always exact. silence_slots and
+  /// collision_slots are both 0 when `silence_collision_sampled` is false.
   std::uint64_t silence_slots = 0;
   std::uint64_t success_slots = 0;
   std::uint64_t collision_slots = 0;
+  /// False when the engine decided some slot only as delivery or not,
+  /// never as silence or collision: the batched fair slot engine's thinned
+  /// step (sim/fair_engine.hpp). Such a run reports the split as not
+  /// sampled, with both counts 0 rather than a partial count.
+  bool silence_collision_sampled = true;
 
   /// Exact transmission count when the engine knows it (node engine and the
   /// window engine); 0 otherwise.
@@ -54,8 +61,9 @@ struct RunMetrics {
   /// Makespan normalized by k — the paper's Table 1 quantity.
   double ratio() const;
 
-  /// Internal consistency: outcome counts sum to slots, deliveries match
-  /// success slots, deliveries == k iff completed. Throws on violation.
+  /// Internal consistency: outcome counts sum to slots (success slots fit
+  /// in them when the split is not sampled), deliveries match success
+  /// slots, deliveries == k iff completed. Throws on violation.
   void validate() const;
 };
 

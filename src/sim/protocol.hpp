@@ -124,9 +124,12 @@ class FairSlotProtocol {
   /// transmit_probability() is guaranteed constant as long as no delivery
   /// occurs. Must be >= 1. Protocols whose state drifts every slot (e.g.
   /// One-Fail Adaptive's +1-per-AT-step estimator, or any AT/BT
-  /// interleaving) return 1, which makes the batched engine fall back to
-  /// the exact per-slot draw. Protocols whose probability changes only on
-  /// deliveries may return an unbounded horizon (UINT64_MAX).
+  /// interleaving) return 1, which gives them the batched engine's thinned
+  /// step: one uniform per slot against the slot's success probability,
+  /// run to the next delivery. That is exact mode's law but not its draws,
+  /// so batched runs of such a protocol are not bit-identical to exact
+  /// ones. Protocols whose probability changes only on deliveries may
+  /// return an unbounded horizon (UINT64_MAX).
   virtual std::uint64_t constant_probability_slots() const { return 1; }
 
   /// Bulk equivalent of `count` consecutive on_slot_end(false) calls; used

@@ -10,6 +10,7 @@
 #include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
+#include "sim/model_version.hpp"
 
 namespace ucr::svc {
 
@@ -64,9 +65,13 @@ ResultCache::ResultCache(std::string root) : root_(std::move(root)) {
                        "': " + ec.message());
 }
 
+std::string ResultCache::spec_dir(const std::string& spec_hash) const {
+  return root_ + "/m" + std::to_string(kModelVersion) + "/" + spec_hash;
+}
+
 std::string ResultCache::record_path(const std::string& spec_hash,
                                      std::size_t cell_index) const {
-  return root_ + "/" + spec_hash + "/cell-" + std::to_string(cell_index) +
+  return spec_dir(spec_hash) + "/cell-" + std::to_string(cell_index) +
          ".json";
 }
 
@@ -74,6 +79,7 @@ std::string ResultCache::encode_record(const exp::CellTask& task,
                                        const AggregateResult& result) {
   std::string out = "{\"cache_version\":";
   out += std::to_string(kCacheSchemaVersion);
+  out += ",\"model_version\":" + std::to_string(kModelVersion);
   out += ",\"spec_hash\":\"" + json::escape(task.spec_hash) + "\"";
   out += ",\"cell\":" + std::to_string(task.cell.index);
   out += ",\"protocol\":\"" + json::escape(result.protocol) + "\"";
@@ -114,6 +120,13 @@ AggregateResult ResultCache::decode_record(const std::string& text,
                   version->number_token() + ", this build reads " +
                   std::to_string(kCacheSchemaVersion) +
                   ") — delete the cache directory to recompute");
+  const json::Value* model = record.find("model_version");
+  UCR_REQUIRE(model != nullptr && model->as_u64() == kModelVersion,
+              source + ": cache record of another model version (this "
+                       "build simulates model " +
+                  std::to_string(kModelVersion) +
+                  "), stored at this version's address (corrupt or "
+                  "misplaced record)");
   UCR_REQUIRE(record.at("spec_hash").as_string() == spec_hash,
               source + ": cache record spec_hash disagrees with its "
                        "address (corrupt or misplaced record)");
@@ -148,7 +161,7 @@ std::optional<AggregateResult> ResultCache::load(const std::string& spec_hash,
 
 void ResultCache::store(const exp::CellTask& task,
                         const AggregateResult& result) {
-  const fs::path dir = fs::path(root_) / task.spec_hash;
+  const fs::path dir = spec_dir(task.spec_hash);
   std::error_code ec;
   fs::create_directories(dir, ec);
   UCR_REQUIRE(!ec, "cannot create cache directory '" + dir.string() +
@@ -179,7 +192,7 @@ void ResultCache::store(const exp::CellTask& task,
 }
 
 std::size_t ResultCache::cell_count(const std::string& spec_hash) const {
-  const fs::path dir = fs::path(root_) / spec_hash;
+  const fs::path dir = spec_dir(spec_hash);
   std::error_code ec;
   std::size_t count = 0;
   for (fs::directory_iterator it(dir, ec), end; !ec && it != end;

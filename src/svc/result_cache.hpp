@@ -1,16 +1,20 @@
 // Provenance-keyed on-disk result cache — completed cells, memoized.
 //
 // Layout: one JSONL record per completed cell, content-addressed by the
-// cell's provenance key (exp/cell_task.hpp):
+// model version (sim/model_version.hpp) and the cell's provenance key
+// (exp/cell_task.hpp):
 //
-//   <root>/<spec_hash>/cell-<index>.json
+//   <root>/m<model_version>/<spec_hash>/cell-<index>.json
 //
 // spec_hash is the shard-invariant content hash of the canonical spec
 // text (exp/spec_io.hpp), so every parameter that can change a result —
 // protocols, k grid, arrivals, channels, runs, seed, engine, engine
 // options — is part of the address, while shard/threads/format are
 // normalized out: shards of one sweep fill disjoint cells of the same
-// directory, and a re-run at any thread count hits the same keys.
+// directory, and a re-run at any thread count hits the same keys. The
+// model version covers what the spec cannot: a change to an engine's law
+// or sample path. A record filled under another model version lives under
+// another directory, so it is a miss, never an error and never a replay.
 //
 // Records carry every AggregateResult field the sinks and the table
 // renderer read, with doubles in shortest-round-trip notation — a cache
@@ -47,10 +51,10 @@ class ResultCache final : public exp::CellResultStore {
   /// Creates `root` (and parents) if missing.
   explicit ResultCache(std::string root);
 
-  /// The record of (spec_hash, cell_index), or nullopt when absent.
-  /// Throws ContractViolation naming the file on a malformed record, a
-  /// schema version other than kCacheSchemaVersion, or a record whose
-  /// embedded key disagrees with its address.
+  /// The record of (spec_hash, cell_index) under kModelVersion, or nullopt
+  /// when absent. Throws ContractViolation naming the file on a malformed
+  /// record, a schema version other than kCacheSchemaVersion, or a record
+  /// whose embedded key or model version disagrees with its address.
   std::optional<AggregateResult> load(const std::string& spec_hash,
                                       std::size_t cell_index) override;
 
@@ -73,15 +77,18 @@ class ResultCache final : public exp::CellResultStore {
   static std::string encode_record(const exp::CellTask& task,
                                    const AggregateResult& result);
 
-  /// Parses a record produced by encode_record; validates schema version
-  /// and the (spec_hash, cell_index) key. `source` names the origin in
-  /// errors (file path, "test", ...).
+  /// Parses a record produced by encode_record; validates schema version,
+  /// model version and the (spec_hash, cell_index) key. `source` names the
+  /// origin in errors (file path, "test", ...).
   static AggregateResult decode_record(const std::string& text,
                                        const std::string& spec_hash,
                                        std::size_t cell_index,
                                        const std::string& source);
 
  private:
+  // <root>/m<kModelVersion>/<spec_hash>
+  std::string spec_dir(const std::string& spec_hash) const;
+
   std::string root_;
 };
 

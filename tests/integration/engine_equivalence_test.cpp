@@ -1,6 +1,7 @@
 // Integration: the O(1)-per-slot fair aggregate engine and the O(m)-per-slot
 // per-node engine induce the same law on outcomes for fair protocols under
-// batched arrivals (DESIGN.md §4.2). Checked statistically: mean makespans
+// batched arrivals (see docs/ARCHITECTURE.md "The engine matrix").
+// Checked statistically: mean makespans
 // over many seeded runs must agree within a tolerance that generously
 // covers Monte-Carlo noise but catches any systematic modeling error
 // (e.g. wrong hazard chain, off-by-one in state updates).

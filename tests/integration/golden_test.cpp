@@ -9,13 +9,23 @@
 // the constant with:
 //   ucr_cli --protocol="<name>" --k=1000 --runs=1 --seed=77 --csv=1
 // and update EXPERIMENTS.md accordingly.
+//
+// The digest test holds the files of tests/golden/ to the model version
+// (sim/model_version.hpp), so a golden re-recorded without a bump fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/dynamic_one_fail.hpp"
 #include "core/registry.hpp"
+#include "sim/model_version.hpp"
 #include "sim/runner.hpp"
 
 namespace ucr {
@@ -79,6 +89,53 @@ TEST(GoldenRng, StreamOutputsPinned) {
   EXPECT_NE(a, b);
   Xoshiro256 s0_again = Xoshiro256::stream(2011, 0);
   EXPECT_EQ(s0_again.next_u64(), a);
+}
+
+std::uint64_t fnv1a64(std::uint64_t hash, const std::string& bytes) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// FNV-1a 64 over the files of tests/golden/ in name order, each as its
+// name, a NUL, its bytes and a NUL.
+std::uint64_t golden_digest() {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const auto& entry :
+       fs::directory_iterator(std::string(UCR_REPO_ROOT) + "/tests/golden")) {
+    if (entry.is_regular_file()) files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end(),
+            [](const fs::path& a, const fs::path& b) {
+              return a.filename().string() < b.filename().string();
+            });
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const fs::path& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    hash = fnv1a64(hash, file.filename().string() + '\0');
+    hash = fnv1a64(hash, bytes + '\0');
+  }
+  return hash;
+}
+
+TEST(GoldenFiles, DigestMatchesTheModelVersion) {
+  // The golden files pin sample paths, so they may only change together
+  // with kModelVersion (sim/model_version.hpp): re-recording one means
+  // bumping the version and adding its digest here.
+  const std::map<std::uint64_t, std::uint64_t> digests = {
+      {1, 0xe700991358495072ULL},
+      {2, 0xa26bbcdc92cf723fULL},
+  };
+  ASSERT_EQ(digests.count(kModelVersion), 1u)
+      << "no golden digest recorded for model version " << kModelVersion;
+  EXPECT_EQ(golden_digest(), digests.at(kModelVersion))
+      << std::hex << "tests/golden/ digest 0x" << golden_digest()
+      << ": a golden file changed without a model version bump";
 }
 
 }  // namespace

@@ -19,16 +19,9 @@
 //    exactly 0 or 1, certified stretches are deterministic silence, and
 //    the degenerate geometric/binomial draws consume nothing — per-message
 //    latencies included;
-//  * at paper scale (k >= 10^5 Poisson cell) batched mode beats exact
-//    mode by >= 5x wall-clock, on the sparse cell where empty slots
-//    dominate AND on the dense lambda = 0.01 cell where the pre-drawn
-//    certificates (not arrival gaps) carry the skip — the reason the
-//    pre-draw exists.
+// Its paper-scale wall-clock floors live in timing_floor_test.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
-#include <limits>
 #include <string>
 
 #include "core/dynamic_one_fail.hpp"
@@ -178,92 +171,6 @@ TEST(NodeBatchedEquivalence, WindowProtocolsAreBitIdentical) {
       EXPECT_EQ(exact.latencies, batched.latencies);
     }
   }
-}
-
-// Shared body of the paper-scale speedup pins: exact once, batched
-// fastest-of-three (short enough that one scheduler preemption could
-// distort a single measurement), printed evidence, asserted floor.
-void expect_paper_scale_speedup(const char* tag, std::uint64_t k,
-                                double lambda, double required_speedup) {
-  const auto factory = factory_by_name("Exp Back-on/Back-off");
-  Xoshiro256 arrival_rng = Xoshiro256::stream(4242, 0);
-  const auto arrivals = poisson_arrivals(k, lambda, arrival_rng);
-
-  using clock = std::chrono::steady_clock;
-  const auto exact_start = clock::now();
-  const RunMetrics exact = run_single_node(factory, arrivals, 0, 2011, {});
-  const auto exact_end = clock::now();
-  double batched_ms = std::numeric_limits<double>::infinity();
-  RunMetrics batched;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto start = clock::now();
-    batched = run_single_node(factory, arrivals, 0, 2011, batched_options());
-    const auto end = clock::now();
-    batched_ms = std::min(
-        batched_ms,
-        std::chrono::duration<double, std::milli>(end - start).count());
-  }
-
-  ASSERT_TRUE(exact.completed);
-  ASSERT_TRUE(batched.completed);
-
-  const double exact_ms =
-      std::chrono::duration<double, std::milli>(exact_end - exact_start)
-          .count();
-  const double speedup = exact_ms / batched_ms;
-  // Shown in the test log (--output-on-failure or ctest -V) as the
-  // recorded evidence for the acceptance criterion.
-  std::printf("[ node-batched ] %s k=%llu poisson(%g) exp_backon: exact "
-              "%.1f ms (%llu slots), batched %.1f ms (%llu slots), "
-              "speedup %.1fx\n",
-              tag, static_cast<unsigned long long>(k), lambda, exact_ms,
-              static_cast<unsigned long long>(exact.slots), batched_ms,
-              static_cast<unsigned long long>(batched.slots), speedup);
-  EXPECT_GE(speedup, required_speedup);
-}
-
-TEST(NodeBatchedEquivalence, PaperScaleSpeedupOnPoissonCell) {
-  // The acceptance bar for the fast path: >= 5x wall-clock over the exact
-  // node engine on a k >= 10^5 Poisson cell. Sparse sustained arrivals
-  // are the worst case for the exact engine — the channel is idle (or
-  // waiting out window tails) for the overwhelming majority of its ~10^7
-  // slots, each costing a full per-slot iteration.
-#ifdef NDEBUG
-  // lambda sized so the skippable (empty / window-tail) slots dominate
-  // by a wide margin: the pin must hold with sanitizer instrumentation
-  // on top (CI runs this under ASan/UBSan), which taxes the batched
-  // path's materialized slots more than the exact engine's idle loop.
-  const std::uint64_t k = 100'000;
-  const double lambda = 0.002;
-  const double required_speedup = 5.0;
-#else
-  // Unoptimized builds: same shape, smaller k, sparser cell and a softer
-  // bar (the constant factors between the paths shift without inlining).
-  const std::uint64_t k = 20'000;
-  const double lambda = 0.005;
-  const double required_speedup = 3.0;
-#endif
-  expect_paper_scale_speedup("sparse", k, lambda, required_speedup);
-}
-
-TEST(NodeBatchedEquivalence, PaperScaleSpeedupOnDensePoissonCell) {
-  // The dense-cell acceptance bar for the pre-drawn window slots: before
-  // the pre-draw a not-yet-transmitted station certified only the current
-  // slot, so lambda >= 0.01 cells — where some station is almost always
-  // mid-window — degenerated the batched engine to per-slot cost. With
-  // the pre-draw every station certifies its whole silent run-up and
-  // tail, so the skip survives density: >= 5x wall-clock at k = 10^5,
-  // lambda = 0.01 (sanitizer instrumentation included, as in CI).
-#ifdef NDEBUG
-  const std::uint64_t k = 100'000;
-  const double lambda = 0.01;
-  const double required_speedup = 5.0;
-#else
-  const std::uint64_t k = 20'000;
-  const double lambda = 0.01;
-  const double required_speedup = 3.0;
-#endif
-  expect_paper_scale_speedup("dense", k, lambda, required_speedup);
 }
 
 }  // namespace

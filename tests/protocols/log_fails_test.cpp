@@ -189,7 +189,8 @@ TEST(LogFailsState, DeliveryLowersEstimatorByE) {
 
 TEST(LogFailsState, DeliveryDoesNotResetFailCounter) {
   // Fails accumulate cumulatively in the TRACK phase (this is what lets the
-  // estimator keep pace with the density; see DESIGN.md §5.1).
+  // estimator keep pace with the density; see
+  // docs/PROTOCOLS.md "Log-Fails Adaptive (2)").
   LogFailsAdaptive st(params_with(0.5), 100);
   st.on_slot_end(true);  // enter tracking
   st.on_slot_end(false);  // step 2: BT, not a fail

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -22,8 +23,7 @@ EngineOptions batched_mode(EngineOptions options = {}) {
 }
 
 // Fixed shared probability (the simplest fair protocol). Keeps the
-// default batching hint of 1: batched mode must fall back to the exact
-// per-slot step for it.
+// default batching hint of 1, so batched mode takes its thinned step.
 class FixedFair : public FairSlotProtocol {
  public:
   explicit FixedFair(double p) : p_(p) {}
@@ -58,7 +58,7 @@ class CountingObserver final : public SlotObserver {
 };
 
 // Cycles through a script of probabilities, one entry per slot. Keeps the
-// default batching hint of 1, so batched mode takes one-slot steps too.
+// default batching hint of 1, so batched mode takes its thinned step.
 class ScriptedFair final : public FairSlotProtocol {
  public:
   explicit ScriptedFair(std::vector<double> script)
@@ -71,6 +71,23 @@ class ScriptedFair final : public FairSlotProtocol {
  private:
   std::vector<double> script_;
   std::size_t step_ = 0;
+};
+
+// A constant probability certified only until the first delivery, so a
+// batched run takes a geometric stretch and then thinned steps.
+class CertifiedUntilDeliveryFair final : public FairSlotProtocol {
+ public:
+  explicit CertifiedUntilDeliveryFair(double p) : p_(p) {}
+  double transmit_probability() const override { return p_; }
+  void on_slot_end(bool delivery) override { delivered_ |= delivery; }
+  std::uint64_t constant_probability_slots() const override {
+    return delivered_ ? 1 : ~std::uint64_t{0};
+  }
+  void on_non_delivery_slots(std::uint64_t) override {}
+
+ private:
+  double p_;
+  bool delivered_ = false;
 };
 
 class BadFair final : public FairSlotProtocol {
@@ -183,39 +200,34 @@ TEST(FairSlotEngine, StoredSlotLawsMatchPerSlotSampling) {
   const std::vector<std::vector<double>> scripts = {
       {0.3, 0.02, 0.3, 0.11}, {0.45, 0.0, 0.45, 0.07}, {0.2, 0.05, 0.6}};
   for (const std::vector<double>& script : scripts) {
-    for (const bool batched : {false, true}) {
-      for (std::uint64_t seed = 0; seed < 5; ++seed) {
-        const std::uint64_t k = 40;
-        const std::uint64_t cap = 3000;
-        ScriptedFair protocol(script);
-        Xoshiro256 rng = Xoshiro256::stream(950, seed);
-        EngineOptions opts;
-        opts.batched = batched;
-        opts.max_slots = cap;
-        opts.record_deliveries = true;
-        const RunMetrics got = run_fair_slot_engine(protocol, k, rng, opts);
-        Xoshiro256 reference_rng = Xoshiro256::stream(950, seed);
-        const RunMetrics want =
-            reference_slot_run(script, k, cap, reference_rng);
-        SCOPED_TRACE(::testing::Message()
-                     << "script[1]=" << script[1] << " batched=" << batched
-                     << " seed=" << seed);
-        EXPECT_GT(got.deliveries, 1u);
-        EXPECT_EQ(got.completed, want.completed);
-        EXPECT_EQ(got.k, want.k);
-        EXPECT_EQ(got.slots, want.slots);
-        EXPECT_EQ(got.deliveries, want.deliveries);
-        EXPECT_EQ(got.silence_slots, want.silence_slots);
-        EXPECT_EQ(got.success_slots, want.success_slots);
-        EXPECT_EQ(got.collision_slots, want.collision_slots);
-        EXPECT_EQ(got.transmissions, want.transmissions);
-        EXPECT_EQ(got.expected_transmissions, want.expected_transmissions);
-        EXPECT_EQ(got.max_station_transmissions,
-                  want.max_station_transmissions);
-        EXPECT_EQ(got.delivery_slots, want.delivery_slots);
-        EXPECT_EQ(got.latencies, want.latencies);
-        EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
-      }
+    for (std::uint64_t seed = 0; seed < 5; ++seed) {
+      const std::uint64_t k = 40;
+      const std::uint64_t cap = 3000;
+      ScriptedFair protocol(script);
+      Xoshiro256 rng = Xoshiro256::stream(950, seed);
+      EngineOptions opts;
+      opts.max_slots = cap;
+      opts.record_deliveries = true;
+      const RunMetrics got = run_fair_slot_engine(protocol, k, rng, opts);
+      Xoshiro256 reference_rng = Xoshiro256::stream(950, seed);
+      const RunMetrics want = reference_slot_run(script, k, cap, reference_rng);
+      SCOPED_TRACE(::testing::Message()
+                   << "script[1]=" << script[1] << " seed=" << seed);
+      EXPECT_GT(got.deliveries, 1u);
+      EXPECT_EQ(got.completed, want.completed);
+      EXPECT_EQ(got.k, want.k);
+      EXPECT_EQ(got.slots, want.slots);
+      EXPECT_EQ(got.deliveries, want.deliveries);
+      EXPECT_EQ(got.silence_slots, want.silence_slots);
+      EXPECT_EQ(got.success_slots, want.success_slots);
+      EXPECT_EQ(got.collision_slots, want.collision_slots);
+      EXPECT_EQ(got.transmissions, want.transmissions);
+      EXPECT_EQ(got.expected_transmissions, want.expected_transmissions);
+      EXPECT_EQ(got.max_station_transmissions,
+                want.max_station_transmissions);
+      EXPECT_EQ(got.delivery_slots, want.delivery_slots);
+      EXPECT_EQ(got.latencies, want.latencies);
+      EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
     }
   }
 }
@@ -378,21 +390,108 @@ TEST(BatchedSlotEngine, SolvesAndRecordsDeliveries) {
   EXPECT_EQ(m.slots, m.delivery_slots.back() + 1);
 }
 
-TEST(BatchedSlotEngine, BitIdenticalToExactForHintOneProtocols) {
-  // A protocol with the default hint of 1 takes the exact per-slot path,
-  // draw for draw: the whole run must be identical to the exact engine's.
+// ------------------------------------ slot engine, batched thinned step
+
+TEST(ThinnedSlotEngine, FirstDeliveryFollowsItsExactLaw) {
+  // The analytic check of the thinned step: with m = 5 stations on a
+  // hint-1 script, the first delivery slot T has P[T = t] =
+  // s_t · prod_{j<t} (1 − s_j), s_t = slot_law(5, p_t).success. The
+  // script holds p = 1/m = 0.2, where s sits next to the envelope, and a
+  // 1% error in the acceptance probability moves the statistic far past
+  // the critical value.
+  const std::vector<double> script = {0.3, 0.02, 0.2, 0.11, 0.6, 0.2};
+  const std::uint64_t m = 5;
+  const std::uint64_t runs = 400'000;
+  constexpr std::size_t kBins = 30;  // T = 0..29, then the tail T >= 30
+  EngineOptions opts;
+  opts.max_slots = kBins;
+  opts.record_deliveries = true;
+  std::vector<double> observed(kBins + 1, 0.0);
+  for (std::uint64_t run = 0; run < runs; ++run) {
+    ScriptedFair protocol(script);
+    Xoshiro256 rng = Xoshiro256::stream(960, run);
+    const RunMetrics r = run_fair_slot_engine(protocol, m, rng,
+                                              batched_mode(opts));
+    ++observed[r.delivery_slots.empty() ? kBins : r.delivery_slots.front()];
+  }
+  double statistic = 0.0;
+  double undelivered = 1.0;
+  for (std::size_t t = 0; t <= kBins; ++t) {
+    const double s =
+        t < kBins ? slot_law(m, script[t % script.size()]).success : 1.0;
+    const double expected = static_cast<double>(runs) * undelivered * s;
+    undelivered *= 1.0 - s;
+    statistic += (observed[t] - expected) * (observed[t] - expected) /
+                 expected;
+  }
+  // The 0.999 quantile of chi-square with 30 degrees of freedom.
+  std::printf("[ thinned-law ] first delivery: chi-square %.1f, critical "
+              "59.703\n",
+              statistic);
+  EXPECT_LT(statistic, 59.703);
+}
+
+TEST(ThinnedSlotEngine, ExpectedTransmissionsArePerSlotKahanSums) {
+  // Every slot of a thinned step adds m·p, delivery or not: recomputing
+  // the sum from the script and the recorded deliveries must give the
+  // engine's value bit for bit.
+  const std::vector<double> script = {0.3, 0.02, 0.3, 0.11};
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    ScriptedFair protocol(script);
+    Xoshiro256 rng = Xoshiro256::stream(970, seed);
+    EngineOptions opts;
+    opts.max_slots = 3000;
+    opts.record_deliveries = true;
+    const RunMetrics got =
+        run_fair_slot_engine(protocol, 40, rng, batched_mode(opts));
+    ASSERT_GT(got.deliveries, 1u);
+    KahanSum want;
+    std::uint64_t m = 40;
+    std::size_t next = 0;
+    for (std::uint64_t slot = 0; slot < got.slots; ++slot) {
+      want.add(static_cast<double>(m) * script[slot % script.size()]);
+      if (next < got.delivery_slots.size() &&
+          got.delivery_slots[next] == slot) {
+        --m;
+        ++next;
+      }
+    }
+    EXPECT_EQ(next, got.delivery_slots.size()) << "seed " << seed;
+    EXPECT_EQ(got.expected_transmissions, want.value()) << "seed " << seed;
+    EXPECT_FALSE(got.silence_collision_sampled);
+    EXPECT_EQ(got.silence_slots, 0u);
+    EXPECT_EQ(got.collision_slots, 0u);
+  }
+}
+
+TEST(ThinnedSlotEngine, RunThatCannotDeliverEndsAtTheCap) {
+  // p = 1 with two stations never succeeds: s = 0 on every slot.
+  FixedFair protocol(1.0);
+  Xoshiro256 rng(46);
+  EngineOptions opts;
+  opts.max_slots = 100;
+  const RunMetrics m =
+      run_fair_slot_engine(protocol, 2, rng, batched_mode(opts));
+  EXPECT_FALSE(m.completed);
+  EXPECT_EQ(m.slots, 100u);
+  EXPECT_EQ(m.deliveries, 0u);
+  EXPECT_FALSE(m.silence_collision_sampled);
+  EXPECT_DOUBLE_EQ(m.expected_transmissions, 200.0);
+}
+
+TEST(ThinnedSlotEngine, MixedStepsReportNoPartialSplit) {
+  // Geometric stretches sample the split, thinned steps do not: a run that
+  // takes both reports it as not sampled, with both counts 0.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    FixedFair exact_protocol(0.08);
-    FixedFair batched_protocol(0.08);
-    Xoshiro256 rng_a = Xoshiro256::stream(910, seed);
-    Xoshiro256 rng_b = Xoshiro256::stream(910, seed);
-    const RunMetrics a = run_fair_slot_engine(exact_protocol, 15, rng_a, {});
-    const RunMetrics b =
-        run_fair_slot_engine(batched_protocol, 15, rng_b, batched_mode());
-    EXPECT_EQ(a.slots, b.slots);
-    EXPECT_EQ(a.silence_slots, b.silence_slots);
-    EXPECT_EQ(a.collision_slots, b.collision_slots);
-    EXPECT_DOUBLE_EQ(a.expected_transmissions, b.expected_transmissions);
+    CertifiedUntilDeliveryFair protocol(0.02);
+    Xoshiro256 rng = Xoshiro256::stream(980, seed);
+    const RunMetrics m =
+        run_fair_slot_engine(protocol, 20, rng, batched_mode());
+    ASSERT_TRUE(m.completed);
+    EXPECT_FALSE(m.silence_collision_sampled);
+    EXPECT_EQ(m.silence_slots, 0u);
+    EXPECT_EQ(m.collision_slots, 0u);
+    EXPECT_EQ(m.success_slots, 20u);
   }
 }
 

@@ -36,6 +36,17 @@ TEST(RunMetrics, ValidateCatchesOutcomeSumMismatch) {
   EXPECT_THROW(m.validate(), ContractViolation);
 }
 
+TEST(RunMetrics, ValidateAcceptsAnUnsampledSplitOnlyAsZeros) {
+  RunMetrics m = valid_completed_run();
+  m.silence_collision_sampled = false;
+  EXPECT_THROW(m.validate(), ContractViolation);  // a partial count
+  m.silence_slots = 0;
+  m.collision_slots = 0;
+  EXPECT_NO_THROW(m.validate());
+  m.slots = 2;  // fewer slots than success slots
+  EXPECT_THROW(m.validate(), ContractViolation);
+}
+
 TEST(RunMetrics, ValidateCatchesDeliverySuccessMismatch) {
   RunMetrics m = valid_completed_run();
   m.deliveries = 2;

@@ -15,11 +15,19 @@
 #include "exp/cell_task.hpp"
 #include "exp/plan.hpp"
 #include "exp/spec_io.hpp"
+#include "sim/model_version.hpp"
 
 namespace ucr::svc {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Writes `text` to `path`, creating its directory.
+void write_file(const fs::path& path, const std::string& text) {
+  fs::create_directories(path.parent_path());
+  std::ofstream out(path);
+  out << text;
+}
 
 class ResultCacheTest : public ::testing::Test {
  protected:
@@ -111,12 +119,8 @@ TEST_F(ResultCacheTest, StaleSchemaVersionIsRejectedLoudly) {
   const std::size_t at = record.find(current);
   ASSERT_NE(at, std::string::npos);
   record.replace(at, current.size(), "\"cache_version\":999");
-  fs::create_directories(root_ / plan_.spec_hash);
-  {
-    std::ofstream out(
-        cache.record_path(plan_.spec_hash, tasks_[0].cell.index));
-    out << record;
-  }
+  write_file(cache.record_path(plan_.spec_hash, tasks_[0].cell.index),
+             record);
   try {
     cache.load(plan_.spec_hash, tasks_[0].cell.index);
     FAIL() << "stale record must throw";
@@ -129,11 +133,8 @@ TEST_F(ResultCacheTest, StaleSchemaVersionIsRejectedLoudly) {
 
 TEST_F(ResultCacheTest, CorruptRecordIsRejectedLoudly) {
   ResultCache cache(root_.string());
-  fs::create_directories(root_ / plan_.spec_hash);
-  {
-    std::ofstream out(cache.record_path(plan_.spec_hash, 0));
-    out << "{\"cache_version\":1,\"spec_ha";  // torn write
-  }
+  write_file(cache.record_path(plan_.spec_hash, 0),
+             "{\"cache_version\":1,\"spec_ha");  // torn write
   try {
     cache.load(plan_.spec_hash, 0);
     FAIL() << "corrupt record must throw";
@@ -151,13 +152,46 @@ TEST_F(ResultCacheTest, MisplacedRecordIsRejectedLoudly) {
   const AggregateResult computed = tasks_[0].execute().aggregate;
   const std::string record =
       ResultCache::encode_record(tasks_[0], computed);
-  fs::create_directories(root_ / plan_.spec_hash);
-  {
-    std::ofstream out(
-        cache.record_path(plan_.spec_hash, tasks_[1].cell.index));
-    out << record;  // cell 0's record at cell 1's address
-  }
+  // cell 0's record at cell 1's address
+  write_file(cache.record_path(plan_.spec_hash, tasks_[1].cell.index),
+             record);
   EXPECT_THROW(cache.load(plan_.spec_hash, tasks_[1].cell.index),
+               ContractViolation);
+}
+
+TEST_F(ResultCacheTest, RecordOfAnotherModelVersionIsAMiss) {
+  // Records filled under another model law live at another address: the
+  // unversioned layout of model 1, <root>/<spec_hash>/cell-<i>.json, whose
+  // records carry no model_version, and any other m<version> directory.
+  ResultCache cache(root_.string());
+  const AggregateResult computed = tasks_[0].execute().aggregate;
+  std::string record = ResultCache::encode_record(tasks_[0], computed);
+  const std::string field =
+      ",\"model_version\":" + std::to_string(kModelVersion);
+  const std::size_t at = record.find(field);
+  ASSERT_NE(at, std::string::npos);
+  record.erase(at, field.size());
+  const std::string cell = "cell-" + std::to_string(tasks_[0].cell.index);
+  write_file(root_ / plan_.spec_hash / (cell + ".json"), record);
+  write_file(root_ / ("m" + std::to_string(kModelVersion + 1)) /
+                 plan_.spec_hash / (cell + ".json"),
+             record);
+  EXPECT_FALSE(cache.load(plan_.spec_hash, tasks_[0].cell.index));
+  EXPECT_EQ(cache.cell_count(plan_.spec_hash), 0u);
+}
+
+TEST_F(ResultCacheTest, ModelVersionDisagreeingWithItsAddressIsRejected) {
+  ResultCache cache(root_.string());
+  const AggregateResult computed = tasks_[0].execute().aggregate;
+  std::string record = ResultCache::encode_record(tasks_[0], computed);
+  const std::string field =
+      "\"model_version\":" + std::to_string(kModelVersion);
+  const std::size_t at = record.find(field);
+  ASSERT_NE(at, std::string::npos);
+  record.replace(at, field.size(), "\"model_version\":1");
+  write_file(cache.record_path(plan_.spec_hash, tasks_[0].cell.index),
+             record);
+  EXPECT_THROW(cache.load(plan_.spec_hash, tasks_[0].cell.index),
                ContractViolation);
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate for CI (.github/workflows/ci.yml, `docs` job).
 
-Seven checks, all hard failures:
+Eight checks, all hard failures:
 
 1. Relative markdown links in README.md, EXPERIMENTS.md, docs/*.md and
    specs/README.md must resolve to files inside the repository (no 404s
@@ -39,6 +39,11 @@ Seven checks, all hard failures:
    variables that `<dir>/<binary>.cpp`, or a header of its own directory
    that it includes, spells that way — an environment override the
    binary does not read must not be documented as if it did.
+8. Every `*.md` file named in a comment under src/, tests/, bench/ or
+   tools/ (C++ `//` and `/* */` comments, `#` comments of Python, shell
+   and CMake files) must exist, at that path from the repository root or
+   beside the commenting file: a comment must not send its reader to a
+   document the tree does not have.
 
 Exit codes: 0 ok, 1 check failed, 2 usage/environment error.
 """
@@ -72,6 +77,8 @@ ENV_COMMAND_RE = re.compile(
 CPP_TOKEN_RE = re.compile(
     r"\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'|//[^\n]*|/\*.*?\*/", re.S)
 LOCAL_INCLUDE_RE = re.compile(r'^#include "([^"/]+)"', re.MULTILINE)
+MD_NAME_RE = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
+HASH_COMMENT_RE = re.compile(r"#.*")
 
 
 def iter_doc_files(root: pathlib.Path):
@@ -248,6 +255,37 @@ def check_env_vars(root: pathlib.Path) -> list[str]:
     return errors
 
 
+def comments(source: pathlib.Path) -> list[str]:
+    """The comments of a C++, Python, shell or CMake source."""
+    text = source.read_text(encoding="utf-8", errors="replace")
+    if source.suffix in (".hpp", ".cpp"):
+        return [token for token in CPP_TOKEN_RE.findall(text)
+                if token.startswith(("//", "/*"))]
+    return HASH_COMMENT_RE.findall(text)
+
+
+def check_md_names(root: pathlib.Path) -> list[str]:
+    """Every *.md file a source comment names must exist."""
+    errors = []
+    for tree in ("src", "tests", "bench", "tools"):
+        base = root / tree
+        if not base.is_dir():
+            continue
+        sources = [path for path in sorted(base.rglob("*"))
+                   if path.suffix in (".hpp", ".cpp", ".py", ".sh")
+                   or path.name == "CMakeLists.txt"]
+        for source in sources:
+            for comment in comments(source):
+                for name in MD_NAME_RE.findall(comment):
+                    if not ((root / name).is_file()
+                            or (source.parent / name).is_file()):
+                        errors.append(
+                            f"{source.relative_to(root)}: a comment names "
+                            f"{name}, which does not exist"
+                        )
+    return errors
+
+
 def registered_names(cli: str) -> list[str]:
     out = subprocess.run(
         [cli, "--list"], check=True, capture_output=True, text=True
@@ -297,7 +335,8 @@ def main() -> int:
 
     errors = (check_links(root) + check_spec_refs(root)
               + check_spec_coverage(root) + check_section_refs(root)
-              + check_identifiers(root) + check_env_vars(root))
+              + check_identifiers(root) + check_env_vars(root)
+              + check_md_names(root))
     if args.cli:
         try:
             errors += check_protocol_catalog(root, args.cli)
@@ -311,7 +350,8 @@ def main() -> int:
     if errors:
         return 1
     checked = ("links + spec refs + spec coverage + section refs"
-               " + identifiers + environment variables") + (
+               " + identifiers + environment variables + comment .md names"
+               ) + (
         " + protocol catalog" if args.cli else ""
     )
     print(f"docs check ok ({checked})")
