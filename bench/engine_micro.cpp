@@ -2,42 +2,24 @@
 // throughput and slots/second of both engines. These justify the engine
 // split of docs/ARCHITECTURE.md "The engine matrix" — the aggregate
 // engine is what makes the paper's k = 10^7 sweep feasible on a laptop.
-// BM_SpecSweep times the whole spec -> plan -> run pipeline on a
-// *versioned* workload (specs/engine-micro.spec, overridable with
-// UCR_SPEC), so the CI regression baseline is itself a spec file next to
-// the code.
+// A developer tool for one layer at a time: the end-to-end benchmark of
+// the shipped specs, the result cache and the fleet is perfbench
+// (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/samplers.hpp"
-#include "coord/coordinator.hpp"
-#include "coord/workers.hpp"
 #include "core/exp_backon_backoff.hpp"
 #include "core/one_fail_adaptive.hpp"
 #include "core/registry.hpp"
-#include "exp/plan.hpp"
-#include "exp/run.hpp"
-#include "exp/spec_io.hpp"
 #include "protocols/exp_backoff.hpp"
 #include "protocols/known_k.hpp"
 #include "protocols/log_fails_adaptive.hpp"
 #include "sim/fair_engine.hpp"
 #include "sim/node_engine.hpp"
 #include "sim/runner.hpp"
-#include "svc/result_cache.hpp"
-
-#ifndef UCR_ENGINE_MICRO_SPEC
-#define UCR_ENGINE_MICRO_SPEC "specs/engine-micro.spec"
-#endif
-
-#ifndef UCR_CLI_DEFAULT
-#define UCR_CLI_DEFAULT ""
-#endif
 
 namespace {
 
@@ -212,16 +194,16 @@ void BM_FairSlotEngineBatched_Genie(benchmark::State& state) {
 }
 BENCHMARK(BM_FairSlotEngineBatched_Genie)->Arg(100000)->Arg(1000000);
 
-// The dense dynamic-cell trajectory (tools/bench_report.py tracks this):
-// sustained Poisson arrivals at lambda = 0.01 on a window protocol, where
-// the node engine's batched-mode skip runs on the pre-drawn in-window slot
-// certificates (protocols/window_node.hpp) — before the pre-draw, a
-// not-yet-transmitted station capped every stretch at one slot and this
-// workload degenerated to per-slot cost. Items processed = slots covered,
-// so the tracked quantity is effective slots/second including everything
-// the engine skips. Like the BM_NodeEngine_* cases below, it runs through
-// the catalogue factory's node view (NodeView::run), the typed station
-// table run_single_node uses.
+// A dense dynamic cell: sustained Poisson arrivals at lambda = 0.01 on a
+// window protocol, where the node engine's batched-mode skip runs on the
+// pre-drawn in-window slot certificates (protocols/window_node.hpp) —
+// before the pre-draw, a not-yet-transmitted station capped every stretch
+// at one slot and this workload degenerated to per-slot cost. Items
+// processed = slots covered, so the reported rate is effective
+// slots/second including everything the engine skips. Like the
+// BM_NodeEngine_* cases below, it runs through the catalogue factory's
+// node view (NodeView::run), the typed station table run_single_node
+// uses.
 void BM_NodeBatched_DensePoisson(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
   ucr::Xoshiro256 arrival_rng = ucr::Xoshiro256::stream(12, 0);
@@ -300,137 +282,6 @@ void BM_AggregateRuns(benchmark::State& state) {
                           static_cast<std::int64_t>(kRuns * kLatencies));
 }
 BENCHMARK(BM_AggregateRuns);
-
-// Whole-pipeline sweep from a versioned spec file. One iteration = the
-// complete sweep the file describes (compile is outside the loop: the
-// regression target is execution, not parsing).
-void BM_SpecSweep(benchmark::State& state) {
-  const char* env = std::getenv("UCR_SPEC");
-  const std::string path =
-      (env != nullptr && *env != '\0') ? env : UCR_ENGINE_MICRO_SPEC;
-  ucr::exp::SpecFile file;
-  try {
-    file = ucr::exp::load_spec_file(path);
-  } catch (const ucr::ContractViolation& e) {
-    state.SkipWithError(e.what());
-    return;
-  }
-  const ucr::exp::ExperimentPlan plan =
-      ucr::exp::compile(file.spec, ucr::default_catalogue());
-
-  std::uint64_t slots = 0;
-  for (auto _ : state) {
-    const auto results = ucr::exp::run_collect(plan, {file.threads});
-    for (const auto& result : results) {
-      for (const auto& detail : result.details) slots += detail.slots;
-    }
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(slots));
-  state.SetLabel(path);
-}
-// The sweep executes on pool workers, so the main thread's own CPU time
-// is idle waiting: measure process-wide CPU (what bench_compare.py
-// tracks) and pace iterations by wall clock. The shipped spec pins
-// threads = 1 so process CPU is the work itself, not scheduler noise.
-BENCHMARK(BM_SpecSweep)->MeasureProcessCPUTime()->UseRealTime();
-
-// The warm half of docs/SERVICE.md's cost model: the identical sweep
-// with every cell already banked in the result cache, so one iteration
-// is pure replay (key lookup + record parse + re-render), no
-// simulation. The cache is primed once outside the timing loop; items
-// processed = cells replayed, so the per-cell replay cost is the
-// tracked regression quantity.
-void BM_CachedSweep(benchmark::State& state) {
-  namespace fs = std::filesystem;
-  const char* env = std::getenv("UCR_SPEC");
-  const std::string path =
-      (env != nullptr && *env != '\0') ? env : UCR_ENGINE_MICRO_SPEC;
-  ucr::exp::SpecFile file;
-  try {
-    file = ucr::exp::load_spec_file(path);
-  } catch (const ucr::ContractViolation& e) {
-    state.SkipWithError(e.what());
-    return;
-  }
-  const ucr::exp::ExperimentPlan plan =
-      ucr::exp::compile(file.spec, ucr::default_catalogue());
-
-  const fs::path root =
-      fs::temp_directory_path() / "ucr_bm_cached_sweep";
-  fs::remove_all(root);
-  ucr::svc::ResultCache cache(root.string());
-  ucr::exp::run_collect(plan, {file.threads, &cache});  // prime
-
-  std::uint64_t cells = 0;
-  for (auto _ : state) {
-    const auto results =
-        ucr::exp::run_collect(plan, {file.threads, &cache});
-    cells += results.size();
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
-  state.SetLabel(path);
-  fs::remove_all(root);
-}
-BENCHMARK(BM_CachedSweep)->MeasureProcessCPUTime()->UseRealTime();
-
-// Coordinator dispatch overhead (docs/SERVICE.md): the same
-// versioned workload fanned out over two local workers with warm
-// per-worker result caches, so every cell replays from cache and what
-// remains is the orchestration itself — overlay writing, one fork/exec
-// of the real ucr_cli per shard, progress polling, shard-output
-// validation and concatenation. Items processed = shards dispatched,
-// so the tracked regression quantity is per-shard dispatch overhead;
-// cpu_time is the coordinator thread's own work, excluding both the
-// workers' simulation and the poll sleeps.
-void BM_CoordLocalSweep(benchmark::State& state) {
-  namespace fs = std::filesystem;
-  const char* cli_env = std::getenv("UCR_CLI");
-  const std::string cli =
-      (cli_env != nullptr && *cli_env != '\0') ? cli_env : UCR_CLI_DEFAULT;
-  if (cli.empty() || !fs::exists(cli)) {
-    state.SkipWithError("ucr_cli binary not found (set UCR_CLI)");
-    return;
-  }
-  const char* env = std::getenv("UCR_SPEC");
-  const std::string spec =
-      (env != nullptr && *env != '\0') ? env : UCR_ENGINE_MICRO_SPEC;
-
-  const fs::path root = fs::temp_directory_path() / "ucr_bm_coord_sweep";
-  fs::remove_all(root);
-
-  ucr::coord::CoordinatorOptions options;
-  options.spec_path = spec;
-  options.workers = ucr::coord::parse_workers("local\nlocal\n");
-  options.cli = cli;
-  options.work_dir = (root / "work").string();
-
-  std::uint64_t shards = 0;
-  try {
-    // Prime the per-worker caches: the one cold run simulates, every
-    // timed iteration afterwards is pure replay + dispatch.
-    std::ostringstream primed;
-    ucr::coord::Coordinator(options).run(primed);
-    for (auto _ : state) {
-      ucr::coord::Coordinator coordinator(options);
-      std::ostringstream out;
-      const ucr::coord::CoordReport report = coordinator.run(out);
-      shards += report.shards;
-      benchmark::DoNotOptimize(report.rows);
-    }
-  } catch (const ucr::ContractViolation& e) {
-    state.SkipWithError(e.what());
-    fs::remove_all(root);
-    return;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(shards));
-  state.SetLabel(spec);
-  fs::remove_all(root);
-}
-// Paced by wall clock: the per-iteration latency is dominated by child
-// lifetimes and the poll loop, which thread CPU time cannot see.
-BENCHMARK(BM_CoordLocalSweep)->UseRealTime();
 
 }  // namespace
 

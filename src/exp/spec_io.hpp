@@ -106,9 +106,9 @@ using SpecLoader = std::function<std::string(const std::string& name)>;
 SpecFile parse_spec(const std::string& text, const SpecLoader& loader);
 
 /// Reads `path` and parse_spec()s its contents — the one spec-loading
-/// path every front end (ucr_cli --spec, the fleet coordinator,
-/// engine_micro's BM_SpecSweep) shares. `include` names resolve relative
-/// to the directory containing `path` (absolute names stand alone).
+/// path every front end (ucr_cli --spec, the fleet coordinator) shares.
+/// `include` names resolve relative to the directory containing `path`
+/// (absolute names stand alone).
 /// Throws ContractViolation naming the path when a file cannot be opened.
 SpecFile load_spec_file(const std::string& path);
 

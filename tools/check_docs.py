@@ -7,10 +7,14 @@ Eight checks, all hard failures:
    specs/README.md must resolve to files inside the repository (no 404s
    within the tree). External (http/https/mailto) links and pure
    #anchors are skipped.
-2. Every `specs/<name>.spec` path mentioned anywhere in those documents
-   (inline code included, not just markdown links) must exist — the
-   runbook is written around `ucr_cli --spec=...`, so a renamed or
-   deleted catalogue file must fail the docs job.
+2. Every repository file path mentioned anywhere in those documents
+   (inline code included, not just markdown links) must exist, from the
+   repository root or from the document's own directory: a path under
+   src/, tests/, bench/, tools/, specs/, examples/, perfbench/ or docs/
+   ending in .cpp, .hpp, .py, .sh, .spec, .md, .json or .txt. The
+   runbook is written around `ucr_cli --spec=...` and the tools, so a
+   renamed or deleted catalogue file, source or script must fail the
+   docs job.
 3. The reverse: every `specs/*.spec` file on disk must be referenced
    from at least one of those documents — an undocumented sweep is a
    sweep nobody will run.
@@ -57,7 +61,14 @@ import subprocess
 import sys
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-SPEC_REF_RE = re.compile(r"specs/[A-Za-z0-9._/-]+\.spec")
+# A repository file path: a top-level source directory, the rest of the
+# path and a known extension that ends it. A leading ../ (relative to a
+# document in docs/ or specs/) is allowed; a path inside a longer one,
+# such as build/tools/..., is not matched.
+PATH_REF_RE = re.compile(
+    r"(?<![\w./-])(?:\.\./)*"
+    r"(?:src|tests|bench|tools|specs|examples|perfbench|docs)/"
+    r"[A-Za-z0-9._/-]*?\.(?:cpp|hpp|py|sh|spec|md|json|txt)(?![\w/-]|\.\w)")
 SECTION_REF_RE = re.compile(r"docs/([A-Za-z0-9._-]+\.md) \"([^\"]+)\"")
 HEADING_RE = re.compile(r"^#{1,6} +(.+?)\s*$", re.MULTILINE)
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
@@ -107,16 +118,28 @@ def check_links(root: pathlib.Path) -> list[str]:
     return errors
 
 
-def check_spec_refs(root: pathlib.Path) -> list[str]:
-    """Every specs/*.spec path a document mentions must exist on disk."""
+def resolve_ref(root: pathlib.Path, doc: pathlib.Path,
+                ref: str) -> pathlib.Path | None:
+    """The file a document's path reference names, from the repository
+    root or else from the document's own directory; None if neither
+    exists."""
+    for base in (root, doc.parent):
+        path = (base / ref).resolve()
+        if path.is_file():
+            return path
+    return None
+
+
+def check_path_refs(root: pathlib.Path) -> list[str]:
+    """Every repository file path a document mentions must exist."""
     errors = []
     for doc in iter_doc_files(root):
         text = doc.read_text(encoding="utf-8")
-        for ref in sorted(set(SPEC_REF_RE.findall(text))):
-            if not (root / ref).is_file():
+        for ref in sorted(set(PATH_REF_RE.findall(text))):
+            if resolve_ref(root, doc, ref) is None:
                 errors.append(
-                    f"{doc.relative_to(root)}: references missing spec "
-                    f"file '{ref}'"
+                    f"{doc.relative_to(root)}: references missing file "
+                    f"'{ref}'"
                 )
     return errors
 
@@ -128,12 +151,12 @@ def check_spec_coverage(root: pathlib.Path) -> list[str]:
         return []
     referenced = set()
     for doc in iter_doc_files(root):
-        referenced.update(SPEC_REF_RE.findall(
-            doc.read_text(encoding="utf-8")))
+        for ref in PATH_REF_RE.findall(doc.read_text(encoding="utf-8")):
+            referenced.add(resolve_ref(root, doc, ref))
     errors = []
     for spec in sorted(specs_dir.rglob("*.spec")):
         rel = spec.relative_to(root).as_posix()
-        if rel not in referenced:
+        if spec.resolve() not in referenced:
             errors.append(
                 f"{rel}: not referenced from any document "
                 "(README.md, EXPERIMENTS.md, specs/README.md, docs/*.md)"
@@ -333,7 +356,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    errors = (check_links(root) + check_spec_refs(root)
+    errors = (check_links(root) + check_path_refs(root)
               + check_spec_coverage(root) + check_section_refs(root)
               + check_identifiers(root) + check_env_vars(root)
               + check_md_names(root))
@@ -349,7 +372,7 @@ def main() -> int:
         print(f"FAIL: {error}")
     if errors:
         return 1
-    checked = ("links + spec refs + spec coverage + section refs"
+    checked = ("links + path refs + spec coverage + section refs"
                " + identifiers + environment variables + comment .md names"
                ) + (
         " + protocol catalog" if args.cli else ""

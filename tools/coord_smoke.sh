@@ -22,7 +22,11 @@ cleanup() {
     kill "$coordd_pid" 2>/dev/null || true
     wait "$coordd_pid" 2>/dev/null || true
   fi
-  pkill -f "$work/stall.sh" 2>/dev/null || true
+  # ucr_coordd leaves its workers running when it is killed, so the
+  # stalled worker is stopped here by the pid it recorded.
+  if [ -s "$work/stall.pid" ]; then
+    kill "$(cat "$work/stall.pid")" 2>/dev/null || true
+  fi
   rm -rf "$work"
 }
 trap cleanup EXIT
@@ -60,10 +64,13 @@ cmp "$work/coord.jsonl" "$work/direct.jsonl" || {
 
 # Control plane: a one-worker fleet that never writes output keeps the
 # run parked (heartbeat far above the test timeout), so the socket can be
-# driven deterministically while the shard is "running".
-cat >"$work/stall.sh" <<'EOF'
+# driven deterministically while the shard is "running". The worker
+# records its pid and execs the sleep, so the process the coordinator
+# spawned is the one cleanup kills.
+cat >"$work/stall.sh" <<EOF
 #!/bin/sh
-sleep 600
+echo \$\$ >"$work/stall.pid"
+exec sleep 600
 EOF
 chmod +x "$work/stall.sh"
 printf 'exec name=stall: %s\n' "$work/stall.sh" >"$work/stall.workers"
@@ -83,10 +90,11 @@ done
 "$coordctl" --socket="$sock" --ping
 "$coordctl" --socket="$sock" --status
 # The socket opens just before the scheduling loop starts, so poll until
-# the stalled worker has actually been handed its shard.
+# the stalled worker has actually been handed its shard and has started.
 for _ in $(seq 1 100); do
   "$coordctl" --socket="$sock" --status --json >"$work/status.json"
-  if grep -q '"busy":1' "$work/status.json"; then break; fi
+  if grep -q '"busy":1' "$work/status.json" && [ -s "$work/stall.pid" ]
+  then break; fi
   sleep 0.1
 done
 cat "$work/status.json"

@@ -67,8 +67,7 @@ int usage(const std::string& error) {
          "                    versionable spec file\n"
          "  --hash-spec       print the merged spec's shard-invariant\n"
          "                    spec_hash (the provenance key stamped on\n"
-         "                    every archived row) and exit — what CI uses\n"
-         "                    to tag benchmark trajectory entries\n"
+         "                    every archived row) and exit\n"
          "spec axes (each flag sets one field of the ExperimentSpec):\n"
          "  --protocol=NAME   one protocol (case-insensitive; typos get a\n"
          "                    did-you-mean hint — try --list)\n"
