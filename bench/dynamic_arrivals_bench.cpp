@@ -7,7 +7,7 @@
 // The whole study is ONE ExperimentSpec: heterogeneous per-run workloads
 // are first-class sweep cells (a Poisson ArrivalSpec re-samples the
 // pattern for every run from its reserved substream), so the harness
-// shares the parallel SweepRunner pipeline with every other driver
+// shares the parallel exp::run pipeline with every other driver
 // instead of driving the ThreadPool by hand, and per-message latencies
 // ride along in the aggregates via EngineOptions::record_latencies.
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "coord/coordinator.hpp"
 
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -384,6 +385,10 @@ CoordReport Coordinator::run(std::ostream& out) {
 
   try {
     while (completed < shards) {
+      if (const int signal = stop_signal_.load()) {
+        throw ContractViolation("stopped by signal " + std::to_string(signal) +
+                                " (" + ::strsignal(signal) + ")");
+      }
       // Dispatch: capacity-weighted round-robin, preferring workers that
       // have not already failed the shard (retry lands elsewhere whenever
       // the fleet allows it).

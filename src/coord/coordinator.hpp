@@ -30,6 +30,7 @@
 // (svc/result_cache.hpp) instead of recomputing them.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
@@ -166,6 +167,13 @@ class Coordinator {
   /// Call at most once.
   CoordReport run(std::ostream& out);
 
+  /// Asks run() to stop as if `signal` had ended it. Async-signal-safe
+  /// (one lock-free atomic store), so a signal handler may call it. run()
+  /// checks on every scheduling pass, at least every 10 ms, and then
+  /// fails like an exhausted shard: it kills every in-flight worker and
+  /// throws ContractViolation naming the signal.
+  void stop(int signal) { stop_signal_.store(signal); }
+
   /// Thread-safe snapshot for the control plane; callable during run().
   CoordStatus status() const;
 
@@ -196,6 +204,8 @@ class Coordinator {
   std::string run_state_ = "pending";
   std::uint64_t attempts_total_ = 0;
   bool ran_ = false;
+  std::atomic<int> stop_signal_{0};
+  static_assert(std::atomic<int>::is_always_lock_free);
 };
 
 /// The status reply's JSON text:

@@ -45,9 +45,9 @@ struct CellTask {
   std::string key() const;
 
   /// Executes every run of this cell serially and folds the aggregate.
-  /// Bit-identical to what SweepRunner produces for the same cell (runs
-  /// are seeded stream(seed, r) either way; tests/exp/cell_task_test.cpp
-  /// pins it).
+  /// Bit-identical to what run() produces for the same cell (runs are
+  /// seeded stream(seed, r) either way; tests/exp/cell_task_test.cpp pins
+  /// it).
   CellResult execute() const;
 };
 

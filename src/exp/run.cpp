@@ -1,8 +1,12 @@
 #include "exp/run.hpp"
 
+#include <atomic>
+#include <future>
+#include <mutex>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 
 namespace ucr::exp {
 
@@ -11,27 +15,35 @@ void run(const ExperimentPlan& plan, const std::vector<ResultSink*>& sinks,
   for (ResultSink* sink : sinks) {
     UCR_REQUIRE(sink != nullptr, "null ResultSink attached to run()");
   }
-  std::vector<CellTask> tasks = enumerate_cell_tasks(plan);
+  const std::vector<CellTask> tasks = enumerate_cell_tasks(plan);
+  const std::size_t cells = tasks.size();
 
   // Probe the store up front: cached cells replay, the rest execute. A
   // replayed cell never runs, so an observer would silently miss its
   // slots — reject the combination loudly (observer plans are single-cell
-  // single-run anyway; they have nothing to gain from a cache).
-  std::vector<std::optional<AggregateResult>> ready(tasks.size());
-  if (options.cache != nullptr) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      UCR_REQUIRE(tasks[i].point.options.observer == nullptr,
+  // single-run anyway; they have nothing to gain from a cache). `cached`
+  // is fixed here, before the first emission moves any replayed result
+  // out of `ready`.
+  std::vector<std::optional<AggregateResult>> ready(cells);
+  std::vector<char> cached(cells, 0);
+  // Pre-assigned result slots, metrics[cell][run]: each work item writes
+  // only its own slot, and the run that takes remaining[cell] to zero
+  // folds the cell.
+  std::vector<std::vector<RunMetrics>> metrics(cells);
+  std::vector<std::atomic<std::uint64_t>> remaining(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    const SweepPoint& point = tasks[i].point;
+    UCR_REQUIRE(point.runs > 0, "at least one run required per cell");
+    if (options.cache != nullptr) {
+      UCR_REQUIRE(point.options.observer == nullptr,
                   "a result cache cannot be attached to an observer plan "
                   "(cached replay never materializes slots)");
       ready[i] = options.cache->load(plan.spec_hash, tasks[i].cell.index);
+      cached[i] = ready[i].has_value();
     }
-  }
-  std::vector<std::size_t> miss;
-  std::vector<SweepPoint> miss_points;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!ready[i].has_value()) {
-      miss.push_back(i);
-      miss_points.push_back(tasks[i].point);
+    if (!cached[i]) {
+      metrics[i].resize(point.runs);
+      remaining[i].store(point.runs, std::memory_order_relaxed);
     }
   }
 
@@ -41,49 +53,70 @@ void run(const ExperimentPlan& plan, const std::vector<ResultSink*>& sinks,
 
   // Grid-order emission cursor, shared by cached replays and fresh
   // completions: a cell is handed to the sinks as soon as every cell
-  // before it is ready, cached or computed.
+  // before it is ready. A fresh cell is stored just before it is emitted,
+  // so a run killed mid-stream has banked every cell it already wrote.
+  // Once a store or sink throws, the stream is dead: emitting later cells
+  // would leave a gap in the middle of the output, so nothing more is
+  // stored or emitted and the exception propagates below. The mutex
+  // serializes every store and sink call.
+  std::mutex mutex;
   std::size_t cursor = 0;
+  bool failed = false;
   const auto emit_ready = [&] {
-    while (cursor < tasks.size() && ready[cursor].has_value()) {
-      AggregateResult result = std::move(*ready[cursor]);
-      ready[cursor].reset();
-      const std::size_t index = cursor++;
-      for (ResultSink* sink : sinks) {
-        sink->emit(tasks[index].cell, result);
+    try {
+      while (!failed && cursor < cells && ready[cursor].has_value()) {
+        AggregateResult result = std::move(*ready[cursor]);
+        ready[cursor].reset();
+        const std::size_t index = cursor++;
+        if (options.cache != nullptr && !cached[index]) {
+          options.cache->store(tasks[index], result);
+        }
+        for (ResultSink* sink : sinks) {
+          sink->emit(tasks[index].cell, result);
+        }
       }
+    } catch (...) {
+      failed = true;
+      throw;
     }
   };
 
-  // A fully (or leading-prefix) cached sweep streams before any work is
-  // scheduled.
+  // A leading cached prefix streams before any work is scheduled; a fully
+  // cached plan starts no worker thread.
   emit_ready();
 
-  if (!miss_points.empty()) {
-    SweepOptions sweep_options;
-    sweep_options.threads = options.threads;
-    // run_streaming completes miss cells in sub-grid prefix order, which
-    // is grid order restricted to the misses — so when miss j lands,
-    // every earlier cell is ready and the cursor can sweep past it. The
-    // callback runs under run_streaming's emission mutex, preserving the
-    // sinks' serialization contract. Fresh cells are stored before they
-    // are emitted: a run killed mid-stream has banked every cell it
-    // already wrote (and the one in flight), which is what makes the
-    // store a checkpoint.
-    SweepRunner(sweep_options)
-        .run_streaming(miss_points, [&](std::size_t j,
-                                        AggregateResult&& result) {
-          const std::size_t index = miss[j];
-          if (options.cache != nullptr) {
-            options.cache->store(tasks[index], result);
+  std::vector<std::future<void>> pending;
+  if (cursor < cells) {
+    ThreadPool pool(options.threads);
+    // Grid-order dispatch: emission follows the completed grid prefix, so
+    // any other order would buffer aggregates until the first cells end.
+    for (std::size_t cell = cursor; cell < cells; ++cell) {
+      if (cached[cell]) continue;
+      for (std::uint64_t r = 0; r < tasks[cell].point.runs; ++r) {
+        pending.push_back(pool.submit([&, cell, r] {
+          const SweepPoint& point = tasks[cell].point;
+          metrics[cell][r] = run_sweep_point_run(point, r);
+          if (remaining[cell].fetch_sub(1, std::memory_order_acq_rel) != 1) {
+            return;
           }
-          ready[index] = std::move(result);
+          // Last run of this cell: this thread now owns its metrics.
+          AggregateResult result = aggregate_runs(
+              point.factory.name, point.cell_k(), std::move(metrics[cell]));
+          std::lock_guard<std::mutex> lock(mutex);
+          ready[cell] = std::move(result);
           emit_ready();
-        });
+        }));
+      }
+    }
+    // ~ThreadPool drains the queue; the futures below are then all ready.
   }
 
-  // Trailing cached cells (a warm suffix after the last miss).
-  emit_ready();
-  UCR_CHECK(cursor == tasks.size(), "run() emitted fewer cells than planned");
+  // Surface the first work-item (or sink) exception in submission order,
+  // independent of scheduling.
+  for (std::future<void>& f : pending) {
+    f.get();
+  }
+  UCR_CHECK(cursor == cells, "run() emitted fewer cells than planned");
   for (ResultSink* sink : sinks) {
     sink->end();
   }

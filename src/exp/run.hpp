@@ -1,11 +1,12 @@
 // run(): ExperimentPlan -> CellTask[] -> ResultSink(s).
 //
-// The end of the pipeline, as a thin driver over the CellTask unit
-// (exp/cell_task.hpp): the plan is lifted into per-cell tasks, tasks
-// execute across the worker pool (SweepRunner), and every completed cell
-// is pushed to each sink as soon as the grid prefix up to it is done — in
-// grid order, with bit-identical content for any thread count and
-// dispatch order (the sim/sweep.hpp determinism contract).
+// The end of the pipeline and the only code that turns a plan into work.
+// The plan is lifted into per-cell tasks (exp/cell_task.hpp); every run of
+// every cell to compute becomes one (cell, run) work item on a ThreadPool;
+// the last run of a cell folds it, and every completed cell is pushed to
+// each sink as soon as the grid prefix up to it is done — in grid order,
+// with bit-identical content for any thread count and completion order
+// (the sim/sweep.hpp determinism contract).
 //
 // Attaching a CellResultStore makes the driver resumable: tasks whose
 // (spec_hash, cell_index) key is already in the store replay the cached

@@ -87,7 +87,7 @@ struct AggregateResult {
 
 /// One execution of a fair protocol at batch size k through the aggregate
 /// engine, seeded as stream(seed, run_index). This is the unit of work the
-/// serial experiment loops and the parallel SweepRunner (sim/sweep.hpp)
+/// serial experiment loops and the parallel exp::run driver (exp/run.hpp)
 /// share: a (seed, run_index) pair fully determines the result, so
 /// scheduling order and thread count cannot change any output.
 RunMetrics run_single_fair(const ProtocolFactory& factory, std::uint64_t k,

@@ -5,8 +5,8 @@
 // (malformed specs are rejected at submit time, they never become failed
 // jobs), enqueues it FIFO, and returns a job id. A single executor thread
 // drains the queue; each job runs the ordinary exp::run() pipeline — cells
-// on the SweepRunner worker pool, the shared ResultCache attached when the
-// service has one — with a capture sink that appends each JSONL row to the
+// on its worker pool, the shared ResultCache attached when the service
+// has one — with a capture sink that appends each JSONL row to the
 // job as the grid prefix completes. Rows are byte-identical to
 // `ucr_cli --spec=FILE --format=jsonl` on the same spec: same plan, same
 // sink, same determinism contract (docs/SERVICE.md states the argument).

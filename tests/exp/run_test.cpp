@@ -1,4 +1,8 @@
-#include "sim/sweep.hpp"
+// run() as the grid driver: hand-built plans (points plus cells) go
+// through run() / run_collect() on several thread counts and must match
+// the serial experiment loops run for run, arrive in grid order, and fail
+// loudly on malformed cells, throwing work items and throwing sinks.
+#include "exp/run.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,8 +16,28 @@
 #include "sim/arrival.hpp"
 #include "sim/resultio.hpp"
 
-namespace ucr {
+namespace ucr::exp {
 namespace {
+
+/// A plan over `points` as they are: cell i is point i, unsharded.
+ExperimentPlan plan_of(std::vector<SweepPoint> points) {
+  ExperimentPlan plan;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    CellInfo cell;
+    cell.index = i;
+    cell.protocol = points[i].factory.name;
+    cell.k = points[i].cell_k();
+    plan.cells.push_back(cell);
+  }
+  plan.points = std::move(points);
+  plan.total_cells = plan.cells.size();
+  return plan;
+}
+
+std::vector<AggregateResult> run_points(std::vector<SweepPoint> points,
+                                        unsigned threads = 0) {
+  return run_collect(plan_of(std::move(points)), {threads});
+}
 
 std::vector<SweepPoint> small_grid() {
   std::vector<SweepPoint> grid;
@@ -40,12 +64,28 @@ std::string csv_of(const std::vector<AggregateResult>& results) {
   return os.str();
 }
 
-TEST(SweepRunner, MatchesSerialExperimentsExactly) {
+/// Records the calls run() makes and throws on emitting cell `fail_at`.
+class ThrowingSink final : public ResultSink {
+ public:
+  explicit ThrowingSink(std::size_t fail_at) : fail_at_(fail_at) {}
+  void emit(const CellInfo& cell, const AggregateResult&) override {
+    emitted.push_back(cell.index);
+    if (cell.index == fail_at_) throw std::runtime_error("sink failed");
+  }
+  void end() override { ended = true; }
+
+  std::vector<std::size_t> emitted;
+  bool ended = false;
+
+ private:
+  std::size_t fail_at_;
+};
+
+TEST(RunDriver, MatchesSerialExperimentsExactly) {
   const auto factory = make_one_fail_factory();
   const AggregateResult serial =
       run_fair_experiment(factory, 100, 5, 42, {});
-  const auto swept =
-      SweepRunner(SweepOptions{4}).run({SweepPoint::fair(factory, 100, 5, 42)});
+  const auto swept = run_points({SweepPoint::fair(factory, 100, 5, 42)}, 4);
   ASSERT_EQ(swept.size(), 1u);
   ASSERT_EQ(swept[0].details.size(), serial.details.size());
   for (std::size_t r = 0; r < serial.details.size(); ++r) {
@@ -56,17 +96,15 @@ TEST(SweepRunner, MatchesSerialExperimentsExactly) {
   EXPECT_EQ(swept[0].ratio.mean, serial.ratio.mean);
 }
 
-TEST(SweepRunner, ByteIdenticalCsvAcrossThreadCounts) {
-  const auto grid = small_grid();
-  const auto one = SweepRunner(SweepOptions{1}).run(grid);
-  const auto eight = SweepRunner(SweepOptions{8}).run(grid);
+TEST(RunDriver, ByteIdenticalCsvAcrossThreadCounts) {
+  const auto one = run_points(small_grid(), 1);
+  const auto eight = run_points(small_grid(), 8);
   EXPECT_EQ(csv_of(one), csv_of(eight));
 }
 
-TEST(SweepRunner, IdenticalPerRunMetricsAcrossThreadCounts) {
-  const auto grid = small_grid();
-  const auto one = SweepRunner(SweepOptions{1}).run(grid);
-  const auto eight = SweepRunner(SweepOptions{8}).run(grid);
+TEST(RunDriver, IdenticalPerRunMetricsAcrossThreadCounts) {
+  const auto one = run_points(small_grid(), 1);
+  const auto eight = run_points(small_grid(), 8);
   ASSERT_EQ(one.size(), eight.size());
   for (std::size_t cell = 0; cell < one.size(); ++cell) {
     ASSERT_EQ(one[cell].details.size(), eight[cell].details.size());
@@ -79,9 +117,9 @@ TEST(SweepRunner, IdenticalPerRunMetricsAcrossThreadCounts) {
   }
 }
 
-TEST(SweepRunner, ResultsArriveInGridOrder) {
+TEST(RunDriver, ResultsArriveInGridOrder) {
   const auto grid = small_grid();
-  const auto results = SweepRunner(SweepOptions{8}).run(grid);
+  const auto results = run_points(grid, 8);
   ASSERT_EQ(results.size(), grid.size());
   for (std::size_t cell = 0; cell < grid.size(); ++cell) {
     EXPECT_EQ(results[cell].protocol, grid[cell].factory.name);
@@ -93,13 +131,13 @@ TEST(SweepRunner, ResultsArriveInGridOrder) {
   }
 }
 
-TEST(SweepRunner, NodeCellMatchesSerialNodeExperiment) {
+TEST(RunDriver, NodeCellMatchesSerialNodeExperiment) {
   const auto factory = make_one_fail_factory();
   const auto arrivals = batched_arrivals(30);
   const AggregateResult serial =
       run_node_experiment(factory, arrivals, 3, 11, {});
-  const auto swept = SweepRunner(SweepOptions{4})
-                         .run({SweepPoint::node(factory, arrivals, 3, 11)});
+  const auto swept =
+      run_points({SweepPoint::node(factory, arrivals, 3, 11)}, 4);
   ASSERT_EQ(swept.size(), 1u);
   ASSERT_EQ(swept[0].details.size(), 3u);
   for (std::size_t r = 0; r < 3; ++r) {
@@ -107,25 +145,30 @@ TEST(SweepRunner, NodeCellMatchesSerialNodeExperiment) {
   }
 }
 
-TEST(SweepRunner, RejectsMalformedCellsBeforeRunning) {
+TEST(RunDriver, RejectsMalformedCells) {
   ProtocolFactory node_only;
   node_only.name = "node-only";
   node_only.node = node_view<BoxedStation>(
       [](std::uint64_t, Xoshiro256&) { return BoxedStation(nullptr); });
-  SweepPoint bad = SweepPoint::fair(node_only, 10, 1, 1);
-  EXPECT_THROW(SweepRunner().run({bad}), ContractViolation);
+  EXPECT_THROW(run_points({SweepPoint::fair(node_only, 10, 1, 1)}),
+               ContractViolation);
 
-  SweepPoint zero_runs = SweepPoint::fair(make_known_k_factory(), 10, 0, 1);
-  EXPECT_THROW(SweepRunner().run({zero_runs}), ContractViolation);
+  // runs == 0 fails before any sink hears of the plan.
+  MemorySink memory;
+  EXPECT_THROW(
+      run(plan_of({SweepPoint::fair(make_known_k_factory(), 10, 0, 1)}),
+          {&memory}),
+      ContractViolation);
+  EXPECT_TRUE(memory.cells().empty());
 
   ProtocolFactory fair_only = make_known_k_factory();
   fair_only.node = nullptr;
-  SweepPoint bad_node =
-      SweepPoint::node(fair_only, batched_arrivals(5), 1, 1);
-  EXPECT_THROW(SweepRunner().run({bad_node}), ContractViolation);
+  EXPECT_THROW(
+      run_points({SweepPoint::node(fair_only, batched_arrivals(5), 1, 1)}),
+      ContractViolation);
 }
 
-TEST(SweepRunner, PropagatesWorkItemExceptions) {
+TEST(RunDriver, PropagatesWorkItemExceptions) {
   ProtocolFactory throwing;
   throwing.name = "throwing";
   throwing.fair_slot =
@@ -135,63 +178,52 @@ TEST(SweepRunner, PropagatesWorkItemExceptions) {
   std::vector<SweepPoint> grid{
       SweepPoint::fair(make_known_k_factory(), 20, 2, 1),
       SweepPoint::fair(throwing, 20, 2, 1)};
-  EXPECT_THROW(SweepRunner(SweepOptions{4}).run(grid), std::runtime_error);
+  EXPECT_THROW(run_points(grid, 4), std::runtime_error);
 }
 
-TEST(SweepRunner, BatchedCellsMatchSerialBatchedRuns) {
+TEST(RunDriver, BatchedCellsMatchSerialBatchedRuns) {
   const auto factory = make_known_k_factory();
   EngineOptions batched;
   batched.batched = true;
   const AggregateResult serial =
       run_fair_experiment(factory, 120, 5, 42, batched);
-  const auto swept = SweepRunner(SweepOptions{4}).run(
-      {SweepPoint::fair(factory, 120, 5, 42, batched)});
+  const auto swept =
+      run_points({SweepPoint::fair(factory, 120, 5, 42, batched)}, 4);
   ASSERT_EQ(swept.size(), 1u);
   for (std::size_t r = 0; r < serial.details.size(); ++r) {
     EXPECT_EQ(swept[0].details[r].slots, serial.details[r].slots);
   }
 }
 
-TEST(SweepRunner, ZeroThreadsMeansHardwareConcurrency) {
-  EXPECT_GE(SweepRunner().threads(), 1u);
-  EXPECT_EQ(SweepRunner(SweepOptions{3}).threads(), 3u);
-}
-
-TEST(SweepRunner, StreamingEmitsEveryCellInGridOrder) {
+TEST(RunDriver, StreamingEmitsEveryCellInGridOrder) {
   const auto grid = small_grid();
-  const auto collected = SweepRunner(SweepOptions{1}).run(grid);
+  const auto collected = run_points(grid, 1);
 
   for (const unsigned threads : {1u, 4u}) {
-    std::vector<std::size_t> order;
-    std::vector<AggregateResult> streamed(grid.size());
-    SweepRunner(SweepOptions{threads})
-        .run_streaming(grid,
-                       [&](std::size_t cell, AggregateResult&& result) {
-                         order.push_back(cell);
-                         streamed[cell] = std::move(result);
-                       });
-    ASSERT_EQ(order.size(), grid.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      EXPECT_EQ(order[i], i);  // grid order, not completion order
-    }
+    MemorySink streamed;
+    run(plan_of(grid), {&streamed}, {threads});
+    ASSERT_EQ(streamed.cells().size(), grid.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      EXPECT_EQ(streamed[i].makespan.mean, collected[i].makespan.mean);
-      EXPECT_EQ(streamed[i].details.size(), collected[i].details.size());
+      // Grid order, not completion order.
+      EXPECT_EQ(streamed.cells()[i].index, i);
+      EXPECT_EQ(streamed.results()[i].makespan.mean,
+                collected[i].makespan.mean);
+      EXPECT_EQ(streamed.results()[i].details.size(),
+                collected[i].details.size());
     }
   }
 }
 
-TEST(SweepRunner, StreamingPropagatesSinkExceptions) {
-  const auto grid = small_grid();
-  EXPECT_THROW(SweepRunner(SweepOptions{2}).run_streaming(
-                   grid,
-                   [](std::size_t cell, AggregateResult&&) {
-                     if (cell == 1) throw std::runtime_error("sink failed");
-                   }),
-               std::runtime_error);
+TEST(RunDriver, StreamingPropagatesSinkExceptions) {
+  ThrowingSink sink(1);
+  EXPECT_THROW(run(plan_of(small_grid()), {&sink}, {2}), std::runtime_error);
+  // The stream dies at the throwing cell: nothing after it is emitted, and
+  // end() is never reached.
+  EXPECT_EQ(sink.emitted, (std::vector<std::size_t>{0, 1}));
+  EXPECT_FALSE(sink.ended);
 }
 
-TEST(SweepRunner, PerRunArrivalGeneratorIsDeterministic) {
+TEST(RunDriver, PerRunArrivalGeneratorIsDeterministic) {
   // A node_per_run cell: every run gets its own pattern, derived purely
   // from the run index — so results are identical for any thread count.
   const auto factory = make_one_fail_factory();
@@ -209,8 +241,8 @@ TEST(SweepRunner, PerRunArrivalGeneratorIsDeterministic) {
   options.max_slots = 200000;
   const auto point =
       SweepPoint::node_per_run(factory, 20, generator, 6, 11, options);
-  const auto serial = SweepRunner(SweepOptions{1}).run({point});
-  const auto parallel = SweepRunner(SweepOptions{4}).run({point});
+  const auto serial = run_points({point}, 1);
+  const auto parallel = run_points({point}, 4);
   ASSERT_EQ(serial.size(), 1u);
   ASSERT_EQ(serial[0].details.size(), 6u);
   EXPECT_EQ(serial[0].k, 20u);
@@ -219,8 +251,8 @@ TEST(SweepRunner, PerRunArrivalGeneratorIsDeterministic) {
   }
   // Runs with different workloads genuinely differ from a same-workload
   // cell (the generator is actually consulted).
-  const auto uniform = SweepRunner(SweepOptions{1}).run(
-      {SweepPoint::node(factory, generator(0), 6, 11, options)});
+  const auto uniform =
+      run_points({SweepPoint::node(factory, generator(0), 6, 11, options)}, 1);
   bool any_difference = false;
   for (std::size_t r = 0; r < 6; ++r) {
     any_difference |=
@@ -229,14 +261,14 @@ TEST(SweepRunner, PerRunArrivalGeneratorIsDeterministic) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(SweepRunner, PerRunCellRequiresNodeView) {
+TEST(RunDriver, PerRunCellRequiresNodeView) {
   ProtocolFactory fair_only = make_known_k_factory();
   fair_only.node = nullptr;
   const auto point = SweepPoint::node_per_run(
       fair_only, 10, [](std::uint64_t) { return batched_arrivals(10); }, 2,
       1);
-  EXPECT_THROW(SweepRunner().run({point}), ContractViolation);
+  EXPECT_THROW(run_points({point}), ContractViolation);
 }
 
 }  // namespace
-}  // namespace ucr
+}  // namespace ucr::exp

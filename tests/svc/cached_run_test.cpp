@@ -2,9 +2,10 @@
 // replaying a warm cache, and a killed-then-resumed run all produce
 // byte-identical streaming output to a plain uncached run — on the
 // shipped fig1 and adversarial sweeps (shrunk to test size via the same
-// flag-wins overrides CI uses).
+// flag-wins overrides CI uses) — and the warm run executes no run at all.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "exp/run.hpp"
 #include "exp/sink.hpp"
 #include "exp/spec_io.hpp"
+#include "protocols/known_k.hpp"
 #include "sim/observer.hpp"
 #include "svc/result_cache.hpp"
 
@@ -134,6 +136,35 @@ TEST(CachedRun, ThreadCountDoesNotChangeCacheContentOrOutput) {
     text_b << b.rdbuf();
     EXPECT_EQ(text_a.str(), text_b.str()) << "cell " << cell.index;
   }
+  fs::remove_all(root);
+}
+
+TEST(CachedRun, WarmReplayExecutesNothing) {
+  // The one protocol counts the instances it builds: every fair run builds
+  // exactly one, so the count is the number of runs executed.
+  auto built = std::make_shared<std::atomic<std::uint64_t>>(0);
+  ProtocolFactory counting = make_known_k_factory();
+  counting.fair_slot = [inner = counting.fair_slot, built](std::uint64_t k) {
+    built->fetch_add(1, std::memory_order_relaxed);
+    return inner(k);
+  };
+  exp::ExperimentSpec spec;
+  spec.runs = 3;
+  spec.with_ks({10, 20, 40, 80});
+  spec.with_factory(counting);
+  const exp::ExperimentPlan plan = exp::compile(spec);
+  const fs::path root =
+      fs::path(::testing::TempDir()) / "ucr_cached_warm_replay_test";
+  fs::remove_all(root);
+  ResultCache cache(root.string());
+
+  const std::string cold = streamed_output(plan, {2, &cache});
+  EXPECT_EQ(built->load(), spec.runs * plan.cells.size());
+
+  built->store(0);
+  const std::string warm = streamed_output(plan, {2, &cache});
+  EXPECT_EQ(built->load(), 0u);
+  EXPECT_EQ(warm, cold);
   fs::remove_all(root);
 }
 

@@ -6,8 +6,10 @@
 #      generic `exec:` launcher), and assert the assembled archive is
 #      byte-identical to the direct run and that at least one attempt was
 #      retried,
-#   3. park a coordinator on a never-progressing worker and drive the
-#      control socket with ucr_coordctl (--ping, --status --json).
+#   3. park a coordinator on a never-progressing worker, drive the
+#      control socket with ucr_coordctl (--ping, --status --json), then
+#      send it SIGTERM and assert that it exits non-zero, kills the worker
+#      and removes the socket.
 # Usage: coord_smoke.sh <ucr_coordd> <ucr_coordctl> <ucr_cli>
 set -euo pipefail
 
@@ -22,8 +24,7 @@ cleanup() {
     kill "$coordd_pid" 2>/dev/null || true
     wait "$coordd_pid" 2>/dev/null || true
   fi
-  # ucr_coordd leaves its workers running when it is killed, so the
-  # stalled worker is stopped here by the pid it recorded.
+  # Should the SIGTERM check fail, the stalled worker still goes.
   if [ -s "$work/stall.pid" ]; then
     kill "$(cat "$work/stall.pid")" 2>/dev/null || true
   fi
@@ -66,7 +67,7 @@ cmp "$work/coord.jsonl" "$work/direct.jsonl" || {
 # run parked (heartbeat far above the test timeout), so the socket can be
 # driven deterministically while the shard is "running". The worker
 # records its pid and execs the sleep, so the process the coordinator
-# spawned is the one cleanup kills.
+# spawned is the one whose end is checked below.
 cat >"$work/stall.sh" <<EOF
 #!/bin/sh
 echo \$\$ >"$work/stall.pid"
@@ -106,7 +107,36 @@ grep -q '"workers":\[{"name":"stall","capacity":1,"busy":1' \
   echo "status --json did not report the stalled worker as busy"; exit 1
 }
 
+# SIGTERM stops the coordinator within a few seconds: non-zero exit, an
+# error naming the signal, its worker killed and its socket removed. A
+# zombie awaiting `wait` counts as exited.
+running() {
+  local state
+  state=$(ps -o stat= -p "$1" 2>/dev/null) && [ "${state#Z}" = "$state" ]
+}
+stall_pid=$(cat "$work/stall.pid")
 kill "$coordd_pid"
-wait "$coordd_pid" 2>/dev/null || true
+for _ in $(seq 1 50); do
+  running "$coordd_pid" || break
+  sleep 0.1
+done
+if running "$coordd_pid"; then
+  echo "coordinator still running 5 s after SIGTERM"; exit 1
+fi
+code=0
+wait "$coordd_pid" || code=$?
 coordd_pid=""
+cat "$work/coordd2.log"
+[ "$code" -ne 0 ] || { echo "coordinator exited 0 after SIGTERM"; exit 1; }
+grep -q "stopped by signal 15" "$work/coordd2.log" || {
+  echo "no error names the signal"; exit 1
+}
+for _ in $(seq 1 50); do
+  running "$stall_pid" || break
+  sleep 0.1
+done
+if running "$stall_pid"; then
+  echo "stalled worker $stall_pid outlived the coordinator"; exit 1
+fi
+[ ! -e "$sock" ] || { echo "control socket left behind"; exit 1; }
 echo "coord smoke OK"

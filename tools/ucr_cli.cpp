@@ -31,6 +31,7 @@
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/registry.hpp"
 #include "exp/plan.hpp"
@@ -292,15 +293,17 @@ std::optional<AbortSink> make_abort_sink(const ucr::CliArgs& args) {
   return AbortSink(*limit, kill);
 }
 
-/// Splits a comma-separated list, rejecting empty items.
+/// Splits a comma-separated list, trimming items and rejecting empties
+/// (as spec-file lists do).
 std::vector<std::string> split_list(const std::string& text) {
   std::vector<std::string> items;
   std::size_t start = 0;
   while (start <= text.size()) {
     const std::size_t comma = text.find(',', start);
     const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    UCR_REQUIRE(end > start, "empty item in list '" + text + "'");
-    items.push_back(text.substr(start, end - start));
+    std::string item = ucr::trim(text.substr(start, end - start));
+    UCR_REQUIRE(!item.empty(), "empty item in list '" + text + "'");
+    items.push_back(std::move(item));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -309,26 +312,30 @@ std::vector<std::string> split_list(const std::string& text) {
 
 /// Splits a comma-separated list whose items may carry parenthesized
 /// argument lists — "batch,mmpp(0.5,0.01,100)" is two items, not four.
-/// Only commas at parenthesis depth zero separate items.
+/// Only commas at parenthesis depth zero separate items; items are
+/// trimmed like split_list's.
 std::vector<std::string> split_expr_list(const std::string& text) {
   std::vector<std::string> items;
   std::string current;
   int depth = 0;
+  const auto push = [&] {
+    std::string item = ucr::trim(current);
+    UCR_REQUIRE(!item.empty(), "empty item in list '" + text + "'");
+    items.push_back(std::move(item));
+    current.clear();
+  };
   for (const char ch : text) {
     if (ch == '(') ++depth;
     if (ch == ')') --depth;
     UCR_REQUIRE(depth >= 0, "unbalanced ')' in list '" + text + "'");
     if (ch == ',' && depth == 0) {
-      UCR_REQUIRE(!current.empty(), "empty item in list '" + text + "'");
-      items.push_back(std::move(current));
-      current.clear();
+      push();
     } else {
       current += ch;
     }
   }
   UCR_REQUIRE(depth == 0, "unbalanced '(' in list '" + text + "'");
-  UCR_REQUIRE(!current.empty(), "empty item in list '" + text + "'");
-  items.push_back(std::move(current));
+  push();
   return items;
 }
 

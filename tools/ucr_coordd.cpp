@@ -5,7 +5,9 @@
 // timed-out shards on other workers, and writes the concatenated —
 // validated, byte-identical-to-unsharded — archive to stdout or --output.
 // With --socket, a control socket answers ping/status while the run is
-// in flight (ucr_coordctl is the client).
+// in flight (ucr_coordctl is the client). SIGTERM and SIGINT stop the run:
+// every in-flight worker is killed, the socket is removed, and the exit
+// status is 2.
 //
 // Examples:
 //   ucr_coordd --spec=specs/fig1.spec --local=4 --format=jsonl
@@ -13,6 +15,8 @@
 //   ucr_coordd --spec=specs/fig1.spec --workers=fleet.workers
 //              --cli=./build/tools/ucr_cli --work-dir=/tmp/coord
 //              --socket=/tmp/coord.sock --output=fig1.jsonl
+#include <atomic>
+#include <csignal>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -26,6 +30,15 @@
 #include "svc/socket.hpp"
 
 namespace {
+
+// The coordinator a SIGTERM or SIGINT stops; null outside its run.
+std::atomic<ucr::coord::Coordinator*> stoppable{nullptr};
+
+extern "C" void stop_on_signal(int signal) {
+  if (ucr::coord::Coordinator* coordinator = stoppable.load()) {
+    coordinator->stop(signal);
+  }
+}
 
 int usage(const std::string& error) {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
@@ -120,6 +133,19 @@ int main(int argc, char** argv) {
     ucr::coord::Coordinator coordinator(std::move(options));
     std::cerr << "ucr_coordd: " << coordinator.shards() << " shards, "
               << "spec_hash " << coordinator.spec_hash() << "\n";
+
+    // A stop signal fails run() through its own path, which kills every
+    // in-flight worker; unwinding then removes the control socket.
+    struct Unhook {
+      ~Unhook() { stoppable.store(nullptr); }
+    } unhook;
+    stoppable.store(&coordinator);
+    struct sigaction action {};
+    action.sa_handler = stop_on_signal;
+    action.sa_flags = SA_RESTART;
+    sigemptyset(&action.sa_mask);
+    ::sigaction(SIGTERM, &action, nullptr);
+    ::sigaction(SIGINT, &action, nullptr);
 
     // The control socket is served on its own thread while run() works
     // on this one. Leaving this scope stops it — after a successful run
