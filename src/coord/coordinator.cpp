@@ -12,6 +12,7 @@
 
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "coord/process.hpp"
 #include "core/registry.hpp"
 #include "exp/plan.hpp"
@@ -78,15 +79,6 @@ std::string tail_of_file(const std::string& path,
   return all;
 }
 
-std::string read_whole_file(const std::string& path,
-                            const std::string& source) {
-  std::ifstream in(path);
-  UCR_REQUIRE(in.is_open(), source + ": cannot open '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
 }  // namespace
 
 const char* shard_state_name(ShardStatus::State state) {
@@ -139,23 +131,6 @@ void validate_shard_output(const std::string& text, exp::OutputFormat format,
                              ": spec_hash mismatch (expected " + hash +
                              ") in: " + row);
   }
-}
-
-std::string shard_overlay_text(const std::string& base_path,
-                               std::uint64_t index, std::uint64_t count,
-                               const std::optional<exp::OutputFormat>& format,
-                               unsigned worker_threads) {
-  std::string out = "spec_version = 1\n";
-  out += "include = " + base_path + "\n";
-  out += "shard = " + std::to_string(index) + "/" + std::to_string(count) +
-         "\n";
-  if (format.has_value()) {
-    out += "format = " + std::string(exp::output_format_name(*format)) + "\n";
-  }
-  if (worker_threads != 0) {
-    out += "threads = " + std::to_string(worker_threads) + "\n";
-  }
-  return out;
 }
 
 Coordinator::Coordinator(CoordinatorOptions options)
@@ -220,7 +195,7 @@ Coordinator::Coordinator(CoordinatorOptions options)
   fs::create_directories(options_.work_dir);
 }
 
-std::string Coordinator::overlay_path(std::uint64_t shard) const {
+std::string Coordinator::unit_path(std::uint64_t shard) const {
   return options_.work_dir + "/shard-" + std::to_string(shard) + ".spec";
 }
 
@@ -235,7 +210,7 @@ std::vector<std::string> Coordinator::worker_argv(
   std::vector<std::string> argv;
   if (worker.kind == WorkerSpec::Kind::kExec) argv = worker.exec_prefix;
   argv.push_back(options_.cli);
-  argv.push_back("--spec=" + overlay_path(shard));
+  argv.push_back("--spec=" + unit_path(shard));
   if (options_.worker_cache) {
     argv.push_back("--cache=" + options_.work_dir + "/cache-" + worker.name);
   }
@@ -307,15 +282,20 @@ CoordReport Coordinator::run(std::ostream& out) {
     run_state_ = "running";
   }
 
+  // Each work unit is the canonical text of the loaded base with its
+  // shard, the output format and the thread override set, so a worker
+  // needs no other file to run it.
   const std::uint64_t shards = shard_rows_.size();
-  const std::string base_abs =
-      fs::absolute(fs::path(options_.spec_path)).string();
+  exp::SpecFile unit = base_;
+  unit.format = format_;
+  if (options_.worker_threads != 0) unit.threads = options_.worker_threads;
   for (std::uint64_t i = 0; i < shards; ++i) {
-    std::ofstream overlay(overlay_path(i));
-    UCR_REQUIRE(overlay.is_open(),
-                "cannot write shard overlay '" + overlay_path(i) + "'");
-    overlay << shard_overlay_text(base_abs, i, shards, options_.format,
-                                  options_.worker_threads);
+    unit.spec.shard.index = i;
+    unit.spec.shard.count = shards;
+    std::ofstream file(unit_path(i));
+    UCR_REQUIRE(file.is_open(),
+                "cannot write shard unit '" + unit_path(i) + "'");
+    file << exp::to_text(unit);
   }
 
   std::deque<std::uint64_t> pending;
@@ -348,8 +328,8 @@ CoordReport Coordinator::run(std::ostream& out) {
     if (failure.empty()) {
       try {
         validate_shard_output(
-            read_whole_file(attempt.out_path,
-                            "shard " + std::to_string(shard)),
+            read_text_file(attempt.out_path,
+                           "shard " + std::to_string(shard) + " output"),
             format_, shard, shard_rows_[shard], spec_hash_);
       } catch (const ContractViolation& e) {
         failure = e.what();
@@ -497,9 +477,8 @@ CoordReport Coordinator::run(std::ostream& out) {
   // concatenation is byte-identical to the unsharded run by the pinned
   // sharding contract (shard 0 carries the only header).
   for (std::uint64_t i = 0; i < shards; ++i) {
-    const std::string text =
-        read_whole_file(accepted[i], "shard " + std::to_string(i));
-    out << text;
+    out << read_text_file(accepted[i],
+                          "shard " + std::to_string(i) + " output");
     report.rows += shard_rows_[i];
   }
   out.flush();

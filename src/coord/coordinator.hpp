@@ -7,15 +7,12 @@
 // each worker with an output-progress heartbeat, retries failed or
 // timed-out shards on other workers (bounded attempts, loud terminal
 // failure), and concatenates the per-shard sinks in shard order. Each
-// work unit is a spec *overlay* written to the work directory —
-//
-//   spec_version = 1
-//   include = <base spec>
-//   shard = i/N
-//
-// — so a worker runs the exact `ucr_cli --spec=FILE` code path every
-// single-machine sweep runs, and the unit file is a one-line diff of the
-// canonical sweep (exp/spec_io.hpp overlays).
+// work unit written to the work directory is the canonical text
+// (exp/spec_io.hpp to_text) of the loaded base spec with `shard = i/N`,
+// the output format and the thread override set — so a worker runs the
+// exact `ucr_cli --spec=FILE` code path every single-machine sweep runs,
+// on a self-contained file with the base's spec_hash, whatever spec
+// `--spec` accepts (an overlay included) the base was.
 //
 // Correctness rests on contracts the repository already pins: shard
 // concatenation is byte-identical to the unsharded run (shards emit their
@@ -59,7 +56,7 @@ struct CoordinatorOptions {
   /// ucr_cli binary the workers run (exec workers receive it verbatim
   /// after their argv prefix).
   std::string cli = "ucr_cli";
-  /// Scratch root for overlays, per-attempt outputs, worker logs and
+  /// Scratch root for work units, per-attempt outputs, worker logs and
   /// worker caches. Created if missing; never deleted here.
   std::string work_dir;
   /// Attempts per shard before the whole run fails loudly.
@@ -70,7 +67,7 @@ struct CoordinatorOptions {
   /// Give each worker its own ResultCache under work_dir, so a retried
   /// shard on a warm worker replays banked cells instead of recomputing.
   bool worker_cache = true;
-  /// Output format override written into the shard overlays (flag-wins,
+  /// Output format override written into the work units (flag-wins,
   /// like ucr_cli --format). Required when the base spec says `table`.
   std::optional<exp::OutputFormat> format;
   /// Worker threads per shard invocation (0 keeps the spec's own value).
@@ -145,13 +142,6 @@ void validate_shard_output(const std::string& text, exp::OutputFormat format,
                            std::uint64_t expected_rows,
                            const std::string& hash);
 
-/// The overlay text of one work unit: include = base, shard = i/N, plus
-/// the format/threads overrides when set.
-std::string shard_overlay_text(const std::string& base_path,
-                               std::uint64_t index, std::uint64_t count,
-                               const std::optional<exp::OutputFormat>& format,
-                               unsigned worker_threads);
-
 class Coordinator {
  public:
   /// Loads and compiles the base spec (every spec error surfaces here,
@@ -186,7 +176,7 @@ class Coordinator {
  private:
   struct Attempt;
 
-  std::string overlay_path(std::uint64_t shard) const;
+  std::string unit_path(std::uint64_t shard) const;
   std::string output_path(std::uint64_t shard, unsigned attempt) const;
   std::vector<std::string> worker_argv(const WorkerSpec& worker,
                                        std::uint64_t shard) const;

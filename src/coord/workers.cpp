@@ -1,6 +1,5 @@
 #include "coord/workers.hpp"
 
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -117,11 +116,7 @@ std::vector<WorkerSpec> parse_workers(const std::string& text) {
 }
 
 std::vector<WorkerSpec> load_workers_file(const std::string& path) {
-  std::ifstream in(path);
-  UCR_REQUIRE(in.is_open(), "cannot open workers file '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_workers(text.str());
+  return parse_workers(read_text_file(path, "workers file"));
 }
 
 }  // namespace ucr::coord

@@ -1,9 +1,7 @@
 #include "exp/spec_io.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "common/check.hpp"
@@ -82,17 +80,6 @@ EngineMode parse_engine_mode(const std::string& value,
                           "'?");
 }
 
-OutputFormat parse_output_format(const std::string& value,
-                                 const std::string& source) {
-  static const std::vector<std::string> names{"table", "csv", "jsonl"};
-  if (value == "table") return OutputFormat::kTable;
-  if (value == "csv") return OutputFormat::kCsv;
-  if (value == "jsonl") return OutputFormat::kJsonl;
-  throw ContractViolation(source + ": unknown format '" + value +
-                          "' — did you mean '" + closest_name(names, value) +
-                          "'?");
-}
-
 std::string arrival_text(const ArrivalSpec& arrival) {
   switch (arrival.kind) {
     case ArrivalSpec::Kind::kBatch:
@@ -161,25 +148,15 @@ std::string join(const std::vector<std::string>& items) {
 /// The parser core behind both parse_spec overloads and load_spec_file.
 /// `loader` resolves `include = <name>` lines (nullptr rejects them);
 /// `allow_include` is false while parsing an included base, so overlays
-/// are exactly one level deep.
+/// are exactly one level deep. The file's head — `spec_version` and an
+/// optional `include` — is handled here; every other line is one delta
+/// that apply_spec_lines applies over the base (or over the defaults).
 SpecFile parse_spec_impl(const std::string& text, const SpecLoader& loader,
                          bool allow_include) {
   SpecFile file;
-  ExperimentSpec& spec = file.spec;
-
-  std::set<std::string> seen;
+  std::vector<SpecLine> delta;
   bool versioned = false;
-  // Overlay bookkeeping: which parts of the description were adopted from
-  // an included base. The first overlay line for a repeatable axis
-  // (`arrival` / `channel`) replaces the inherited list instead of
-  // appending to it, and an overlay `ks` / `kmax` displaces an inherited
-  // value of the *other* key (the two stay mutually exclusive, but a
-  // delta may switch a sweep from one spelling to the other).
   bool included = false;
-  bool overlay_arrivals = false;
-  bool overlay_channels = false;
-  bool inherited_ks = false;
-  bool inherited_kmax = false;
 
   std::size_t line_no = 0;
   std::size_t start = 0;
@@ -203,11 +180,90 @@ SpecFile parse_spec_impl(const std::string& text, const SpecLoader& loader,
     UCR_REQUIRE(equals != std::string::npos,
                 source + ": malformed line '" + line +
                     "' (expected key = value)");
-    const std::string key = trim(line.substr(0, equals));
-    const std::string value = trim(line.substr(equals + 1));
+    std::string key = trim(line.substr(0, equals));
+    std::string value = trim(line.substr(equals + 1));
     UCR_REQUIRE(!key.empty(), source + ": missing key before '='");
     UCR_REQUIRE(!value.empty(), source + ": missing value for '" + key + "'");
 
+    if (key == "spec_version") {
+      UCR_REQUIRE(!versioned, source + ": duplicate key '" + key + "'");
+      UCR_REQUIRE(value == "1", source + ": unsupported spec_version '" +
+                                    value + "' (this build reads 1)");
+      versioned = true;
+    } else if (key == "include") {
+      UCR_REQUIRE(!included, source + ": duplicate key '" + key + "'");
+      UCR_REQUIRE(allow_include,
+                  source + ": nested include '" + value +
+                      "' (an included base spec must be flat — overlays "
+                      "are one level deep)");
+      UCR_REQUIRE(loader != nullptr,
+                  source + ": include needs a file context (load the "
+                           "overlay with load_spec_file, or pass a "
+                           "SpecLoader to parse_spec)");
+      UCR_REQUIRE(delta.empty(),
+                  source + ": include must precede every key except "
+                           "spec_version (saw '" + delta.front().key +
+                           "' first — an overlay states its base, then "
+                           "its deltas)");
+      try {
+        file = parse_spec_impl(loader(value), loader, /*allow_include=*/false);
+      } catch (const ContractViolation& e) {
+        throw ContractViolation(source + ": include '" + value + "': " +
+                                e.what());
+      }
+      included = true;
+    } else {
+      delta.push_back({std::move(key), std::move(value), source});
+    }
+  }
+
+  apply_spec_lines(file, delta);
+  UCR_REQUIRE(versioned,
+              "spec is missing 'spec_version = 1' (required so future "
+              "format changes fail loudly instead of misparsing)");
+  return file;
+}
+
+}  // namespace
+
+const char* output_format_name(OutputFormat format) {
+  switch (format) {
+    case OutputFormat::kTable:
+      return "table";
+    case OutputFormat::kCsv:
+      return "csv";
+    case OutputFormat::kJsonl:
+      return "jsonl";
+  }
+  UCR_CHECK(false, "unreachable output format");
+  return "";
+}
+
+OutputFormat parse_output_format(const std::string& value,
+                                 const std::string& source) {
+  static const std::vector<std::string> names{"table", "csv", "jsonl"};
+  if (value == "table") return OutputFormat::kTable;
+  if (value == "csv") return OutputFormat::kCsv;
+  if (value == "jsonl") return OutputFormat::kJsonl;
+  throw ContractViolation(source + ": unknown format '" + value +
+                          "' — did you mean '" + closest_name(names, value) +
+                          "'?");
+}
+
+void apply_spec_lines(SpecFile& file, const std::vector<SpecLine>& lines) {
+  ExperimentSpec& spec = file.spec;
+  // `file` is the base these lines are a delta over. The first line for a
+  // repeatable axis (`arrival` / `channel`) replaces the inherited list
+  // instead of appending to it, and a `ks` / `kmax` line displaces an
+  // inherited value of the *other* key (the two stay mutually exclusive,
+  // but a delta may switch a sweep from one spelling to the other).
+  const bool inherited_ks = !spec.ks.empty();
+  const bool inherited_kmax = spec.k_max != 0;
+  bool own_arrivals = false;
+  bool own_channels = false;
+  std::set<std::string> seen;
+
+  for (const auto& [key, value, source] : lines) {
     // Every key but the repeatable grid axes `arrival` / `channel` is
     // single-shot.
     if (key != "arrival" && key != "channel") {
@@ -216,39 +272,7 @@ SpecFile parse_spec_impl(const std::string& text, const SpecLoader& loader,
     }
 
     try {
-      if (key == "spec_version") {
-        UCR_REQUIRE(value == "1", source + ": unsupported spec_version '" +
-                                      value + "' (this build reads 1)");
-        versioned = true;
-      } else if (key == "include") {
-        UCR_REQUIRE(allow_include,
-                    source + ": nested include '" + value +
-                        "' (an included base spec must be flat — overlays "
-                        "are one level deep)");
-        UCR_REQUIRE(loader != nullptr,
-                    source + ": include needs a file context (load the "
-                             "overlay with load_spec_file, or pass a "
-                             "SpecLoader to parse_spec)");
-        for (const std::string& prior : seen) {
-          UCR_REQUIRE(prior == "include" || prior == "spec_version",
-                      source + ": include must precede every key except "
-                               "spec_version (saw '" + prior +
-                               "' first — an overlay states its base, "
-                               "then its deltas)");
-        }
-        SpecFile base;
-        try {
-          base = parse_spec_impl(loader(value), loader,
-                                 /*allow_include=*/false);
-        } catch (const ContractViolation& e) {
-          throw ContractViolation(source + ": include '" + value + "': " +
-                                  e.what());
-        }
-        file = std::move(base);  // `spec` still references file.spec
-        included = true;
-        inherited_ks = !spec.ks.empty();
-        inherited_kmax = spec.k_max != 0;
-      } else if (key == "protocols") {
+      if (key == "protocols") {
         spec.protocol_names = split_list(value, source);
       } else if (key == "ks") {
         if (inherited_kmax && seen.count("kmax") == 0) spec.k_max = 0;
@@ -260,8 +284,8 @@ SpecFile parse_spec_impl(const std::string& text, const SpecLoader& loader,
         if (inherited_ks && seen.count("ks") == 0) spec.ks.clear();
         spec.k_max = parse_u64_strict(value, source + " key 'kmax'");
       } else if (key == "arrival") {
-        if (included && !overlay_arrivals) spec.arrivals.clear();
-        overlay_arrivals = true;
+        if (!own_arrivals) spec.arrivals.clear();
+        own_arrivals = true;
         spec.with_arrival(ArrivalSpec::parse(value));
       } else if (key == "runs") {
         spec.runs = parse_u64_strict(value, source + " key 'runs'");
@@ -279,8 +303,8 @@ SpecFile parse_spec_impl(const std::string& text, const SpecLoader& loader,
       } else if (key == "collision_detection") {
         spec.engine_options.collision_detection = parse_bool(value, source);
       } else if (key == "channel") {
-        if (included && !overlay_channels) spec.channels.clear();
-        overlay_channels = true;
+        if (!own_channels) spec.channels.clear();
+        own_channels = true;
         spec.with_channel(ChannelModel::parse(value));
       } else if (key == "shard") {
         spec.shard = ShardSpec::parse(value);
@@ -308,28 +332,9 @@ SpecFile parse_spec_impl(const std::string& text, const SpecLoader& loader,
     }
   }
 
-  UCR_REQUIRE(versioned,
-              "spec is missing 'spec_version = 1' (required so future "
-              "format changes fail loudly instead of misparsing)");
   UCR_REQUIRE(spec.ks.empty() || spec.k_max == 0,
               "spec sets both 'ks' and 'kmax' (they are mutually "
               "exclusive: ks is explicit, kmax derives the paper sweep)");
-  return file;
-}
-
-}  // namespace
-
-const char* output_format_name(OutputFormat format) {
-  switch (format) {
-    case OutputFormat::kTable:
-      return "table";
-    case OutputFormat::kCsv:
-      return "csv";
-    case OutputFormat::kJsonl:
-      return "jsonl";
-  }
-  UCR_CHECK(false, "unreachable output format");
-  return "";
 }
 
 SpecFile parse_spec(const std::string& text) {
@@ -339,18 +344,6 @@ SpecFile parse_spec(const std::string& text) {
 SpecFile parse_spec(const std::string& text, const SpecLoader& loader) {
   return parse_spec_impl(text, loader, /*allow_include=*/true);
 }
-
-namespace {
-
-std::string read_spec_text(const std::string& path) {
-  std::ifstream in(path);
-  UCR_REQUIRE(in.is_open(), "cannot open spec file '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-}  // namespace
 
 SpecFile load_spec_file(const std::string& path) {
   // Includes resolve relative to the directory of the *including* file —
@@ -362,9 +355,9 @@ SpecFile load_spec_file(const std::string& path) {
   if (slash != std::string::npos) dir = path.substr(0, slash + 1);
   const SpecLoader loader = [&dir](const std::string& name) {
     const bool absolute = !name.empty() && name.front() == '/';
-    return read_spec_text(absolute ? name : dir + name);
+    return read_text_file(absolute ? name : dir + name, "spec file");
   };
-  return parse_spec(read_spec_text(path), loader);
+  return parse_spec(read_text_file(path, "spec file"), loader);
 }
 
 std::string to_text(const ExperimentSpec& spec) {

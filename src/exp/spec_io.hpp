@@ -55,6 +55,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "exp/spec.hpp"
 
@@ -64,6 +65,11 @@ namespace ucr::exp {
 enum class OutputFormat { kTable, kCsv, kJsonl };
 
 const char* output_format_name(OutputFormat format);
+
+/// Parses an output format name: table, csv or jsonl. Throws
+/// ContractViolation naming `source`, with a did-you-mean hint, otherwise.
+OutputFormat parse_output_format(const std::string& value,
+                                 const std::string& source);
 
 /// One parsed spec file: the experiment description plus the execution
 /// (worker threads) and output (format) knobs a runbook wants pinned in
@@ -93,17 +99,36 @@ using SpecLoader = std::function<std::string(const std::string& name)>;
 /// parse_spec with spec *overlays* resolved at parse time: an
 /// `include = <base>` line (which must precede every key except
 /// spec_version, at most once) loads the named base spec through
-/// `loader`, adopts its entire description, and treats the remaining
-/// lines as deltas — scalar keys override the base's value, and the
-/// first `arrival` / `channel` line replaces the base's whole list (an
-/// overlay restates an axis, it never appends to one). The base must be
-/// flat: a nested `include` inside it fails with a line-numbered error.
-/// Because resolution happens at parse time, an overlay parses to the
-/// same SpecFile value — hence the same canonical text and the same
-/// spec_hash — as the flattened spec it abbreviates; that equality is
-/// what lets a per-worker shard file be a one-line diff of the canonical
-/// sweep (docs/SERVICE.md).
+/// `loader`, adopts its entire description, and applies the remaining
+/// lines over it as one delta (apply_spec_lines below): scalar keys
+/// override the base's value, and the first `arrival` / `channel` line
+/// replaces the base's whole list (an overlay restates an axis, it never
+/// appends to one). The base must be flat: a nested `include` inside it
+/// fails with a line-numbered error. Because resolution happens at parse
+/// time, an overlay parses to the same SpecFile value — hence the same
+/// canonical text and the same spec_hash — as the flattened spec it
+/// abbreviates (docs/SERVICE.md).
 SpecFile parse_spec(const std::string& text, const SpecLoader& loader);
+
+/// One `key = value` line and the name its errors carry: "spec line 3"
+/// for a line of a file, "--ks" for the ucr_cli flag that stands for it.
+struct SpecLine {
+  std::string key;
+  std::string value;
+  std::string source;
+};
+
+/// Applies `lines` over `file` as one overlay delta — the only code that
+/// applies a key to a SpecFile. The rules are those of an included base's
+/// deltas (parse_spec with a loader, above), and ucr_cli's flags follow
+/// them over a loaded file: a scalar key overrides; the first `arrival` /
+/// `channel` line replaces the inherited list and later ones append; `ks`
+/// and `kmax` displace each other's inherited value. A scalar key repeated
+/// within `lines`, and `ks` with `kmax`, throw ContractViolation, as does
+/// any malformed value, naming the line's source. Values are used as given
+/// (never comment-stripped). `spec_version` and `include` head a file and
+/// are not keys here.
+void apply_spec_lines(SpecFile& file, const std::vector<SpecLine>& lines);
 
 /// Reads `path` and parse_spec()s its contents — the one spec-loading
 /// path every front end (ucr_cli --spec, the fleet coordinator) shares.

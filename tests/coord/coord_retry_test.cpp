@@ -1,5 +1,5 @@
 // The coordinator contract (coord/coordinator.hpp), unit and end to end:
-// shard overlays, per-shard output validation, the machine-readable
+// shard work units, per-shard output validation, the machine-readable
 // status encoding and the control socket that serves it, and the
 // acceptance property itself — a real worker
 // fleet with a rigged mid-shard death (UCR_ABORT_MODE=kill through the
@@ -77,18 +77,53 @@ fs::path fresh_root(const std::string& name) {
   return root;
 }
 
-TEST(ShardOverlay, TextIsTheMinimalDelta) {
-  EXPECT_EQ(shard_overlay_text("/tmp/base.spec", 2, 5, std::nullopt, 0),
-            "spec_version = 1\n"
-            "include = /tmp/base.spec\n"
-            "shard = 2/5\n");
-  EXPECT_EQ(
-      shard_overlay_text("b.spec", 0, 3, exp::OutputFormat::kJsonl, 4),
-      "spec_version = 1\n"
-      "include = b.spec\n"
-      "shard = 0/3\n"
-      "format = jsonl\n"
-      "threads = 4\n");
+TEST(ShardUnit, IsTheBaseWithOnlyShardFormatAndThreadsChanged) {
+  // The base is an overlay, and both its files are gone before run(): a
+  // unit is the loaded base's canonical text, so it needs neither, and
+  // it loads back to that base with only the shard, the output format and
+  // the thread override changed — the same spec_hash.
+  const fs::path root = fresh_root("ucr_coord_unit_test");
+  const std::string base_path = write_spec(root, test_spec());
+  const fs::path overlay_path = root / "overlay.spec";
+  std::ofstream(overlay_path) << "spec_version = 1\ninclude = base.spec\n"
+                                 "runs = 1\n";
+  exp::SpecFile loaded = test_spec();
+  loaded.spec.runs = 1;
+
+  for (const bool overrides : {false, true}) {
+    CoordinatorOptions options;
+    options.spec_path = overlay_path.string();
+    options.workers = parse_workers("local\n");
+    options.work_dir = (root / ("work-" + std::to_string(overrides))).string();
+    options.cli = UCR_CLI_PATH;
+    options.shards = 3;
+    if (overrides) {
+      options.format = exp::OutputFormat::kCsv;
+      options.worker_threads = 2;
+    }
+    Coordinator coordinator(options);
+    if (overrides) {
+      fs::remove(base_path);
+      fs::remove(overlay_path);
+    }
+    std::ostringstream out;
+    EXPECT_EQ(coordinator.run(out).rows, 6u);
+
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const exp::SpecFile unit = exp::load_spec_file(
+          options.work_dir + "/shard-" + std::to_string(i) + ".spec");
+      exp::SpecFile expected = loaded;
+      expected.spec.shard.index = i;
+      expected.spec.shard.count = 3;
+      if (overrides) {
+        expected.format = exp::OutputFormat::kCsv;
+        expected.threads = 2;
+      }
+      EXPECT_EQ(unit, expected) << "shard " << i;
+      EXPECT_EQ(exp::spec_hash(unit.spec), coordinator.spec_hash());
+    }
+  }
+  fs::remove_all(root);
 }
 
 TEST(ValidateShardOutput, EnforcesTheShardZeroHeaderContract) {

@@ -195,6 +195,11 @@ TEST(SpecIo, AcceptsCommentsBlankLinesAndLooseWhitespace) {
   ASSERT_EQ(file.spec.arrivals.size(), 1u);
   EXPECT_EQ(file.spec.arrivals[0].lambda, 0.25);
   EXPECT_EQ(file.spec.runs, 3u);
+  // A flag's value is taken whole: '#' starts a comment only in a file.
+  SpecFile flags;
+  apply_spec_lines(flags, {{"protocols", "A#1 , B", "--protocols"}});
+  EXPECT_EQ(flags.spec.protocol_names,
+            (std::vector<std::string>{"A#1", "B"}));
 }
 
 TEST(SpecIo, UnknownKeyGetsDidYouMeanWithLineNumber) {
@@ -217,6 +222,15 @@ TEST(SpecIo, MisspelledEnumValuesGetDidYouMean) {
   EXPECT_NE(arrival.find("did you mean 'poisson'"), std::string::npos)
       << arrival;
   EXPECT_NE(arrival.find("spec line 2"), std::string::npos) << arrival;
+  // A flag's line gets the same hint, named by the flag.
+  const std::string flag = what_of([] {
+    SpecFile file;
+    apply_spec_lines(file, {{"engine", "batchd", "--engine"}});
+  });
+  EXPECT_NE(flag.find("--engine: unknown engine 'batchd' — did you mean "
+                      "'batched'?"),
+            std::string::npos)
+      << flag;
 }
 
 TEST(SpecIo, RejectsMalformedInput) {
@@ -373,6 +387,11 @@ TEST(SpecOverlay, ExecutionOnlyDeltasKeepTheSpecHash) {
   EXPECT_EQ(overlay.spec.shard.label(), "2/5");
   EXPECT_EQ(overlay.threads, 3u);
   EXPECT_EQ(overlay.format, OutputFormat::kJsonl);
+  SpecFile flags = base;
+  apply_spec_lines(flags, {{"shard", "2/5", "--shard"},
+                           {"threads", "3", "--threads"},
+                           {"format", "jsonl", "--format"}});
+  EXPECT_EQ(flags, overlay);
 }
 
 TEST(SpecOverlay, FirstArrivalOrChannelLineReplacesTheInheritedList) {
@@ -384,6 +403,12 @@ TEST(SpecOverlay, FirstArrivalOrChannelLineReplacesTheInheritedList) {
       "arrival = batch\n"
       "channel = jamming(0.05)\n",
       loader);
+  // The same delta as ucr_cli's --arrivals / --channel lines.
+  SpecFile flags = parse_spec(kOverlayBase);
+  apply_spec_lines(flags, {{"arrival", "burst(3,7)", "--arrivals"},
+                           {"arrival", "batch", "--arrivals"},
+                           {"channel", "jamming(0.05)", "--channel"}});
+  EXPECT_EQ(flags, overlay);
   // Replacement, not append: the base's two arrivals and two channels are
   // gone; the overlay's own lines still accumulate among themselves.
   ASSERT_EQ(overlay.spec.arrivals.size(), 2u);
@@ -413,6 +438,23 @@ TEST(SpecOverlay, KsAndKmaxDisplaceEachOtherAcrossTheIncludeBoundary) {
           "spec_version = 1\ninclude = kmax.spec\nks = 5\nkmax = 9\n",
           loader),
       ContractViolation);
+
+  // ucr_cli's k flags are the same lines applied over a loaded file.
+  SpecFile flags = parse_spec(loader("kmax.spec"));
+  apply_spec_lines(flags, {{"ks", "5,6", "--ks"}});
+  EXPECT_EQ(flags, to_ks);
+  flags = parse_spec(loader("ks.spec"));
+  apply_spec_lines(flags, {{"kmax", "1000", "--kmax"}});
+  EXPECT_EQ(flags, to_kmax);
+  EXPECT_THROW(apply_spec_lines(flags, {{"ks", "5", "--ks"},
+                                        {"kmax", "9", "--kmax"}}),
+               ContractViolation);
+  // --k is a second `ks` line: a repeated key names the flag it came from.
+  const std::string twice = what_of([&] {
+    apply_spec_lines(flags, {{"ks", "5", "--ks"}, {"ks", "7", "--k"}});
+  });
+  EXPECT_NE(twice.find("--k: duplicate key 'ks'"), std::string::npos)
+      << twice;
 }
 
 TEST(SpecOverlay, NestedIncludeIsRejectedWithBothLineNumbers) {
@@ -476,43 +518,51 @@ TEST(SpecOverlay, RandomizedOverlaysMatchTheirFlattenedEquivalent) {
     const SpecFile base = random_spec_file(rng);
     SpecFile expected = base;
     std::string overlay_text = "spec_version = 1\ninclude = base.spec\n";
+    // The same deltas as the lines ucr_cli's flags become.
+    std::vector<SpecLine> flags;
+    const auto delta = [&](const std::string& key, const std::string& value,
+                           const std::string& flag) {
+      overlay_text += key + " = " + value + "\n";
+      flags.push_back({key, value, flag});
+    };
     bool sweep_changed = false;
     if (u64(2) != 0) {
       expected.spec.runs = 1 + u64(50);
-      overlay_text += "runs = " + std::to_string(expected.spec.runs) + "\n";
+      delta("runs", std::to_string(expected.spec.runs), "--runs");
       sweep_changed = true;
     }
     if (u64(2) != 0) {
       expected.spec.seed = u64(1 << 30);
-      overlay_text += "seed = " + std::to_string(expected.spec.seed) + "\n";
+      delta("seed", std::to_string(expected.spec.seed), "--seed");
       sweep_changed = true;
     }
     if (u64(2) != 0) {
       expected.spec.arrivals.clear();
       expected.spec.with_arrival(ArrivalSpec::burst(2, 9));
-      overlay_text += "arrival = burst(2,9)\n";
+      delta("arrival", "burst(2,9)", "--arrivals");
       sweep_changed = true;
     }
     if (u64(2) != 0) {
       expected.spec.shard.count = 1 + u64(6);
       expected.spec.shard.index = u64(expected.spec.shard.count);
-      overlay_text +=
-          "shard = " + expected.spec.shard.label() + "\n";
+      delta("shard", expected.spec.shard.label(), "--shard");
     }
     if (u64(2) != 0) {
       expected.threads = 1 + static_cast<unsigned>(u64(8));
-      overlay_text += "threads = " + std::to_string(expected.threads) + "\n";
+      delta("threads", std::to_string(expected.threads), "--threads");
     }
     if (u64(2) != 0) {
       expected.format = static_cast<OutputFormat>(u64(3));
-      overlay_text += std::string("format = ") +
-                      output_format_name(expected.format) + "\n";
+      delta("format", output_format_name(expected.format), "--format");
     }
 
     const SpecLoader loader = map_loader({{"base.spec", to_text(base)}});
     const SpecFile parsed = parse_spec(overlay_text, loader);
     ASSERT_EQ(parsed, expected) << "trial " << trial << "\n" << overlay_text;
     EXPECT_EQ(to_text(parsed), to_text(expected)) << "trial " << trial;
+    SpecFile applied = base;
+    apply_spec_lines(applied, flags);
+    EXPECT_EQ(applied, expected) << "trial " << trial;
     if (!sweep_changed) {
       EXPECT_EQ(spec_hash(parsed.spec), spec_hash(base.spec))
           << "trial " << trial;

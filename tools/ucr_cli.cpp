@@ -1,14 +1,17 @@
 // ucr_cli — one command-line driver for the whole library. The canonical
 // experiment description is the textual spec (src/exp/spec_io.hpp):
-// --spec=FILE loads one, every other flag sets the same field of the
-// ExperimentSpec directly, and explicit flags win over the file — so a
-// versioned spec plus a one-flag override (a different shard, a different
-// format) is the normal cross-machine invocation. --dump-spec prints the
-// canonical merged text instead of running, which is also how a flag
-// invocation gets turned into a spec file in the first place. Either way
-// the CLI is just spec construction + the compile/run/sink pipeline, so a
-// sweep typed here, a spec file, a bench harness and a sharded
-// cross-machine run all execute the exact same code path.
+// --spec=FILE loads one, and every spec flag is the spec line it names
+// (--ks=10,100 is `ks = 10,100`), applied over the file by the rules of
+// an overlay's deltas (apply_spec_lines) — so explicit flags win over the
+// file, fail the way the same line would, and a versioned spec plus a
+// one-flag override (a different shard, a different format) is the
+// normal cross-machine invocation. --dump-spec prints the canonical
+// merged text instead of running, which is also how a flag invocation
+// gets turned into a spec file in the first place; --submit sends that
+// same merged text to the sweep daemon. Either way the CLI is just spec
+// construction + the compile/run/sink pipeline, so a sweep typed here, a
+// spec file, a daemon job, a bench harness and a sharded cross-machine
+// run all execute the exact same code path.
 //
 // Examples:
 //   ucr_cli --list
@@ -22,11 +25,9 @@
 //   ucr_cli --protocol="Exp Back-on/Back-off" --k=100000
 //           --arrivals=poisson --lambda=0.02 --engine=node_batched
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
@@ -61,22 +62,27 @@ int usage(const std::string& error) {
          "spec file front end:\n"
          "  --spec=FILE       load a textual ExperimentSpec (the key=value\n"
          "                    format of src/exp/spec_io.hpp; the shipped\n"
-         "                    sweeps live in specs/). Explicit flags below\n"
-         "                    override the file's values (flag wins).\n"
+         "                    sweeps live in specs/). Each flag below is\n"
+         "                    the spec line it names, applied over the\n"
+         "                    file as an overlay's lines are (flag wins;\n"
+         "                    a bad value fails as that line would)\n"
          "  --dump-spec       print the canonical merged spec text and\n"
          "                    exit — turns any flag invocation into a\n"
          "                    versionable spec file\n"
          "  --hash-spec       print the merged spec's shard-invariant\n"
          "                    spec_hash (the provenance key stamped on\n"
          "                    every archived row) and exit\n"
-         "spec axes (each flag sets one field of the ExperimentSpec):\n"
+         "spec axes (each flag is one line of the spec):\n"
          "  --protocol=NAME   one protocol (case-insensitive; typos get a\n"
          "                    did-you-mean hint — try --list)\n"
          "  --protocols=LIST  comma-separated names, or 'paper' (the five\n"
-         "                    evaluated protocols) or 'all'\n"
+         "                    evaluated protocols) or 'all'; --protocol\n"
+         "                    and --protocols are both the protocols line\n"
          "  --k=N             single batch size (default 1000)\n"
-         "  --ks=LIST         comma-separated k grid (e.g. 10,100,1000)\n"
+         "  --ks=LIST         comma-separated k grid (e.g. 10,100,1000);\n"
+         "                    --k and --ks are both the ks line\n"
          "  --kmax=N          the paper's sweep: powers of ten up to N\n"
+         "                    (displaces a file's ks; not with --k/--ks)\n"
          "  --runs=N          independent runs per cell (default 10)\n"
          "  --seed=N          base seed (default 2011)\n"
          "  --engine=fair|batched|node|node_batched\n"
@@ -130,12 +136,14 @@ int usage(const std::string& error) {
          "                    137 instead of throwing — a worker machine\n"
          "                    dying mid-shard, for coordinator tests)\n"
          "daemon client (needs a running ucr_servd; docs/SERVICE.md):\n"
-         "  --submit=FILE --socket=PATH [--wait]\n"
-         "                    submit a spec file; --wait streams the\n"
-         "                    job's JSONL rows to stdout (byte-identical\n"
-         "                    to --spec=FILE --format=jsonl) and prints\n"
-         "                    a summary to stderr, otherwise the job id\n"
-         "                    is printed and the job runs detached\n"
+         "  --submit=FILE --socket=PATH [--wait] [spec flags]\n"
+         "                    submit the merged spec (FILE with the spec\n"
+         "                    flags applied, as --dump-spec prints it);\n"
+         "                    --wait streams the job's JSONL rows to\n"
+         "                    stdout (byte-identical to --spec=FILE\n"
+         "                    --format=jsonl with the same flags) and\n"
+         "                    prints a summary to stderr, otherwise the\n"
+         "                    job id is printed and the job runs detached\n"
          "  --status=JOB --socket=PATH    print a job's progress\n"
          "  --cancel=JOB --socket=PATH    stop a job at its next cell\n"
          "  --json            with --status/--cancel: print the daemon's\n"
@@ -145,14 +153,116 @@ int usage(const std::string& error) {
   return 2;
 }
 
-/// Whole file as a string; ContractViolation naming the path on failure.
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  UCR_REQUIRE(in.is_open(), "cannot open spec file '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  UCR_REQUIRE(!in.bad(), "cannot read spec file '" + path + "'");
-  return text.str();
+/// Splits a comma-separated list whose items may carry parenthesized
+/// argument lists — "batch,mmpp(0.5,0.01,100)" is two items, not four.
+/// Only commas at parenthesis depth zero separate items; items are
+/// trimmed, and an empty one is rejected, as in a spec-file list.
+std::vector<std::string> split_expr_list(const std::string& text) {
+  std::vector<std::string> items;
+  std::string current;
+  int depth = 0;
+  const auto push = [&] {
+    std::string item = ucr::trim(current);
+    UCR_REQUIRE(!item.empty(), "empty item in list '" + text + "'");
+    items.push_back(std::move(item));
+    current.clear();
+  };
+  for (const char ch : text) {
+    if (ch == '(') ++depth;
+    if (ch == ')') --depth;
+    UCR_REQUIRE(depth >= 0, "unbalanced ')' in list '" + text + "'");
+    if (ch == ',' && depth == 0) {
+      push();
+    } else {
+      current += ch;
+    }
+  }
+  UCR_REQUIRE(depth == 0, "unbalanced '(' in list '" + text + "'");
+  push();
+  return items;
+}
+
+/// The spec a run starts from when no file is given: the ExperimentSpec
+/// defaults and the classic single batch size k = 1000, which any k flag
+/// displaces as an overlay line would.
+constexpr const char* kDefaultSpec = "spec_version = 1\nks = 1000\n";
+
+/// The spec lines the spec flags stand for, each named by its flag. A
+/// flag's value is the line's value as written, except that
+/// --protocols=paper and =all expand to names, a bare poisson or burst in
+/// --arrivals takes --lambda or --bursts/--gap, and --k, --threads (or
+/// UCR_THREADS) and --csv are checked as flags before they become lines.
+std::vector<ucr::exp::SpecLine> flag_lines(
+    const ucr::CliArgs& args,
+    const std::vector<ucr::ProtocolFactory>& catalogue) {
+  std::vector<ucr::exp::SpecLine> lines;
+  const auto add = [&lines](const char* key, std::string value,
+                            const char* flag) {
+    lines.push_back({key, std::move(value), std::string("--") + flag});
+  };
+  static constexpr std::pair<const char*, const char*> kAsWritten[] = {
+      {"protocol", "protocols"}, {"ks", "ks"},       {"kmax", "kmax"},
+      {"runs", "runs"},          {"seed", "seed"},   {"engine", "engine"},
+      {"max-slots", "max_slots"}, {"shard", "shard"}, {"format", "format"}};
+  for (const auto& [flag, key] : kAsWritten) {
+    if (const auto value = args.get(flag)) add(key, *value, flag);
+  }
+  if (auto names = args.get("protocols")) {
+    if (*names == "paper" || *names == "all") {
+      const auto named =
+          *names == "paper" ? ucr::paper_protocols() : catalogue;
+      names->clear();
+      for (const auto& p : named) {
+        *names += (names->empty() ? "" : ", ") + p.name;
+      }
+    }
+    add("protocols", *names, "protocols");
+  }
+  if (args.get("k")) add("ks", std::to_string(args.get_u64("k", 0)), "k");
+
+  if (const auto arrivals = args.get("arrivals")) {
+    const double lambda = args.get_double("lambda", 0.1);
+    const std::uint64_t bursts = args.get_u64("bursts", 4);
+    const std::uint64_t gap = args.get_u64("gap", 64);
+    for (std::string item : split_expr_list(*arrivals)) {
+      if (item == "poisson") {
+        item = "poisson(" + ucr::format_double_shortest(lambda) + ")";
+      } else if (item == "burst") {
+        item = "burst(" + std::to_string(bursts) + "," +
+               std::to_string(gap) + ")";
+      }
+      add("arrival", std::move(item), "arrivals");
+    }
+  } else if (args.get("lambda") || args.get("bursts") || args.get("gap")) {
+    // A file carries each cell's parameters inline: fail loudly rather
+    // than let a user believe they re-parameterized the file's cells.
+    throw ucr::ContractViolation(
+        "--lambda/--bursts/--gap only shape cells built by --arrivals; to "
+        "override a spec file's arrival cells, restate the list (e.g. "
+        "--arrivals=poisson --lambda=0.9)");
+  }
+  if (const auto channels = args.get("channel")) {
+    for (std::string item : split_expr_list(*channels)) {
+      add("channel", std::move(item), "channel");
+    }
+  }
+  if (const unsigned threads = ucr::thread_count_option(args, "UCR_THREADS")) {
+    add("threads", std::to_string(threads), "threads");
+  }
+  if (args.get_bool("csv", false)) add("format", "csv", "csv");
+  return lines;
+}
+
+/// The spec a run, --dump-spec or --submit acts on: the file at `path`
+/// (or kDefaultSpec) with the flag lines applied over it.
+ucr::exp::SpecFile merged_spec(
+    const ucr::CliArgs& args, const std::optional<std::string>& path,
+    const std::vector<ucr::ProtocolFactory>& catalogue) {
+  ucr::exp::SpecFile file = path.has_value()
+                                ? ucr::exp::load_spec_file(*path)
+                                : ucr::exp::parse_spec(kDefaultSpec);
+  ucr::exp::apply_spec_lines(file, flag_lines(args, catalogue));
+  return file;
 }
 
 /// "job job-2 done: 12/12 cells, 12 cache hits (100%)" — the CI service
@@ -214,10 +324,14 @@ int run_client(const ucr::CliArgs& args) {
     return 0;
   }
 
+  // --submit sends the merged spec as canonical text: the job is the
+  // sweep `--spec=FILE` with the same flags runs, overlays included.
   const auto spec_file = args.get("submit");
   UCR_CHECK(spec_file.has_value(), "run_client dispatched without a mode");
-  const auto response = ucr::svc::request(
-      *socket_path, ucr::svc::submit_request(read_file(*spec_file)));
+  const std::string text = ucr::exp::to_text(
+      merged_spec(args, spec_file, ucr::default_catalogue()));
+  const auto response =
+      ucr::svc::request(*socket_path, ucr::svc::submit_request(text));
   const std::string id = response.at("job").as_string();
   if (!args.get_bool("wait", false)) {
     std::cerr << "ucr_cli: submitted " << id << " ("
@@ -293,183 +407,11 @@ std::optional<AbortSink> make_abort_sink(const ucr::CliArgs& args) {
   return AbortSink(*limit, kill);
 }
 
-/// Splits a comma-separated list, trimming items and rejecting empties
-/// (as spec-file lists do).
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    std::string item = ucr::trim(text.substr(start, end - start));
-    UCR_REQUIRE(!item.empty(), "empty item in list '" + text + "'");
-    items.push_back(std::move(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return items;
-}
-
-/// Splits a comma-separated list whose items may carry parenthesized
-/// argument lists — "batch,mmpp(0.5,0.01,100)" is two items, not four.
-/// Only commas at parenthesis depth zero separate items; items are
-/// trimmed like split_list's.
-std::vector<std::string> split_expr_list(const std::string& text) {
-  std::vector<std::string> items;
-  std::string current;
-  int depth = 0;
-  const auto push = [&] {
-    std::string item = ucr::trim(current);
-    UCR_REQUIRE(!item.empty(), "empty item in list '" + text + "'");
-    items.push_back(std::move(item));
-    current.clear();
-  };
-  for (const char ch : text) {
-    if (ch == '(') ++depth;
-    if (ch == ')') --depth;
-    UCR_REQUIRE(depth >= 0, "unbalanced ')' in list '" + text + "'");
-    if (ch == ',' && depth == 0) {
-      push();
-    } else {
-      current += ch;
-    }
-  }
-  UCR_REQUIRE(depth == 0, "unbalanced '(' in list '" + text + "'");
-  push();
-  return items;
-}
-
 int run_spec(const ucr::CliArgs& args) {
   const auto protocols = ucr::default_catalogue();
-
-  // Layer 1: the spec file, when given (else a default-initialized spec).
-  ucr::exp::SpecFile file;
-  const bool from_file = args.get("spec").has_value();
-  if (from_file) {
-    file = ucr::exp::load_spec_file(*args.get("spec"));
-  }
-  ucr::exp::ExperimentSpec& spec = file.spec;
-
-  // Layer 2: explicit flags override the file, field by field.
-
-  // Protocol axis: either protocol flag replaces the file's selection.
-  if (args.get("protocol") || args.get("protocols")) {
-    spec.protocol_names.clear();
-    spec.protocols.clear();
-    if (const auto one = args.get("protocol")) {
-      spec.with_protocol(*one);
-    }
-    if (const auto many = args.get("protocols")) {
-      if (*many == "paper") {
-        for (const auto& p : ucr::paper_protocols()) {
-          spec.with_protocol(p.name);
-        }
-      } else if (*many == "all") {
-        for (const auto& p : protocols) spec.with_protocol(p.name);
-      } else {
-        for (const auto& name : split_list(*many)) spec.with_protocol(name);
-      }
-    }
-  }
-
-  // k axis: --ks wins over --kmax wins over --k; the classic default
-  // k = 1000 applies only when neither a flag nor the file set a grid.
-  if (const auto ks = args.get("ks")) {
-    spec.ks.clear();
-    spec.k_max = 0;
-    for (const auto& item : split_list(*ks)) {
-      spec.ks.push_back(ucr::parse_u64_strict(item, "--ks item"));
-    }
-  } else if (args.get("kmax")) {
-    spec.with_paper_ks(args.get_u64("kmax", 0));
-  } else if (args.get("k")) {
-    spec.ks = {args.get_u64("k", 1000)};
-    spec.k_max = 0;
-  } else if (!from_file && spec.ks.empty() && spec.k_max == 0) {
-    spec.ks = {1000};
-  }
-
-  if (args.get("runs")) spec.runs = args.get_u64("runs", spec.runs);
-  if (args.get("seed")) spec.seed = args.get_u64("seed", spec.seed);
-
-  if (const auto engine = args.get("engine")) {
-    if (*engine == "fair") {
-      spec.engine = ucr::exp::EngineMode::kFair;
-    } else if (*engine == "batched") {
-      spec.engine = ucr::exp::EngineMode::kBatched;
-    } else if (*engine == "node") {
-      spec.engine = ucr::exp::EngineMode::kNode;
-    } else if (*engine == "node_batched") {
-      spec.engine = ucr::exp::EngineMode::kNodeBatched;
-    } else {
-      return usage("unknown --engine (fair, batched, node or node_batched)");
-    }
-  }
-
-  // Arrival axis: an explicit --arrivals list replaces the file's cells;
-  // --lambda/--bursts/--gap shape those flag-built cells. Without
-  // --arrivals the shape flags have nothing to apply to (a file carries
-  // each cell's parameters inline) — fail loudly rather than let a user
-  // believe they re-parameterized the file's cells.
-  if (const auto arrivals = args.get("arrivals")) {
-    spec.arrivals.clear();
-    const double lambda = args.get_double("lambda", 0.1);
-    const std::uint64_t bursts = args.get_u64("bursts", 4);
-    const std::uint64_t gap = args.get_u64("gap", 64);
-    for (const auto& kind : split_expr_list(*arrivals)) {
-      if (kind == "batch") {
-        spec.with_arrival(ucr::exp::ArrivalSpec::batch());
-      } else if (kind == "poisson") {
-        spec.with_arrival(ucr::exp::ArrivalSpec::poisson(lambda));
-      } else if (kind == "burst") {
-        spec.with_arrival(ucr::exp::ArrivalSpec::burst(bursts, gap));
-      } else {
-        // Full spec-file expression syntax — schedule(...), mmpp(...),
-        // pareto(...), or an explicitly parameterized poisson/burst.
-        spec.with_arrival(ucr::exp::ArrivalSpec::parse(kind));
-      }
-    }
-  } else if (args.get("lambda") || args.get("bursts") || args.get("gap")) {
-    return usage(
-        "--lambda/--bursts/--gap only shape cells built by --arrivals; to "
-        "override a spec file's arrival cells, restate the list (e.g. "
-        "--arrivals=poisson --lambda=0.9)");
-  }
-
-  // Channel axis: an explicit --channel list replaces the file's cells.
-  if (const auto channel = args.get("channel")) {
-    spec.channels.clear();
-    for (const auto& item : split_expr_list(*channel)) {
-      spec.with_channel(ucr::ChannelModel::parse(item));
-    }
-  }
-
-  if (args.get("max-slots")) {
-    spec.engine_options.max_slots = args.get_u64("max-slots", 0);
-  }
-  if (const auto shard = args.get("shard")) {
-    spec.shard = ucr::exp::ShardSpec::parse(*shard);
-  }
-  // An empty UCR_THREADS means unset (a CI script's THREADS=$N with N
-  // undefined must not wipe a file's pinned thread count).
-  const char* threads_env = std::getenv("UCR_THREADS");
-  if (args.get("threads") ||
-      (threads_env != nullptr && *threads_env != '\0')) {
-    file.threads = ucr::thread_count_option(args, "UCR_THREADS");
-  }
-  if (const auto format = args.get("format")) {
-    if (*format == "table") {
-      file.format = ucr::exp::OutputFormat::kTable;
-    } else if (*format == "csv") {
-      file.format = ucr::exp::OutputFormat::kCsv;
-    } else if (*format == "jsonl") {
-      file.format = ucr::exp::OutputFormat::kJsonl;
-    } else {
-      return usage("unknown --format (table, csv or jsonl)");
-    }
-  } else if (args.get_bool("csv", false)) {
-    file.format = ucr::exp::OutputFormat::kCsv;
-  }
+  const ucr::exp::SpecFile file =
+      merged_spec(args, args.get("spec"), protocols);
+  const ucr::exp::ExperimentSpec& spec = file.spec;
 
   // The merged description is now final; --dump-spec prints its canonical
   // text (re-loadable with --spec) instead of running it.

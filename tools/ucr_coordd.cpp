@@ -53,7 +53,7 @@ int usage(const std::string& error) {
          "                   ('exec: ssh node7 wrapper.sh' prepends its\n"
          "                   argv to the ucr_cli invocation)\n"
          "  --local=N        shortcut: a fleet of N local workers\n"
-         "  --work-dir=DIR   scratch root for shard overlays, per-attempt\n"
+         "  --work-dir=DIR   scratch root for shard work units, per-attempt\n"
          "                   outputs, worker logs and caches (created;\n"
          "                   never deleted)\n"
          "  --shards=N       work units (default: fleet capacity, clamped\n"
@@ -118,15 +118,9 @@ int main(int argc, char** argv) {
     options.heartbeat_seconds =
         args.get_double("heartbeat", options.heartbeat_seconds);
     options.worker_cache = !args.get_bool("no-worker-cache", false);
+    // `table` parses here and is refused by the Coordinator constructor.
     if (const auto format = args.get("format")) {
-      if (*format == "csv") {
-        options.format = ucr::exp::OutputFormat::kCsv;
-      } else if (*format == "jsonl") {
-        options.format = ucr::exp::OutputFormat::kJsonl;
-      } else {
-        return usage("unknown --format (csv or jsonl — table output "
-                     "cannot be concatenated)");
-      }
+      options.format = ucr::exp::parse_output_format(*format, "--format");
     }
     options.worker_threads = ucr::thread_count_option(args, "UCR_THREADS");
 
