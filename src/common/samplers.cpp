@@ -130,6 +130,18 @@ std::uint64_t sample_geometric_failures(Xoshiro256& rng, double p,
   return static_cast<std::uint64_t>(failures);
 }
 
+Stretch sample_stretch(Xoshiro256& rng, double success, double silence,
+                       std::uint64_t limit) {
+  Stretch run;
+  run.failures = sample_geometric_failures(rng, success, limit);
+  run.silent = run.failures;
+  if (run.failures > 0 && success < 1.0) {
+    const double conditional = std::min(1.0, silence / (1.0 - success));
+    run.silent = sample_binomial(rng, run.failures, conditional);
+  }
+  return run;
+}
+
 std::uint64_t sample_poisson(Xoshiro256& rng, double lambda) {
   UCR_REQUIRE(lambda >= 0.0, "Poisson rate must be non-negative");
   if (lambda == 0.0) return 0;

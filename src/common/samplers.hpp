@@ -71,6 +71,25 @@ std::uint64_t sample_binomial(Xoshiro256& rng, std::uint64_t n, double p);
 std::uint64_t sample_geometric_failures(Xoshiro256& rng, double p,
                                         std::uint64_t limit);
 
+/// A run of i.i.d. slots, each a success with probability `success` and
+/// silent with probability `silence` (a collision otherwise), cut at the
+/// first success or after `limit` slots: `failures` non-success slots,
+/// min(Geometric(success), limit), of which `silent` were silent. The run
+/// ended in a success iff failures < limit.
+struct Stretch {
+  std::uint64_t failures = 0;
+  std::uint64_t silent = 0;
+};
+
+/// Draws a Stretch: the run length by sample_geometric_failures, then its
+/// silence/collision split with one binomial draw at P[silence | no
+/// success]. Both engines' stretch steps (the fair slot engine's
+/// constant-p stretch, the node engine's stationary stretch) draw through
+/// this. A run of 0 slots or a law of certain silence (success == 0,
+/// silence == 1) is decided without a draw.
+Stretch sample_stretch(Xoshiro256& rng, double success, double silence,
+                       std::uint64_t limit);
+
 /// Exact Poisson(lambda) sample (inversion for small lambda, split-and-sum
 /// recursion for large lambda). Used by the dynamic-arrival workload.
 std::uint64_t sample_poisson(Xoshiro256& rng, double lambda);

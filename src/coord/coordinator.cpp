@@ -211,9 +211,7 @@ std::vector<std::string> Coordinator::worker_argv(
   if (worker.kind == WorkerSpec::Kind::kExec) argv = worker.exec_prefix;
   argv.push_back(options_.cli);
   argv.push_back("--spec=" + unit_path(shard));
-  if (options_.worker_cache) {
-    argv.push_back("--cache=" + options_.work_dir + "/cache-" + worker.name);
-  }
+  argv.push_back("--cache=" + options_.work_dir + "/cache-" + worker.name);
   return argv;
 }
 

@@ -57,16 +57,15 @@ struct CoordinatorOptions {
   /// after their argv prefix).
   std::string cli = "ucr_cli";
   /// Scratch root for work units, per-attempt outputs, worker logs and
-  /// worker caches. Created if missing; never deleted here.
+  /// worker caches. Created if missing; never deleted here. Each worker
+  /// gets its own ResultCache under it, so a retried shard on a warm
+  /// worker replays banked cells instead of recomputing.
   std::string work_dir;
   /// Attempts per shard before the whole run fails loudly.
   unsigned max_attempts = 3;
   /// A running shard whose output file has not grown for this long is
   /// declared dead: the worker process is killed and the shard retried.
   double heartbeat_seconds = 60.0;
-  /// Give each worker its own ResultCache under work_dir, so a retried
-  /// shard on a warm worker replays banked cells instead of recomputing.
-  bool worker_cache = true;
   /// Output format override written into the work units (flag-wins,
   /// like ucr_cli --format). Required when the base spec says `table`.
   std::optional<exp::OutputFormat> format;

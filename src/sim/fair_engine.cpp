@@ -189,15 +189,9 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
     // success, so the non-success run length is Geometric(P[success])
     // truncated at the stretch, and the skipped slots split into silence
     // vs collision with one binomial draw.
-    const std::uint64_t failures =
-        sample_geometric_failures(rng, law.success, stretch);
+    const auto [failures, silent] =
+        sample_stretch(rng, law.success, law.silence, stretch);
     const bool delivered = failures < stretch;
-    std::uint64_t silent = failures;
-    if (failures > 0 && law.success < 1.0) {
-      const double conditional =
-          std::min(1.0, law.silence / (1.0 - law.success));
-      silent = sample_binomial(rng, failures, conditional);
-    }
     metrics.silence_slots += silent;
     metrics.collision_slots += failures - silent;
     metrics.slots += failures;
@@ -237,16 +231,15 @@ RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
   KahanSum expected_tx;
 
   std::uint64_t m = k;                 // active stations
-  std::vector<std::uint8_t> counts;    // dense path: per-offset occupancy
-  std::vector<std::uint64_t> choices;  // sorted-walk path: chosen offsets
-  std::vector<std::uint64_t> seen;     // bitmap path: offset occupied
-  std::vector<std::uint64_t> twice;    // bitmap path: offset occupied >= 2x
+  std::vector<std::uint64_t> seen;     // bitmap walk: offset occupied
+  std::vector<std::uint64_t> twice;    // bitmap walk: offset occupied >= 2x
+  std::vector<std::uint64_t> choices;  // sorted walk: chosen offsets
 
   // Per-station slot choices are drawn in bulk (fill_uniform_below) into a
-  // fixed-size block, then scattered into the path's occupancy structure —
-  // two tight loops instead of one interleaved RNG-call-per-station loop,
-  // with the identical u64 consumption order (bit-identical outputs). The
-  // block caps the transient memory at 32 KiB regardless of pending size.
+  // fixed-size block, then scattered into the walk's tally — two tight
+  // loops instead of one interleaved RNG-call-per-station loop, with the
+  // identical u64 consumption order (bit-identical outputs). The block
+  // caps the transient memory at 32 KiB regardless of pending size.
   constexpr std::size_t kChoiceBlock = 4096;
   std::vector<std::uint64_t> choice_buf(kChoiceBlock);
   const auto for_each_choice = [&](std::uint64_t window, std::uint64_t count,
@@ -323,124 +316,77 @@ RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
       continue;
     }
 
-    if (window <= pending) {
-      // Dense window: sample each station's chosen slot (equivalent in
-      // law to the per-slot chain, by the chain rule on uniform slot
-      // choices) into a small occupancy array and walk the window in slot
-      // order — O(pending + window) with per-element costs far below a
-      // binomial draw. Counts saturate at 255: the walk only
-      // distinguishes {0, 1, >= 2}, and transmissions are counted at draw
-      // time.
-      counts.assign(static_cast<std::size_t>(usable), 0);
-      for_each_choice(window, pending, [&](std::uint64_t c) {
-        if (c >= usable) return;
-        ++metrics.transmissions;
-        std::uint8_t& count = counts[static_cast<std::size_t>(c)];
-        if (count != 255) ++count;
-      });
-      for (std::uint64_t j = 0; j < usable; ++j) {
-        const std::uint8_t n = counts[static_cast<std::size_t>(j)];
-        ++metrics.slots;
-        if (n == 0) {
-          ++metrics.silence_slots;
-        } else if (n == 1) {
-          ++metrics.success_slots;
-          ++metrics.deliveries;
-          --m;
-          if (options.record_deliveries) {
-            metrics.delivery_slots.push_back(metrics.slots - 1);
-          }
-          if (m == 0) break;  // last delivery: the makespan stops here
-        } else {
-          ++metrics.collision_slots;
-        }
-      }
-      continue;
-    }
-
-    // Sparse window (window >> active stations — the paper-scale regime
-    // for monotone back-off): sample each pending station's chosen slot
-    // directly and resolve only the occupied slots. Equivalent in law to
-    // the per-slot chain by the chain rule on uniform slot choices.
-    //
-    // Occupancy is classified {0, 1, >= 2} per offset with two bitmaps in
-    // O(pending + window/64) — no sort. The bitmaps lose the slot order,
-    // which is only needed when recording delivery slots, so that case
-    // (and the ultra-sparse one where the bitmaps would dwarf the choice
-    // list) takes a sort-and-walk fallback.
-    const bool bitmap_fits =
-        !options.record_deliveries && usable / 64 <= pending;
-    if (bitmap_fits) {
-      const std::size_t words = static_cast<std::size_t>(usable / 64 + 1);
+    // Every other batched window samples each pending station's chosen
+    // slot directly (equivalent in law to the per-slot chain, by the chain
+    // rule on uniform slot choices) and tallies the choices by offset:
+    // O(pending) draws instead of O(window) binomials. Stations beyond the
+    // cap never get to transmit (the run stops first), exactly as in the
+    // per-slot engines. Window size alone picks the tally: two bitmaps
+    // while they are no larger than the choice list, else that list,
+    // sorted (windows of more than 64 slots per pending station). Both
+    // walks visit the offsets in slot order.
+    std::uint64_t occupied = 0;    // offsets one or more stations chose
+    std::uint64_t collisions = 0;  // offsets two or more stations chose
+    std::uint64_t top = 0;         // the highest offset chosen
+    if (usable / 64 <= pending) {
+      // Bitmap walk: occupancy {0, 1, >= 2} per offset in two bitmaps,
+      // then one pass over their words, O(pending + usable/64), no sort.
+      const std::size_t words = static_cast<std::size_t>((usable + 63) / 64);
       seen.assign(words, 0);
       twice.assign(words, 0);
-      std::uint64_t max_choice = 0;
       for_each_choice(window, pending, [&](std::uint64_t c) {
-        // Stations beyond the cap never get to transmit (the run stops
-        // first), exactly as in the per-slot engines.
         if (c >= usable) return;
         ++metrics.transmissions;
-        if (c > max_choice) max_choice = c;
+        const std::size_t w = static_cast<std::size_t>(c / 64);
         const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-        std::uint64_t& word = seen[static_cast<std::size_t>(c / 64)];
-        if (word & bit) {
-          twice[static_cast<std::size_t>(c / 64)] |= bit;
-        } else {
-          word |= bit;
-        }
+        twice[w] |= seen[w] & bit;
+        seen[w] |= bit;
       });
-      std::uint64_t occupied = 0;
-      std::uint64_t collisions = 0;
       for (std::size_t w = 0; w < words; ++w) {
-        occupied += static_cast<std::uint64_t>(std::popcount(seen[w]));
+        const std::uint64_t word = seen[w];
+        const std::uint64_t base = 64 * w;
+        occupied += static_cast<std::uint64_t>(std::popcount(word));
         collisions += static_cast<std::uint64_t>(std::popcount(twice[w]));
-      }
-      const std::uint64_t successes = occupied - collisions;
-      metrics.success_slots += successes;
-      metrics.deliveries += successes;
-      metrics.collision_slots += collisions;
-      m -= successes;
-      // Every pending station delivered <=> the window ends early, at the
-      // last (necessarily singleton) choice.
-      const std::uint64_t elapsed = m == 0 ? max_choice + 1 : usable;
-      metrics.silence_slots += elapsed - occupied;
-      metrics.slots += elapsed;
-      continue;
-    }
-
-    choices.clear();
-    for_each_choice(window, pending, [&](std::uint64_t c) {
-      if (c < usable) choices.push_back(c);
-    });
-    std::sort(choices.begin(), choices.end());
-
-    std::uint64_t elapsed = usable;
-    std::uint64_t occupied = 0;
-    std::size_t i = 0;
-    while (i < choices.size()) {
-      const std::uint64_t offset = choices[i];
-      std::size_t j = i + 1;
-      while (j < choices.size() && choices[j] == offset) ++j;
-      const std::uint64_t transmitters = j - i;
-      metrics.transmissions += transmitters;
-      ++occupied;
-      if (transmitters == 1) {
-        ++metrics.success_slots;
-        ++metrics.deliveries;
-        --m;
+        if (word != 0) {
+          top = base + 63 - static_cast<std::uint64_t>(std::countl_zero(word));
+        }
         if (options.record_deliveries) {
-          metrics.delivery_slots.push_back(metrics.slots + offset);
+          for (std::uint64_t singles = word & ~twice[w]; singles != 0;
+               singles &= singles - 1) {
+            const int bit = std::countr_zero(singles);
+            metrics.delivery_slots.push_back(metrics.slots + base + bit);
+          }
         }
-        if (m == 0) {
-          // Last delivery: the makespan stops here, mid-window.
-          elapsed = offset + 1;
-          break;
-        }
-      } else {
-        ++metrics.collision_slots;
       }
-      i = j;
+    } else {
+      // Sorted walk: the windows whose bitmaps would dwarf the choice list.
+      choices.clear();
+      for_each_choice(window, pending, [&](std::uint64_t c) {
+        if (c < usable) choices.push_back(c);
+      });
+      std::sort(choices.begin(), choices.end());
+      metrics.transmissions += choices.size();
+      for (std::size_t i = 0; i < choices.size();) {
+        std::size_t j = i + 1;
+        while (j < choices.size() && choices[j] == choices[i]) ++j;
+        ++occupied;
+        if (j - i > 1) {
+          ++collisions;
+        } else if (options.record_deliveries) {
+          metrics.delivery_slots.push_back(metrics.slots + choices[i]);
+        }
+        top = choices[i];
+        i = j;
+      }
     }
+    const std::uint64_t successes = occupied - collisions;
+    metrics.success_slots += successes;
+    metrics.deliveries += successes;
+    metrics.collision_slots += collisions;
+    m -= successes;
+    // Every pending station delivered <=> the makespan stops at the last
+    // (necessarily singleton) choice, inside this window.
+    const std::uint64_t elapsed = m == 0 ? top + 1 : usable;
     metrics.silence_slots += elapsed - occupied;
     metrics.slots += elapsed;
   }

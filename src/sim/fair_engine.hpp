@@ -72,13 +72,16 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
 /// work per slot. Batched mode keeps that chain for very dense windows
 /// (W <= pending/8) and otherwise samples each pending station's chosen
 /// slot directly (the two formulations are equivalent by the chain rule on
-/// uniform slot choices), walking only the occupied slots. Cost:
-/// O(active stations) per window instead of O(W) — the win at paper scale,
-/// where monotone back-off windows grow to >> k slots that are almost
-/// entirely silent. RunMetrics::transmissions is exact in both modes;
-/// expected_transmissions is the sum of per-slot expectations in exact
-/// mode and mirrors transmissions in batched mode (the realized count is
-/// the conditional expectation given the choices).
+/// uniform slot choices). Window size alone picks how the choices are
+/// tallied: in two occupancy bitmaps walked in slot order while they fit
+/// (usable/64 <= pending, usable being the slots the cap leaves), else in
+/// a sorted choice list. Cost: O(active stations) per window instead of
+/// O(W) — the win at paper scale, where monotone back-off windows grow to
+/// >> k slots that are almost entirely silent. Recording delivery slots
+/// reads the same walk and moves no draw. RunMetrics::transmissions is
+/// exact in both modes; expected_transmissions is the sum of per-slot
+/// expectations in exact mode and mirrors transmissions in batched mode
+/// (the realized count is the conditional expectation given the choices).
 RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
                                   Xoshiro256& rng,
                                   const EngineOptions& options);

@@ -201,14 +201,8 @@ RunMetrics run_node_engine(const StationFactory<Station>& factory,
     // stretch and the binomial at conditional == 1 returns it back without
     // touching the engine stream, preserving bit-identity with exact mode
     // across the skip.
-    const std::uint64_t failures =
-        sample_geometric_failures(rng, law.s, stretch);
+    const auto [failures, silent] = sample_stretch(rng, law.s, law.q, stretch);
     const bool delivered = failures < stretch;
-    std::uint64_t silent = failures;
-    if (failures > 0 && law.s < 1.0) {
-      const double conditional = std::min(1.0, law.q / (1.0 - law.s));
-      silent = sample_binomial(rng, failures, conditional);
-    }
     metrics.silence_slots += silent;
     metrics.collision_slots += failures - silent;
     // Unconditional per-slot expectation over the whole stretch, success

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/dynamic_one_fail.hpp"
 #include "core/registry.hpp"
 
 namespace ucr {
@@ -26,18 +25,11 @@ std::string read_repo_file(const std::string& relative) {
   return out.str();
 }
 
-/// The registered catalogue: what ucr_cli --list prints and find_protocol
-/// resolves (registry + the Dynamic One-Fail variant).
-std::vector<ProtocolFactory> registered_protocols() {
-  auto protocols = all_protocols();
-  protocols.push_back(make_dynamic_one_fail_factory());
-  return protocols;
-}
-
 TEST(ProtocolsDoc, EveryRegisteredProtocolHasASection) {
   const std::string doc = read_repo_file("docs/PROTOCOLS.md");
   ASSERT_FALSE(doc.empty());
-  for (const auto& protocol : registered_protocols()) {
+  // The catalogue ucr_cli --list prints and compile() resolves names in.
+  for (const auto& protocol : default_catalogue()) {
     const std::string heading = "## " + protocol.name + "\n";
     EXPECT_NE(doc.find(heading), std::string::npos)
         << "docs/PROTOCOLS.md is missing a '## " << protocol.name

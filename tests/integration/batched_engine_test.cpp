@@ -68,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BatchedEquivalence, SparseWindowRegimeAgrees) {
   // Larger k drives exponential back-off through the batched engine's
-  // sparse-window paths (bitmap and sorted-walk), which k = 60 barely
+  // sparse windows (bitmap walk and sorted walk), which k = 60 barely
   // touches.
   const auto factory = factory_by_name("Exponential Back-off (r=2)");
   const std::uint64_t k = 3000;

@@ -224,7 +224,7 @@ exp::SpecFile load_shrunk_table1() {
 
 // Table 1 at test scale on the batched fair engines: tens of thousands of
 // constant-probability stretches, and windows on every path of the
-// batched window engine (per-slot chain, dense, bitmap, sorted walk).
+// batched window engine (per-slot chain, bitmap walk, sorted walk).
 TEST(SpecGolden, Table1BatchedOutputMatchesGoldenFile) {
   expect_matches_golden(run_spec_file(load_shrunk_table1()),
                         "table1.batched.csv.golden");

@@ -608,34 +608,105 @@ TEST(BatchedWindowEngine, CapInsideWindowRespected) {
   EXPECT_EQ(m.slots, 10u);
 }
 
-TEST(BatchedWindowEngine, BitmapAndSortedPathsAgreeDrawForDraw) {
-  // k = 70 stations in 4480-slot windows sits exactly on the bitmap-path
-  // gate, and with ~58% probability all 70 choices are singletons — the
-  // run then ends mid-window through the bitmap early exit. Forcing the
-  // sorted-walk path via record_deliveries on the same seed must
-  // reproduce every metric, including the mid-window makespan.
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    FixedWindow plain_schedule(4480);
-    Xoshiro256 plain_rng = Xoshiro256::stream(930, seed);
-    const RunMetrics plain =
-        run_fair_window_engine(plain_schedule, 70, plain_rng, batched_mode());
-    ASSERT_TRUE(plain.completed);
+// A batched window of W slots with `pending` stations takes the per-slot
+// chain when W <= pending/8, the bitmap walk when usable/64 <= pending
+// and the sorted walk otherwise, where usable is the part of the window
+// the cap leaves. Each case sits on one side of a gate for its first
+// window.
+struct WindowCase {
+  std::uint64_t k;
+  std::uint64_t window;
+  std::uint64_t max_slots;  // 0: the default cap
+};
 
-    FixedWindow recording_schedule(4480);
-    Xoshiro256 recording_rng = Xoshiro256::stream(930, seed);
-    EngineOptions opts;
-    opts.record_deliveries = true;
-    const RunMetrics recorded = run_fair_window_engine(
-        recording_schedule, 70, recording_rng, batched_mode(opts));
-    ASSERT_TRUE(recorded.completed);
-    ASSERT_EQ(recorded.delivery_slots.size(), 70u);
-    EXPECT_EQ(recorded.slots, recorded.delivery_slots.back() + 1);
-    // Identical seed => identical choices => identical metrics whether or
-    // not the ordered path was forced.
-    EXPECT_EQ(plain.slots, recorded.slots);
-    EXPECT_EQ(plain.silence_slots, recorded.silence_slots);
-    EXPECT_EQ(plain.collision_slots, recorded.collision_slots);
-    EXPECT_EQ(plain.transmissions, recorded.transmissions);
+TEST(BatchedWindowEngine, RecordingDeliveriesMovesNoMetric) {
+  // Recording reads the same choices through the same walk, so every
+  // metric must agree draw for draw with a run that does not record.
+  const WindowCase cases[] = {
+      {800, 100, 0},        // W = k/8: the chain
+      {800, 101, 0},        // one slot more: the bitmap walk
+      {70, 4480, 0},        // W = 64k: the bitmap walk
+      {70, 4544, 0},        // one bitmap word more: the sorted walk
+      {500, 1000, 10},      // a cap inside a bitmap-walk window
+      {10, 100000, 50000},  // a cap inside a sorted-walk window
+  };
+  for (const WindowCase& c : cases) {
+    SCOPED_TRACE(testing::Message() << "k=" << c.k << " W=" << c.window);
+    std::uint64_t mid_window = 0;
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed);
+      EngineOptions opts;
+      opts.max_slots = c.max_slots;
+      FixedWindow plain_schedule(c.window);
+      Xoshiro256 plain_rng = Xoshiro256::stream(930, seed);
+      const RunMetrics plain = run_fair_window_engine(
+          plain_schedule, c.k, plain_rng, batched_mode(opts));
+
+      opts.record_deliveries = true;
+      FixedWindow recording_schedule(c.window);
+      Xoshiro256 recording_rng = Xoshiro256::stream(930, seed);
+      const RunMetrics recorded = run_fair_window_engine(
+          recording_schedule, c.k, recording_rng, batched_mode(opts));
+
+      EXPECT_EQ(plain.slots, recorded.slots);
+      EXPECT_EQ(plain.silence_slots, recorded.silence_slots);
+      EXPECT_EQ(plain.success_slots, recorded.success_slots);
+      EXPECT_EQ(plain.collision_slots, recorded.collision_slots);
+      EXPECT_EQ(plain.deliveries, recorded.deliveries);
+      EXPECT_EQ(plain.transmissions, recorded.transmissions);
+      EXPECT_EQ(plain.expected_transmissions, recorded.expected_transmissions);
+      EXPECT_EQ(plain.completed, recorded.completed);
+      ASSERT_EQ(recorded.delivery_slots.size(), recorded.deliveries);
+      if (recorded.completed) {
+        // The makespan ends at the last delivery.
+        EXPECT_EQ(recorded.slots, recorded.delivery_slots.back() + 1);
+        if (recorded.slots % c.window != 0) ++mid_window;
+      } else {
+        EXPECT_EQ(recorded.slots, c.max_slots);
+      }
+    }
+    // Every uncapped case has runs that end before their last window
+    // does, through the walks' early exit.
+    if (c.max_slots == 0) {
+      EXPECT_GT(mid_window, 0u);
+    }
+  }
+}
+
+TEST(BatchedWindowEngine, RecordedSlotsAreTheSortedSingletonChoices) {
+  // One window cut by the cap. fill_uniform_below draws exactly as
+  // sequential next_below calls do, so a copy of the engine stream
+  // replays every station's choice; the recorded delivery slots must be
+  // the offsets under the cap that exactly one station chose, in order.
+  const WindowCase cases[] = {
+      {3000, 1000, 700},    // a dense window: the bitmap walk
+      {300, 1000, 700},     // a sparse window: the bitmap walk
+      {20, 100000, 60000},  // the sorted walk
+  };
+  for (const WindowCase& c : cases) {
+    SCOPED_TRACE(testing::Message() << "k=" << c.k << " W=" << c.window);
+    for (std::uint64_t seed = 0; seed < 5; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed);
+      Xoshiro256 rng = Xoshiro256::stream(931, seed);
+      Xoshiro256 replay = rng;
+      std::vector<std::uint64_t> hits(c.max_slots, 0);
+      for (std::uint64_t station = 0; station < c.k; ++station) {
+        const std::uint64_t slot = replay.next_below(c.window);
+        if (slot < c.max_slots) ++hits[slot];
+      }
+      std::vector<std::uint64_t> singletons;
+      for (std::uint64_t slot = 0; slot < c.max_slots; ++slot) {
+        if (hits[slot] == 1) singletons.push_back(slot);
+      }
+
+      FixedWindow schedule(c.window);
+      EngineOptions opts;
+      opts.max_slots = c.max_slots;
+      opts.record_deliveries = true;
+      const RunMetrics m =
+          run_fair_window_engine(schedule, c.k, rng, batched_mode(opts));
+      EXPECT_EQ(m.delivery_slots, singletons);
+    }
   }
 }
 

@@ -69,7 +69,6 @@ int usage(const std::string& error) {
          "                   loudly (default 3)\n"
          "  --heartbeat=SEC  kill + retry a worker whose output has not\n"
          "                   grown for SEC seconds (default 60)\n"
-         "  --no-worker-cache  skip the per-worker result caches\n"
          "  --socket=PATH    serve the ping/status control protocol on\n"
          "                   this AF_UNIX socket while running\n";
   return 2;
@@ -82,8 +81,7 @@ int main(int argc, char** argv) {
     const ucr::CliArgs args(
         argc, argv,
         {"spec", "workers", "local", "work-dir", "shards", "cli", "output",
-         "format", "threads", "max-attempts", "heartbeat",
-         "no-worker-cache", "socket"});
+         "format", "threads", "max-attempts", "heartbeat", "socket"});
 
     ucr::coord::CoordinatorOptions options;
     const auto spec = args.get("spec");
@@ -117,7 +115,6 @@ int main(int argc, char** argv) {
         args.get_u64("max-attempts", options.max_attempts));
     options.heartbeat_seconds =
         args.get_double("heartbeat", options.heartbeat_seconds);
-    options.worker_cache = !args.get_bool("no-worker-cache", false);
     // `table` parses here and is refused by the Coordinator constructor.
     if (const auto format = args.get("format")) {
       options.format = ucr::exp::parse_output_format(*format, "--format");
