@@ -21,23 +21,18 @@
 
 namespace {
 
-/// Per-cell latency digest over the concatenated per-run latencies (run
-/// order, so deterministic for any thread count). The percentiles
-/// themselves now ride along in the aggregate (latency_p50/p95/p99, also
+/// Per-cell latency digest over the cell's pooled latencies, in sorted
+/// order, so deterministic for any thread count. The percentiles
+/// themselves ride along in the aggregate (latency_p50/p95/p99, also
 /// persisted per CSV/JSONL row); mean and the Jain fairness index are the
-/// extras this harness still derives from the details.
+/// extras this harness derives from the pool.
 struct LatencyDigest {
   double mean = 0.0;
   double fairness = 0.0;  // Jain index over per-message latencies
 };
 
 LatencyDigest digest_latencies(const ucr::AggregateResult& result) {
-  std::vector<double> latencies;
-  for (const auto& run : result.details) {
-    for (const auto l : run.latencies) {
-      latencies.push_back(static_cast<double>(l));
-    }
-  }
+  const std::vector<double> latencies = result.latencies.sorted_sample();
   LatencyDigest out;
   out.mean = ucr::summarize(latencies).mean;
   if (!latencies.empty()) {

@@ -8,10 +8,10 @@
 // not apply) and reports per-message delivery latency. The whole study is
 // one ExperimentSpec: a Poisson ArrivalSpec makes every run of a cell a
 // fresh draw of the arrival process, and record_latencies carries the
-// per-message latencies back in the aggregates. The non-monotonic
-// strategies the paper proposes for batched arrivals remain well-behaved
-// under Poisson arrivals — the observation that motivates the paper's
-// closing conjecture.
+// per-message latencies back in each aggregate's latency pool. The
+// non-monotonic strategies the paper proposes for batched arrivals remain
+// well-behaved under Poisson arrivals — the observation that motivates the
+// paper's closing conjecture.
 #include <cstdint>
 #include <iostream>
 
@@ -50,13 +50,7 @@ int main(int argc, char** argv) {
   ucr::Table table({"protocol", "mean makespan", "mean latency",
                     "p95 latency", "incomplete"});
   for (const auto& result : results) {
-    std::vector<double> latencies;
-    for (const auto& run : result.details) {
-      for (const auto l : run.latencies) {
-        latencies.push_back(static_cast<double>(l));
-      }
-    }
-    const ucr::Summary lat = ucr::summarize(latencies);
+    const ucr::Summary lat = ucr::summarize(result.latencies.sorted_sample());
     table.add_row({result.protocol, ucr::format_count(result.makespan.mean),
                    ucr::format_double(lat.mean, 1),
                    ucr::format_double(lat.p95, 1),

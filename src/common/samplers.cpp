@@ -73,10 +73,14 @@ std::uint64_t binomial_btrs(Xoshiro256& rng, std::uint64_t n, double p) {
   const double a = -0.0873 + 0.0248 * b + 0.01 * p;
   const double c = nd * p + 0.5;
   const double v_r = 0.92 - 4.2 / b;
-  const double alpha = (2.83 + 5.1 / b) * spq;
-  const double lpq = std::log(p / q);
-  const double m = std::floor((nd + 1.0) * p);
-  const double h = log_gamma(m + 1.0) + log_gamma(nd - m + 1.0);
+  // The rejection test's constants, computed the first time a draw gets
+  // past the squeeze: most draws return before it, and h alone costs two
+  // lgamma calls.
+  bool rejection_ready = false;
+  double alpha = 0.0;
+  double lpq = 0.0;
+  double m = 0.0;
+  double h = 0.0;
 
   for (;;) {
     const double u = rng.next_double() - 0.5;
@@ -86,6 +90,13 @@ std::uint64_t binomial_btrs(Xoshiro256& rng, std::uint64_t n, double p) {
     if (kd < 0.0 || kd > nd) continue;
     if (us >= 0.07 && v <= v_r) {
       return static_cast<std::uint64_t>(kd);
+    }
+    if (!rejection_ready) {
+      alpha = (2.83 + 5.1 / b) * spq;
+      lpq = std::log(p / q);
+      m = std::floor((nd + 1.0) * p);
+      h = log_gamma(m + 1.0) + log_gamma(nd - m + 1.0);
+      rejection_ready = true;
     }
     v = std::log(v * alpha / (a / (us * us) + b));
     if (v <= h - log_gamma(kd + 1.0) - log_gamma(nd - kd + 1.0) +

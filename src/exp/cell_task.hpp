@@ -45,9 +45,10 @@ struct CellTask {
   std::string key() const;
 
   /// Executes every run of this cell serially and folds the aggregate.
-  /// Bit-identical to what run() produces for the same cell (runs are
-  /// seeded stream(seed, r) either way; tests/exp/cell_task_test.cpp pins
-  /// it).
+  /// Its row is bit-identical to the one run() produces for the same cell
+  /// (runs are seeded stream(seed, r) either way; pinned by
+  /// tests/exp/cell_task_test.cpp). Its details keep every run's
+  /// latencies; run()'s leave them to the aggregate's latency pool.
   CellResult execute() const;
 };
 

@@ -26,10 +26,12 @@ void run(const ExperimentPlan& plan, const std::vector<ResultSink*>& sinks,
   // out of `ready`.
   std::vector<std::optional<AggregateResult>> ready(cells);
   std::vector<char> cached(cells, 0);
-  // Pre-assigned result slots, metrics[cell][run]: each work item writes
-  // only its own slot, and the run that takes remaining[cell] to zero
-  // folds the cell.
+  // Pre-assigned result slots, metrics[cell][run] and latencies[cell][run]:
+  // each work item writes only its own slots, pooling its run's latencies
+  // and freeing them, so latency vectors live only while their run is in
+  // flight. The run that takes remaining[cell] to zero folds the cell.
   std::vector<std::vector<RunMetrics>> metrics(cells);
+  std::vector<std::vector<LatencyPool>> latencies(cells);
   std::vector<std::atomic<std::uint64_t>> remaining(cells);
   for (std::size_t i = 0; i < cells; ++i) {
     const SweepPoint& point = tasks[i].point;
@@ -43,6 +45,7 @@ void run(const ExperimentPlan& plan, const std::vector<ResultSink*>& sinks,
     }
     if (!cached[i]) {
       metrics[i].resize(point.runs);
+      latencies[i].resize(point.runs);
       remaining[i].store(point.runs, std::memory_order_relaxed);
     }
   }
@@ -95,13 +98,22 @@ void run(const ExperimentPlan& plan, const std::vector<ResultSink*>& sinks,
       for (std::uint64_t r = 0; r < tasks[cell].point.runs; ++r) {
         pending.push_back(pool.submit([&, cell, r] {
           const SweepPoint& point = tasks[cell].point;
-          metrics[cell][r] = run_sweep_point_run(point, r);
+          RunMetrics run = run_sweep_point_run(point, r);
+          latencies[cell][r].add(run.latencies);
+          run.latencies = std::vector<std::uint64_t>();  // frees them
+          metrics[cell][r] = std::move(run);
           if (remaining[cell].fetch_sub(1, std::memory_order_acq_rel) != 1) {
             return;
           }
-          // Last run of this cell: this thread now owns its metrics.
-          AggregateResult result = aggregate_runs(
-              point.factory.name, point.cell_k(), std::move(metrics[cell]));
+          // Last run of this cell: this thread now owns its slots.
+          LatencyPool pool;
+          for (const LatencyPool& run_pool : latencies[cell]) {
+            pool.merge(run_pool);
+          }
+          latencies[cell] = std::vector<LatencyPool>();
+          AggregateResult result =
+              aggregate_runs(point.factory.name, point.cell_k(),
+                             std::move(metrics[cell]), std::move(pool));
           std::lock_guard<std::mutex> lock(mutex);
           ready[cell] = std::move(result);
           emit_ready();

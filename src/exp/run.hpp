@@ -2,11 +2,14 @@
 //
 // The end of the pipeline and the only code that turns a plan into work.
 // The plan is lifted into per-cell tasks (exp/cell_task.hpp); every run of
-// every cell to compute becomes one (cell, run) work item on a ThreadPool;
-// the last run of a cell folds it, and every completed cell is pushed to
-// each sink as soon as the grid prefix up to it is done — in grid order,
-// with bit-identical content for any thread count and completion order
-// (the sim/sweep.hpp determinism contract).
+// every cell to compute becomes one (cell, run) work item on a ThreadPool.
+// An item pools its run's latencies (LatencyPool, sim/runner.hpp) and
+// frees the run's latency vector, so a cell recording latencies holds
+// O(threads · k) latency memory, not O(runs · k). The last run of a cell
+// merges its runs' pools and folds it, and every completed cell is pushed
+// to each sink as soon as the grid prefix up to it is done — in grid
+// order, with bit-identical content for any thread count and completion
+// order (the sim/sweep.hpp determinism contract).
 //
 // Attaching a CellResultStore makes the driver resumable: tasks whose
 // (spec_hash, cell_index) key is already in the store replay the cached
@@ -55,9 +58,11 @@ struct RunOptions {
   unsigned threads = 0;
   /// When set, cells already present in the store are replayed instead of
   /// executed and fresh cells are stored before emission (see above).
-  /// Cached replay carries no per-run details (AggregateResult::details
-  /// is empty) and never fires observers, so run() rejects a cache on
-  /// observer plans.
+  /// Cached replay carries no per-run details and no latency pool
+  /// (AggregateResult::details and ::latencies are empty) and never fires
+  /// observers, so run() rejects a cache on observer plans. A computed
+  /// cell's details carry every field but `latencies`, which its pool
+  /// holds.
   CellResultStore* cache = nullptr;
 };
 

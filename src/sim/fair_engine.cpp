@@ -14,7 +14,9 @@ namespace ucr {
 
 namespace {
 
-void require_fair_run(std::uint64_t k, const EngineOptions& options) {
+/// Checks a fair run's inputs and starts its record: k set, and delivery
+/// slots reserved once (at most k deliveries) when they are recorded.
+RunMetrics start_fair_run(std::uint64_t k, const EngineOptions& options) {
   UCR_REQUIRE(k > 0, "workload must contain at least one message");
   UCR_REQUIRE(!options.batched || options.observer == nullptr,
               "the batched engine never materializes skipped slots; per-slot "
@@ -24,6 +26,10 @@ void require_fair_run(std::uint64_t k, const EngineOptions& options) {
               "symmetry that imperfect channel models (channel/model.hpp) "
               "break; non-clean cells run on the exact node engine — the "
               "exp pipeline routes them there automatically");
+  RunMetrics metrics;
+  metrics.k = k;
+  if (options.record_deliveries) metrics.delivery_slots.reserve(k);
+  return metrics;
 }
 
 double transmit_probability(const FairSlotProtocol& protocol) {
@@ -88,9 +94,7 @@ class RecentLaws {
 RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
                                 Xoshiro256& rng,
                                 const EngineOptions& options) {
-  require_fair_run(k, options);
-  RunMetrics metrics;
-  metrics.k = k;
+  RunMetrics metrics = start_fair_run(k, options);
   const std::uint64_t cap = options.resolved_cap(k);
   KahanSum expected_tx;  // ~10^7 tiny addends at paper scale
 
@@ -224,9 +228,7 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
 RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
                                   Xoshiro256& rng,
                                   const EngineOptions& options) {
-  require_fair_run(k, options);
-  RunMetrics metrics;
-  metrics.k = k;
+  RunMetrics metrics = start_fair_run(k, options);
   const std::uint64_t cap = options.resolved_cap(k);
   KahanSum expected_tx;
 

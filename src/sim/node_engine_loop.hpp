@@ -57,6 +57,9 @@ RunMetrics run_node_engine(const StationFactory<Station>& factory,
 
   RunMetrics metrics;
   metrics.k = k;
+  // At most k deliveries: reserved once, no growth transient.
+  if (options.record_deliveries) metrics.delivery_slots.reserve(k);
+  if (options.record_latencies) metrics.latencies.reserve(k);
   const std::uint64_t cap = options.resolved_cap(k);
   KahanSum expected_tx;
 

@@ -1,80 +1,84 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/check.hpp"
 
 namespace ucr {
 
-namespace {
-
-/// Sets result.latency_p50/p95/p99 to quantile_sorted() of the sorted pool
-/// of every run's latencies, without building that pool. uint64 -> double
-/// is monotone, so the pooled doubles' order statistics are the converted
-/// order statistics of the integers. A histogram of `value >> shift` (at
-/// most 2^16 buckets) locates each rank; when shift > 0 a bucket holds
-/// several values, and nth_element over that bucket's values alone picks
-/// the rank. Leaves all three at 0 when no run recorded a latency.
-void pool_latency_percentiles(const std::vector<RunMetrics>& runs,
-                              AggregateResult& result) {
-  std::uint64_t n = 0;
-  std::uint64_t max = 0;
-  for (const RunMetrics& m : runs) {
-    n += m.latencies.size();
-    for (const std::uint64_t latency : m.latencies) {
-      max = std::max(max, latency);
-    }
+void LatencyPool::add(std::uint64_t latency) {
+  if (latency >= kCounted) {
+    raw_.push_back(latency);
+    return;
   }
-  if (n == 0) return;
-  const int shift = std::max(0, static_cast<int>(std::bit_width(max)) - 16);
-  std::vector<std::uint64_t> histogram((max >> shift) + 1, 0);
-  for (const RunMetrics& m : runs) {
-    for (const std::uint64_t latency : m.latencies) {
-      ++histogram[latency >> shift];
-    }
-  }
-
-  std::uint64_t gathered_bucket = histogram.size();  // none yet
-  std::vector<std::uint64_t> gathered;
-  // The rank-th smallest pooled latency (0-based), as a double.
-  const auto order_statistic = [&](std::uint64_t rank) {
-    std::uint64_t bucket = 0;
-    std::uint64_t below = 0;
-    while (below + histogram[bucket] <= rank) below += histogram[bucket++];
-    if (shift == 0) return static_cast<double>(bucket);
-    if (bucket != gathered_bucket) {
-      gathered.clear();
-      for (const RunMetrics& m : runs) {
-        for (const std::uint64_t latency : m.latencies) {
-          if ((latency >> shift) == bucket) gathered.push_back(latency);
-        }
-      }
-      gathered_bucket = bucket;
-    }
-    const auto nth =
-        gathered.begin() + static_cast<std::ptrdiff_t>(rank - below);
-    std::nth_element(gathered.begin(), nth, gathered.end());
-    return static_cast<double>(*nth);
-  };
-  // quantile_sorted's arithmetic, term for term, over the virtual pool.
-  const auto quantile = [&](double q) {
-    if (n == 1) return order_statistic(0);
-    const double pos = q * static_cast<double>(n - 1);
-    const auto lo = static_cast<std::uint64_t>(pos);
-    const std::uint64_t hi = std::min(lo + 1, n - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return order_statistic(lo) * (1.0 - frac) + order_statistic(hi) * frac;
-  };
-  result.latency_p50 = quantile(0.50);
-  result.latency_p95 = quantile(0.95);
-  result.latency_p99 = quantile(0.99);
+  if (latency >= counts_.size()) counts_.resize(latency + 1, 0);
+  ++counts_[latency];
+  ++counted_;
 }
 
-}  // namespace
+void LatencyPool::add(const std::vector<std::uint64_t>& latencies) {
+  for (const std::uint64_t latency : latencies) add(latency);
+}
+
+void LatencyPool::merge(const LatencyPool& other) {
+  if (other.counts_.size() > counts_.size()) {
+    counts_.resize(other.counts_.size(), 0);
+  }
+  for (std::size_t v = 0; v < other.counts_.size(); ++v) {
+    counts_[v] += other.counts_[v];
+  }
+  counted_ += other.counted_;
+  raw_.insert(raw_.end(), other.raw_.begin(), other.raw_.end());
+}
+
+std::uint64_t LatencyPool::order_statistic(std::uint64_t rank) {
+  if (rank < counted_) {
+    std::uint64_t value = 0;
+    std::uint64_t below = 0;
+    while (below + counts_[value] <= rank) below += counts_[value++];
+    return value;
+  }
+  const auto nth =
+      raw_.begin() + static_cast<std::ptrdiff_t>(rank - counted_);
+  std::nth_element(raw_.begin(), nth, raw_.end());
+  return *nth;
+}
+
+double LatencyPool::quantile(double q) {
+  UCR_REQUIRE(!empty(), "quantile of an empty latency pool");
+  UCR_REQUIRE(q >= 0.0 && q <= 1.0, "quantile order out of range");
+  // uint64 -> double is monotone, so the pooled doubles' order statistics
+  // are the converted order statistics of the integers.
+  const auto at = [&](std::uint64_t rank) {
+    return static_cast<double>(order_statistic(rank));
+  };
+  // quantile_sorted's arithmetic, term for term, over the virtual sample.
+  const std::uint64_t n = size();
+  if (n == 1) return at(0);
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const std::uint64_t hi = std::min(lo + 1, n - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return at(lo) * (1.0 - frac) + at(hi) * frac;
+}
+
+std::vector<double> LatencyPool::sorted_sample() const {
+  std::vector<double> sample;
+  sample.reserve(size());
+  for (std::size_t v = 0; v < counts_.size(); ++v) {
+    sample.insert(sample.end(), counts_[v], static_cast<double>(v));
+  }
+  std::vector<std::uint64_t> raw = raw_;
+  std::sort(raw.begin(), raw.end());
+  for (const std::uint64_t latency : raw) {
+    sample.push_back(static_cast<double>(latency));
+  }
+  return sample;
+}
 
 AggregateResult aggregate_runs(std::string name, std::uint64_t k,
-                               std::vector<RunMetrics> runs) {
+                               std::vector<RunMetrics> runs,
+                               LatencyPool latencies) {
   AggregateResult result;
   result.protocol = std::move(name);
   result.k = k;
@@ -107,9 +111,22 @@ AggregateResult aggregate_runs(std::string name, std::uint64_t k,
   // Pooled across runs: the per-message latency envelope of the cell,
   // persisted per row so dynamic-arrival archives carry their tail
   // behaviour without the O(k * runs) details.
-  pool_latency_percentiles(runs, result);
+  if (!latencies.empty()) {
+    result.latency_p50 = latencies.quantile(0.50);
+    result.latency_p95 = latencies.quantile(0.95);
+    result.latency_p99 = latencies.quantile(0.99);
+  }
+  result.latencies = std::move(latencies);
   result.details = std::move(runs);
   return result;
+}
+
+AggregateResult aggregate_runs(std::string name, std::uint64_t k,
+                               std::vector<RunMetrics> runs) {
+  LatencyPool latencies;
+  for (const RunMetrics& m : runs) latencies.add(m.latencies);
+  return aggregate_runs(std::move(name), k, std::move(runs),
+                        std::move(latencies));
 }
 
 RunMetrics run_single_fair(const ProtocolFactory& factory, std::uint64_t k,

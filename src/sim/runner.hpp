@@ -56,6 +56,40 @@ ProtocolFactory slot_protocol_factory(std::string name, Make make) {
   return f;
 }
 
+/// The per-message latencies of one or more runs, pooled exactly: a count
+/// per value below 2^16 (sized to the largest such value added) and every
+/// larger value kept raw. A run's latency vector can be freed once it is
+/// added, and pools merged in any order hold the same multiset, so a cell
+/// folds the same percentiles for any run order or thread count.
+class LatencyPool {
+ public:
+  /// Values below this are counted; the rest are kept raw.
+  static constexpr std::uint64_t kCounted = std::uint64_t{1} << 16;
+
+  void add(std::uint64_t latency);
+  void add(const std::vector<std::uint64_t>& latencies);
+  void merge(const LatencyPool& other);
+
+  std::uint64_t size() const { return counted_ + raw_.size(); }
+  bool empty() const { return size() == 0; }
+
+  /// quantile_sorted() of sorted_sample(), term for term, without
+  /// building it. Reorders the raw values (nth_element), which leaves the
+  /// pool's multiset as it is. Requires a non-empty pool.
+  double quantile(double q);
+
+  /// Every pooled latency as a double, ascending.
+  std::vector<double> sorted_sample() const;
+
+ private:
+  /// The rank-th smallest pooled latency (0-based).
+  std::uint64_t order_statistic(std::uint64_t rank);
+
+  std::vector<std::uint64_t> counts_;  ///< counts_[v]: latencies equal to v
+  std::uint64_t counted_ = 0;          ///< sum of counts_
+  std::vector<std::uint64_t> raw_;     ///< latencies >= kCounted, any order
+};
+
 /// Aggregated outcome of `runs` independent executions at one k.
 struct AggregateResult {
   std::string protocol;
@@ -65,9 +99,10 @@ struct AggregateResult {
   Summary makespan;                   ///< slots (capped value for incomplete)
   Summary ratio;                      ///< slots / k
   /// Percentiles of the per-message latencies pooled across all runs:
-  /// quantile_sorted() of the sorted pool, exactly, for any run order or
-  /// thread count. Only the per-node engines record latencies, and only
-  /// under EngineOptions::record_latencies; all three stay 0 otherwise.
+  /// `latencies.quantile(q)`, which is quantile_sorted() of the sorted
+  /// pool, exactly, for any run order or thread count. Only the per-node
+  /// engines record latencies, and only under
+  /// EngineOptions::record_latencies; all three stay 0 otherwise.
   double latency_p50 = 0.0;
   double latency_p95 = 0.0;
   double latency_p99 = 0.0;
@@ -82,7 +117,12 @@ struct AggregateResult {
   /// exact mode; a materialized-slots lower bound in its batched mode; 0
   /// on the fair engines, which do not track stations.
   double energy_max = 0.0;
-  std::vector<RunMetrics> details;    ///< one entry per run
+  /// Every run's latencies, pooled (empty without recording). Held in
+  /// memory only: like `details`, a result cache does not persist it.
+  LatencyPool latencies;
+  /// One entry per run. exp::run leaves each entry's `latencies` empty:
+  /// it pools a run's latencies as the run ends and frees them there.
+  std::vector<RunMetrics> details;
 };
 
 /// One execution of a fair protocol at batch size k through the aggregate
@@ -104,7 +144,15 @@ RunMetrics run_single_node(const ProtocolFactory& factory,
                            std::uint64_t run_index, std::uint64_t seed,
                            const EngineOptions& options);
 
-/// Folds per-run metrics (in run order) into the aggregate summary.
+/// Folds per-run metrics (in run order) into the aggregate summary. The
+/// latency percentiles come from `latencies`, the pool of the runs'
+/// latencies, which the result keeps; the runs' own `latencies` are not
+/// read and may have been freed.
+AggregateResult aggregate_runs(std::string name, std::uint64_t k,
+                               std::vector<RunMetrics> runs,
+                               LatencyPool latencies);
+
+/// Same, pooling the runs' latencies itself; `details` keep them.
 AggregateResult aggregate_runs(std::string name, std::uint64_t k,
                                std::vector<RunMetrics> runs);
 

@@ -261,6 +261,62 @@ TEST(RunDriver, PerRunArrivalGeneratorIsDeterministic) {
   EXPECT_TRUE(any_difference);
 }
 
+/// The rows a JSONL sink writes for `results`, cell i being plan.cells[i].
+std::string jsonl_of(const ExperimentPlan& plan,
+                     const std::vector<AggregateResult>& results) {
+  std::ostringstream os;
+  JsonlSink sink(os, /*flush_each_row=*/false);
+  sink.begin(plan);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    sink.emit(plan.cells[i], results[i]);
+  }
+  sink.end();
+  return os.str();
+}
+
+TEST(RunDriver, LatencyCellsPoolEachRunAsItEnds) {
+  // Latency cells on both per-node engines: run() pools every run's
+  // latencies in the work item that ran it and frees them there, yet
+  // renders the rows CellTask::execute folds from the kept latencies.
+  for (const EngineMode engine :
+       {EngineMode::kNode, EngineMode::kNodeBatched}) {
+    SCOPED_TRACE(engine_mode_name(engine));
+    ExperimentSpec spec;
+    spec.runs = 5;
+    spec.seed = 28;
+    spec.engine = engine;
+    spec.engine_options.record_latencies = true;
+    spec.engine_options.max_slots = 20000;
+    spec.with_ks({60});
+    spec.with_arrival(ArrivalSpec::poisson(0.2));
+    spec.with_arrival(ArrivalSpec::burst(3, 16));
+    spec.with_protocol("One-Fail Adaptive");
+    spec.with_protocol("Exp Back-on/Back-off");
+    const ExperimentPlan plan = compile(spec, default_catalogue());
+    std::vector<AggregateResult> executed;
+    for (const CellTask& task : enumerate_cell_tasks(plan)) {
+      executed.push_back(task.execute().aggregate);
+      EXPECT_GT(executed.back().latency_p99, 0.0);
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      const auto swept = run_collect(plan, {threads});
+      ASSERT_EQ(swept.size(), executed.size());
+      EXPECT_EQ(jsonl_of(plan, swept), jsonl_of(plan, executed));
+      for (std::size_t i = 0; i < swept.size(); ++i) {
+        std::uint64_t deliveries = 0;
+        for (const RunMetrics& run : swept[i].details) {
+          EXPECT_TRUE(run.latencies.empty());
+          deliveries += run.deliveries;
+        }
+        EXPECT_EQ(swept[i].latencies.size(), deliveries);
+        EXPECT_EQ(swept[i].latencies.sorted_sample(),
+                  executed[i].latencies.sorted_sample());
+      }
+    }
+  }
+}
+
 TEST(RunDriver, PerRunCellRequiresNodeView) {
   ProtocolFactory fair_only = make_known_k_factory();
   fair_only.node = nullptr;

@@ -176,8 +176,8 @@ std::vector<std::vector<std::uint64_t>> random_pool(
 TEST(AggregateRuns, PooledPercentilesEqualTheSortedPoolBitForBit) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   constexpr std::uint64_t kTwoTo53 = std::uint64_t{1} << 53;
-  // Fixed pools: one value, all-equal values (one direct bucket; one
-  // gathered bucket), and runs with empty latencies mixed in.
+  // Fixed pools: one value, all-equal values (all counted; all kept
+  // raw), and runs with empty latencies mixed in.
   expect_sorted_pool_percentiles({{}, {42}, {}});
   expect_sorted_pool_percentiles({{kMax}});
   expect_sorted_pool_percentiles({std::vector<std::uint64_t>(300, 9), {},
@@ -187,11 +187,11 @@ TEST(AggregateRuns, PooledPercentilesEqualTheSortedPoolBitForBit) {
   expect_sorted_pool_percentiles({{}, {0, 0, 1}, {}, {}, {2}});
 
   const std::vector<std::function<std::uint64_t(Xoshiro256&)>> draws = {
-      // Below 2^16: the bucket index is the value. Heavily tied.
+      // Below 2^16: every value is counted. Heavily tied.
       [](Xoshiro256& rng) { return rng.next_below(40); },
       [](Xoshiro256& rng) { return rng.next_below(std::uint64_t{1} << 16); },
-      // Spread up to 2^40 at every magnitude: ranks land in gathered
-      // buckets, the lowest of which holds every value below 2^24.
+      // Spread up to 2^40 at every magnitude: most ranks land among the
+      // raw values, selected by nth_element.
       [](Xoshiro256& rng) {
         return rng.next_u64() >> (24 + rng.next_below(40));
       },
@@ -216,6 +216,164 @@ TEST(AggregateRuns, PooledPercentilesEqualTheSortedPoolBitForBit) {
           random_pool(rng, 1 + rng.next_below(10), 400, draws[d]));
     }
   }
+}
+
+/// Every value of every run as a double, sorted: the pool LatencyPool
+/// must match without building.
+std::vector<double> sorted_reference(
+    const std::vector<std::vector<std::uint64_t>>& runs) {
+  std::vector<double> pool;
+  for (const auto& run : runs) {
+    for (const std::uint64_t v : run) pool.push_back(static_cast<double>(v));
+  }
+  std::sort(pool.begin(), pool.end());
+  return pool;
+}
+
+/// Checks `pool` against the sorted reference: size, the sorted sample,
+/// and quantile() equal to quantile_sorted() bit for bit at fixed and
+/// random orders.
+void expect_pool_matches(LatencyPool& pool,
+                         const std::vector<double>& reference,
+                         Xoshiro256& rng) {
+  ASSERT_EQ(pool.size(), reference.size());
+  ASSERT_FALSE(reference.empty());
+  std::vector<double> orders = {0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 1.0};
+  for (int i = 0; i < 8; ++i) orders.push_back(rng.next_double());
+  for (const double q : orders) {
+    EXPECT_EQ(pool.quantile(q), quantile_sorted(reference, q)) << "q " << q;
+  }
+  // quantile() reorders only the raw values: the multiset is unchanged.
+  EXPECT_EQ(pool.sorted_sample(), reference);
+}
+
+TEST(LatencyPool, QuantilesEqualTheSortedPoolBitForBit) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kCounted = LatencyPool::kCounted;
+  const std::vector<std::function<std::uint64_t(Xoshiro256&)>> draws = {
+      // All counted, heavily tied.
+      [](Xoshiro256& rng) { return rng.next_below(50); },
+      [&](Xoshiro256& rng) { return rng.next_below(kCounted); },
+      // Straddling the boundary: kCounted - 1 is counted, kCounted raw.
+      [&](Xoshiro256& rng) { return kCounted - 40 + rng.next_below(80); },
+      // A counted body and a raw tail.
+      [&](Xoshiro256& rng) {
+        return rng.next_below(10) == 0 ? kCounted + rng.next_below(1000)
+                                       : rng.next_below(100);
+      },
+      // All raw: far above the boundary, past 2^53, up to the maximum.
+      [](Xoshiro256& rng) {
+        return (std::uint64_t{1} << 60) + rng.next_below(1u << 12);
+      },
+      [](Xoshiro256& rng) { return rng.next_u64() >> rng.next_below(48); },
+      [&](Xoshiro256& rng) { return rng.next_below(2) == 0 ? 0 : kMax; },
+  };
+  for (std::size_t d = 0; d < draws.size(); ++d) {
+    Xoshiro256 rng = Xoshiro256::stream(2028, d);
+    for (int trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE("draw " + std::to_string(d) + ", trial " +
+                   std::to_string(trial));
+      std::vector<std::vector<std::uint64_t>> runs(1 + rng.next_below(8));
+      for (std::size_t r = 0; r < runs.size(); ++r) {
+        if (r % 3 == 1) continue;  // some runs record nothing
+        const std::uint64_t size = 1 + rng.next_below(300);
+        for (std::uint64_t i = 0; i < size; ++i) {
+          runs[r].push_back(draws[d](rng));
+        }
+      }
+      LatencyPool pool;
+      for (const auto& run : runs) pool.add(run);
+      expect_pool_matches(pool, sorted_reference(runs), rng);
+    }
+  }
+}
+
+TEST(LatencyPool, EmptyAndSingleValuePools) {
+  LatencyPool empty;
+  empty.add(std::vector<std::uint64_t>{});
+  empty.merge(LatencyPool());
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.sorted_sample().empty());
+  EXPECT_THROW(empty.quantile(0.5), ContractViolation);
+
+  Xoshiro256 rng(5);
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{7}, LatencyPool::kCounted - 1,
+        LatencyPool::kCounted, std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE("value " + std::to_string(v));
+    LatencyPool single;
+    single.add(v);
+    single.merge(empty);
+    EXPECT_FALSE(single.empty());
+    expect_pool_matches(single, {static_cast<double>(v)}, rng);
+    EXPECT_THROW(single.quantile(1.5), ContractViolation);
+  }
+}
+
+TEST(LatencyPool, MergeOrderDoesNotMoveAnyQuantile) {
+  Xoshiro256 rng = Xoshiro256::stream(2028, 99);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Per-run pools of different count-table sizes, some with raw values.
+    std::vector<std::vector<std::uint64_t>> runs(2 + rng.next_below(7));
+    for (auto& run : runs) {
+      const std::uint64_t top = std::uint64_t{1} << rng.next_below(20);
+      const std::uint64_t size = rng.next_below(200);
+      for (std::uint64_t i = 0; i < size; ++i) {
+        run.push_back(rng.next_below(top));
+      }
+    }
+    const std::vector<double> reference = sorted_reference(runs);
+    if (reference.empty()) continue;
+    std::vector<LatencyPool> pools(runs.size());
+    for (std::size_t r = 0; r < runs.size(); ++r) pools[r].add(runs[r]);
+
+    LatencyPool forward;
+    for (const LatencyPool& p : pools) forward.merge(p);
+    expect_pool_matches(forward, reference, rng);
+
+    LatencyPool backward;
+    for (auto p = pools.rbegin(); p != pools.rend(); ++p) backward.merge(*p);
+    expect_pool_matches(backward, reference, rng);
+
+    // Pairwise, as a tree: pools merged into pools, then into one.
+    std::vector<LatencyPool> level = pools;
+    while (level.size() > 1) {
+      std::vector<LatencyPool> next;
+      for (std::size_t i = 0; i < level.size(); i += 2) {
+        LatencyPool merged = level[i];
+        if (i + 1 < level.size()) merged.merge(level[i + 1]);
+        next.push_back(std::move(merged));
+      }
+      level = std::move(next);
+    }
+    expect_pool_matches(level.front(), reference, rng);
+
+    // Every value added to one pool directly.
+    LatencyPool one;
+    for (const auto& run : runs) {
+      for (const std::uint64_t v : run) one.add(v);
+    }
+    expect_pool_matches(one, reference, rng);
+  }
+}
+
+TEST(AggregateRuns, PoolOverloadFoldsThePoolNotTheRunsLatencies) {
+  // The runs' latencies are freed before the fold; the pool carries them.
+  RunMetrics a;
+  RunMetrics b;
+  a.completed = b.completed = true;
+  a.k = b.k = 10;
+  a.slots = b.slots = 20;
+  LatencyPool pool;
+  for (std::uint64_t v = 1; v <= 20; ++v) pool.add(v);
+  const AggregateResult res = aggregate_runs("x", 10, {a, b}, pool);
+  EXPECT_DOUBLE_EQ(res.latency_p50, 10.5);
+  EXPECT_NEAR(res.latency_p95, 19.05, 1e-9);
+  EXPECT_NEAR(res.latency_p99, 19.81, 1e-9);
+  EXPECT_EQ(res.latencies.size(), 20u);
+  EXPECT_TRUE(res.details[0].latencies.empty());
 }
 
 TEST(RunNodeExperiment, RequiresNodeView) {
