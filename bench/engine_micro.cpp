@@ -101,28 +101,48 @@ void BM_FairSlotEngine_OneFail(benchmark::State& state) {
 }
 BENCHMARK(BM_FairSlotEngine_OneFail)->Arg(1000)->Arg(100000);
 
-// Log-Fails Adaptive (2) puts a BT step on every other slot, so its
-// constant-probability horizon is one slot: batched mode gives it the
-// thinned step, and exact mode, timed here, one category draw per slot.
-// Its BT probability is fixed and its AT probability moves only every F
-// fails, so most slots reuse a slot law the engine already stored, where
-// One-Fail's AT steps compute a fresh one.
-void BM_FairSlotEngine_LogFails2(benchmark::State& state) {
+// Log-Fails Adaptive on the fair slot engine: items processed = slots.
+void fair_slot_log_fails(benchmark::State& state, double xi_t,
+                         bool batched) {
   const std::uint64_t k = state.range(0);
   ucr::LogFailsParams params;
-  params.xi_t = 0.5;
+  params.xi_t = xi_t;
+  ucr::EngineOptions options;
+  options.batched = batched;
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
   for (auto _ : state) {
     ucr::LogFailsAdaptive protocol(params, k);
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(14, seed++);
-    const auto run = ucr::run_fair_slot_engine(protocol, k, rng, {});
+    const auto run = ucr::run_fair_slot_engine(protocol, k, rng, options);
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(slots));
 }
+
+// Exact mode, one category draw per slot. Log-Fails' BT probability is
+// fixed and its AT probability moves only every F fails, so most slots
+// reuse a slot law the engine already stored, where One-Fail's AT steps
+// compute a fresh one.
+void BM_FairSlotEngine_LogFails2(benchmark::State& state) {
+  fair_slot_log_fails(state, 0.5, false);
+}
 BENCHMARK(BM_FairSlotEngine_LogFails2)->Arg(1000)->Arg(100000);
+
+// Batched mode's cycle step: one step per delivery or fail-threshold
+// crossing, with a geometric draw over the AT steps and one over the BT
+// steps (the BT law is 0 without a draw while m·bt is large), so the
+// rate counts the slots each step skips.
+void BM_FairSlotEngineBatched_LogFails2(benchmark::State& state) {
+  fair_slot_log_fails(state, 0.5, true);
+}
+BENCHMARK(BM_FairSlotEngineBatched_LogFails2)->Arg(100000);
+
+void BM_FairSlotEngineBatched_LogFails10(benchmark::State& state) {
+  fair_slot_log_fails(state, 0.1, true);
+}
+BENCHMARK(BM_FairSlotEngineBatched_LogFails10)->Arg(100000);
 
 void BM_FairWindowEngine_Sawtooth(benchmark::State& state) {
   const std::uint64_t k = state.range(0);

@@ -127,18 +127,36 @@ std::uint64_t sample_binomial(Xoshiro256& rng, std::uint64_t n, double p) {
   return flipped ? n - k : k;
 }
 
+namespace {
+
+// Inversion: F = floor(ln(1-u) / ln(1-p)) with u ~ U[0,1) and log_q =
+// ln(1-p), both via log1p for stability at the small p the protocols
+// produce (p ~ 1/k). F is compared as a double, so a draw past 2^64
+// truncates to the limit before any cast.
+std::uint64_t geometric_by_inversion(Xoshiro256& rng, double log_q,
+                                     std::uint64_t limit) {
+  const double u = rng.next_double();
+  const double failures = std::floor(std::log1p(-u) / log_q);
+  if (!(failures < static_cast<double>(limit))) return limit;
+  return static_cast<std::uint64_t>(failures);
+}
+
+}  // namespace
+
 std::uint64_t sample_geometric_failures(Xoshiro256& rng, double p,
                                         std::uint64_t limit) {
   UCR_REQUIRE(p >= 0.0 && p <= 1.0, "geometric probability out of range");
   if (p == 1.0) return 0;
   if (p == 0.0 || limit == 0) return limit;
-  // Inversion: F = floor(ln(1-u) / ln(1-p)) with u ~ U[0,1). Computed via
-  // log1p for stability at the small p the protocols produce (p ~ 1/k).
-  const double u = rng.next_double();
-  const double failures =
-      std::floor(std::log1p(-u) / std::log1p(-p));
-  if (!(failures < static_cast<double>(limit))) return limit;
-  return static_cast<std::uint64_t>(failures);
+  return geometric_by_inversion(rng, std::log1p(-p), limit);
+}
+
+std::uint64_t sample_geometric_failures(Xoshiro256& rng, double p,
+                                        double log_q, std::uint64_t limit) {
+  UCR_REQUIRE(p >= 0.0 && p <= 1.0, "geometric probability out of range");
+  if (p == 1.0) return 0;
+  if (p == 0.0 || limit == 0) return limit;
+  return geometric_by_inversion(rng, log_q, limit);
 }
 
 Stretch sample_stretch(Xoshiro256& rng, double success, double silence,

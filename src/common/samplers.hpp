@@ -71,6 +71,13 @@ std::uint64_t sample_binomial(Xoshiro256& rng, std::uint64_t n, double p);
 std::uint64_t sample_geometric_failures(Xoshiro256& rng, double p,
                                         std::uint64_t limit);
 
+/// The same draw, with log_q = std::log1p(-p) supplied by a caller that
+/// stores it beside p (the batched fair slot engine's cycle step draws
+/// many run lengths at one stored law): the same result and the same
+/// generator advance as the overload above, without its log1p.
+std::uint64_t sample_geometric_failures(Xoshiro256& rng, double p,
+                                        double log_q, std::uint64_t limit);
+
 /// A run of i.i.d. slots, each a success with probability `success` and
 /// silent with probability `silence` (a collision otherwise), cut at the
 /// first success or after `limit` slots: `failures` non-success slots,

@@ -94,13 +94,13 @@ class DynamicOneFail final : public FairSlotProtocol {
     }
   }
 
-  /// Provably hint-1, like OneFailAdaptive: kappa~ moves on every slot —
-  /// +1 per silent track step, doubling (or the sawtooth reset) per
-  /// fast-start step, -(1+delta) on deliveries — so no two consecutive
-  /// slots share a probability. The batched fair engine takes its thinned
-  /// step (sim/fair_engine.hpp); the batched node engine degenerates to
-  /// (and stays bit-identical with) the exact per-slot path.
-  std::uint64_t constant_probability_slots() const override { return 1; }
+  // No slot_cycle() override, like OneFailAdaptive: kappa~ moves on
+  // every slot — +1 per silent track step, doubling (or the sawtooth
+  // reset) per fast-start step, -(1+delta) on deliveries — so no two
+  // consecutive slots share a probability, and the default one-slot cycle
+  // holds. The batched fair engine takes its thinned step
+  // (sim/fair_engine.hpp); the batched node engine degenerates to (and
+  // stays bit-identical with) the exact per-slot path.
 
   double kappa_estimate() const { return kappa_; }
   /// True while sweeping (before the first heard delivery, or after a

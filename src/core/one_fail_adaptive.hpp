@@ -69,12 +69,12 @@ class OneFailAdaptive final : public FairSlotProtocol {
     ++step_;
   }
 
-  /// The estimator moves every AT step and AT/BT steps alternate, so no
-  /// two consecutive slots share a probability: the batched fair engine
-  /// takes its thinned step (sim/fair_engine.hpp), same law as exact mode
-  /// on a different sample path, and the batched node engine the exact
-  /// one-slot step, bit-identical to exact mode.
-  std::uint64_t constant_probability_slots() const override { return 1; }
+  // No slot_cycle() override: the estimator moves every AT step and
+  // AT/BT steps alternate, so no two consecutive slots share a
+  // probability, and the default one-slot cycle holds. The batched fair
+  // engine takes its thinned step (sim/fair_engine.hpp), same law as
+  // exact mode on a different sample path, and the batched node engine
+  // the exact one-slot step, bit-identical to exact mode.
 
   double kappa_estimate() const { return kappa_; }
   std::uint64_t sigma() const { return sigma_; }

@@ -37,12 +37,14 @@ class KnownKGenie final : public FairSlotProtocol {
     }
   }
 
-  /// The genie's probability changes only on deliveries, so the batched
+  /// The genie's probability changes only on deliveries: its cycle is an
+  /// unbounded constant-probability stretch (period 1), so the batched
   /// engines may skip any number of non-delivery slots at once — the whole
   /// run costs O(k) regardless of makespan — and the bulk advance is a
   /// no-op.
-  std::uint64_t constant_probability_slots() const override {
-    return ~std::uint64_t{0};  // constant until the next delivery
+  SlotCycle slot_cycle() const override {
+    const double p = transmit_probability();
+    return {~std::uint64_t{0}, 1, 0, p, p};  // constant until a delivery
   }
   void on_non_delivery_slots(std::uint64_t /*count*/) override {}
 

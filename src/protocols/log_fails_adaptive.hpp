@@ -24,6 +24,7 @@
 // step transmitting with 1/kappa~.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -74,39 +75,51 @@ class LogFailsAdaptive final : public FairSlotProtocol {
       ++fails_;
       if (fails_ >= fail_threshold()) cross_fail_threshold();
     }
-    next_steps(1);
+    if (++phase_ == bt_period_) phase_ = 0;
   }
 
-  /// Slots (including the current one) over which transmit_probability()
-  /// stays constant absent a delivery: up to the next BT step or the next
-  /// fail-threshold crossing, whichever comes first. Always >= 1; the
-  /// batched fair engine uses it to resolve whole runs of AT fails at
-  /// once.
-  std::uint64_t constant_probability_slots() const override {
-    if (is_bt_step()) return 1;  // the next step is AT with p = 1/kappa
-    const std::uint64_t to_bt_step = bt_period_ - phase_;
-    // A SEARCH->TRACK switch can leave fails_ at or above the (smaller)
-    // TRACK threshold; the very next AT fail then updates kappa.
+  /// The batching hint: BT steps every bt_period() slots with the fixed
+  /// BT probability, AT steps with 1/kappa~ in between, up to and
+  /// including the AT step that reaches the fail threshold, the last one
+  /// whose probability is known before it is taken. After a SEARCH->TRACK
+  /// switch fails_ may already be at or above the (smaller) TRACK
+  /// threshold; the very next AT fail then updates kappa, and the cycle
+  /// ends there.
+  SlotCycle slot_cycle() const override {
     const std::uint64_t threshold = fail_threshold();
-    const std::uint64_t to_threshold =
-        fails_ >= threshold ? 1 : threshold - fails_;
-    return to_bt_step < to_threshold ? to_bt_step : to_threshold;
+    const std::uint64_t at_steps = fails_ >= threshold ? 1 : threshold - fails_;
+    const std::uint64_t to_bt = phase_ == 0 ? 0 : bt_period_ - phase_;
+    // The at_steps-th AT step is among the to_bt steps before the next BT
+    // step, or else AT step `after` of the bt_period_ - 1 that follow each
+    // BT step from the next one on.
+    std::uint64_t slots = at_steps;
+    if (at_steps > to_bt) {
+      const std::uint64_t after = at_steps - to_bt - 1;
+      const std::uint64_t per_period = bt_period_ - 1;
+      slots = to_bt + 2 + after / per_period * bt_period_ + after % per_period;
+    }
+    return {slots, bt_period_, to_bt, at_prob_, bt_prob_};
   }
 
-  /// Bulk equivalent of `count` on_slot_end(false) calls. Requires
-  /// count <= constant_probability_slots(): every skipped step is then an
-  /// AT fail and at most the final one crosses the fail threshold.
+  /// Bulk equivalent of `count` on_slot_end(false) calls, in O(1) with
+  /// one division. Requires count <= slot_cycle().slots: the skipped BT
+  /// steps are no fails, the AT steps are, and at most the final AT step
+  /// crosses the fail threshold.
   void on_non_delivery_slots(std::uint64_t count) override {
-    UCR_CHECK(count <= constant_probability_slots(),
-              "bulk advance beyond the constant-probability horizon");
-    if (is_bt_step()) {
-      // Horizon is 1 here and a BT step is not a fail; replay exactly.
-      for (; count > 0; --count) on_slot_end(false);
-      return;
-    }
-    fails_ += count;
-    next_steps(count);
-    if (fails_ >= fail_threshold()) cross_fail_threshold();
+    if (count == 0) return;
+    // The count steps are phase_ .. phase_ + count - 1 modulo bt_period_,
+    // and the BT steps among them are the multiples of bt_period_.
+    const std::uint64_t last = phase_ + count - 1;
+    const std::uint64_t bt_steps = last / bt_period_ + (phase_ == 0 ? 1 : 0);
+    phase_ = last % bt_period_ + 1;
+    if (phase_ == bt_period_) phase_ = 0;
+    const std::uint64_t at_steps = count - bt_steps;
+    if (at_steps == 0) return;
+    const std::uint64_t threshold = fail_threshold();
+    UCR_CHECK(fails_ + at_steps <= std::max(threshold, fails_ + 1),
+              "bulk advance beyond the fail-threshold crossing");
+    fails_ += at_steps;
+    if (fails_ >= threshold) cross_fail_threshold();
   }
 
   /// True while no delivery has been heard yet (multiplicative climb).
@@ -129,12 +142,6 @@ class LogFailsAdaptive final : public FairSlotProtocol {
   static double track_decrease();
 
  private:
-  // Moves `count` steps on; never past the next BT step (count <=
-  // bt_period_ - phase_ whenever phase_ > 0, and count == 1 at phase 0).
-  void next_steps(std::uint64_t count) {
-    phase_ += count;
-    if (phase_ == bt_period_) phase_ = 0;
-  }
   // on_slot_end()'s rare branches, out of line: a heard delivery, and the
   // estimator update once fails_ reaches the threshold.
   void hear_delivery();

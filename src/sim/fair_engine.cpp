@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <numbers>
 #include <vector>
 
@@ -52,17 +53,18 @@ double success_envelope(std::uint64_t m) {
   return (1.0 + 1.0 / md) / std::numbers::e * (1.0 + 1e-12);
 }
 
-// The laws of the last two (m, p) pairs the slot engine asked for, as
-// `compute` returns them: the whole SlotLaw for exact steps and
-// constant-p stretches, and just P[success] (prob_success, one exp fewer)
-// for thinned steps. m only changes on a delivery, and in between the
-// protocols that cannot batch interleave an AT and a BT probability of
-// which at least one holds (One-Fail's BT probability, both of Log-Fails'
-// until an estimator update), so most of their slots find their law here
-// instead of paying a log1p and an exp or two. A stored law is the double
-// `compute` returns, so no draw and no outcome moves. Evicting the least
-// recently used entry keeps the probability that holds while the other
-// one changes every step.
+// The laws of the last two (m, p) pairs a step of the slot engine asked
+// for, as `compute` returns them: the whole SlotLaw for exact steps and
+// for constant-probability stretches that split their slots, just
+// P[success] (prob_success, one exp fewer) for thinned steps, and a
+// CycleLaw for the other cycle steps. m only changes on a delivery, and in
+// between the protocols interleave an AT and a BT probability of which
+// at least one holds (One-Fail's BT probability, both of Log-Fails'
+// until an estimator update), so most of their slots or cycles find
+// their law here instead of paying a log1p and an exp or two. A stored
+// law is the double `compute` returns, so no draw and no outcome moves.
+// Evicting the least recently used entry keeps the probability that
+// holds while the other one changes every step.
 template <class Law, Law (*compute)(std::uint64_t, double)>
 class RecentLaws {
  public:
@@ -89,6 +91,24 @@ class RecentLaws {
   int victim_ = 0;
 };
 
+// The law of one kind of slot in a cycle step: P[success] of m stations
+// that all send with p, the double prob_success returns, and its
+// log1p(-P[success]), the denominator of every geometric draw at it.
+struct CycleLaw {
+  double success = 0.0;
+  double log_fail = 0.0;
+};
+
+// prob_success is m·p·exp((m − 1)·log1p(−p)), and exp(x) is exactly 0 for
+// x below about −745.13. log1p(−p) <= −p, so once (m − 1)·p exceeds 750
+// the law is 0 without evaluating it, which moves no draw: at k = 10^6
+// that is Log-Fails' BT law (bt = 0.048) while m is above 15700.
+CycleLaw cycle_law(std::uint64_t m, double p) {
+  if (static_cast<double>(m - 1) * p > 750.0) return {};
+  const double success = prob_success(m, p);
+  return {success, std::log1p(-success)};
+}
+
 }  // namespace
 
 RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
@@ -100,14 +120,25 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
 
   RecentLaws<SlotLaw, slot_law> laws;
   RecentLaws<double, prob_success> successes;
+  RecentLaws<CycleLaw, cycle_law> cycle_laws;
   std::uint64_t m = k;  // active stations
+  // Counts a delivery in the run's last elapsed slot.
+  const auto deliver = [&] {
+    ++metrics.success_slots;
+    ++metrics.deliveries;
+    --m;
+    if (options.record_deliveries) {
+      metrics.delivery_slots.push_back(metrics.slots - 1);
+    }
+  };
   while (m > 0 && metrics.slots < cap) {
-    double p = transmit_probability(protocol);
-    std::uint64_t stretch = 1;
     if (options.batched) {
-      const std::uint64_t horizon = protocol.constant_probability_slots();
-      UCR_CHECK(horizon >= 1, "constant-probability horizon must be >= 1");
-      if (horizon == 1) {
+      const SlotCycle cycle = protocol.slot_cycle();
+      UCR_CHECK(cycle.slots >= 1 && cycle.period >= 1 &&
+                    (cycle.period > 1 || cycle.to_bt == 0),
+                "a slot cycle needs a slot, a period, and at period 1 "
+                "every slot on the BT probability");
+      if (cycle.period == 1 && cycle.slots == 1) {
         // Thinned step, run to the next delivery or the cap: one uniform
         // u per slot, and the slot delivers iff u < s = P[success]. Every
         // s lies below the envelope, so a u at or above it decides "no
@@ -121,6 +152,7 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
         // it stays in a register across them.
         std::uint64_t slots = metrics.slots;
         bool delivery = false;
+        double p = transmit_probability(protocol);
         for (;;) {
           expected_tx.add(md * p);
           const double u = rng.next_double();
@@ -136,82 +168,121 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
           p = transmit_probability(protocol);
         }
         metrics.slots = slots;
-        if (delivery) {
-          ++metrics.success_slots;
-          ++metrics.deliveries;
-          --m;
-          if (options.record_deliveries) {
-            metrics.delivery_slots.push_back(slots - 1);
-          }
-        }
+        if (delivery) deliver();
         protocol.on_slot_end(delivery);
         continue;
       }
-      stretch = std::min(horizon, cap - metrics.slots);
-    }
-
-    const SlotLaw& law = laws.get(m, p);
-    if (stretch == 1) {
-      // One slot, one category draw: every slot in exact mode, and in
-      // batched mode a constant-probability stretch the cap cuts to one
-      // slot. p == 0 is silence without a draw, as in the stateless
-      // sample_slot_category.
-      const SlotCategory cat = p == 0.0 ? SlotCategory::kSilence
-                                        : sample_slot_category(rng, law);
-      expected_tx.add(static_cast<double>(m) * p);
-      bool delivery = false;
-      SlotOutcome outcome = SlotOutcome::kSilence;
-      switch (cat) {
-        case SlotCategory::kSilence:
-          ++metrics.silence_slots;
-          break;
-        case SlotCategory::kSuccess:
-          ++metrics.success_slots;
-          ++metrics.deliveries;
-          --m;
-          delivery = true;
-          outcome = SlotOutcome::kSuccess;
-          if (options.record_deliveries) {
-            metrics.delivery_slots.push_back(metrics.slots);
-          }
-          break;
-        case SlotCategory::kCollision:
-          ++metrics.collision_slots;
-          outcome = SlotOutcome::kCollision;
-          break;
+      // Cycle step over the next n slots. Given m each slot succeeds
+      // independently, an AT slot with s_at and a BT slot with s_bt, so
+      // the first AT success among the AT slots is Geometric(s_at), the
+      // first BT success among the BT slots Geometric(s_bt), the two
+      // are independent, and the delivery is whichever comes first in
+      // slot order: draw the AT success, then the BT success among the
+      // BT slots before it. Geometric draws are memoryless, so the next
+      // step drawing afresh under the protocol's next cycle is exact.
+      UCR_CHECK(cycle.at >= 0.0 && cycle.at <= 1.0 && cycle.bt >= 0.0 &&
+                    cycle.bt <= 1.0,
+                "protocol produced a probability outside [0, 1]");
+      const std::uint64_t n = std::min(cycle.slots, cap - metrics.slots);
+      const std::uint64_t period = cycle.period;
+      const std::uint64_t to_bt = cycle.to_bt;
+      // A constant-probability stretch splits its non-success slots into
+      // silence vs collision with one binomial draw, at P[silence | no
+      // success], while the run still samples the split; after a thinned
+      // or longer cycle step it would be discarded, so it is not drawn.
+      const bool split = period == 1 && metrics.silence_collision_sampled;
+      // Elapsed slots of each kind: all of them, unless a success cuts
+      // the step short.
+      std::uint64_t bt_sent = n > to_bt ? (n - to_bt - 1) / period + 1 : 0;
+      std::uint64_t at_sent = n - bt_sent;
+      bool delivered = false;
+      if (at_sent > 0) {
+        const CycleLaw& at = cycle_laws.get(m, cycle.at);
+        const std::uint64_t g = sample_geometric_failures(
+            rng, at.success, at.log_fail, at_sent);
+        if (g < at_sent) {
+          // AT slot g lies before the first BT slot, or else among the
+          // period - 1 AT slots after BT slot (g - to_bt) / (period - 1).
+          at_sent = g + 1;
+          bt_sent = g < to_bt ? 0 : (g - to_bt) / (period - 1) + 1;
+          delivered = true;
+        }
       }
-      if (options.observer != nullptr) {
-        options.observer->on_slot(
-            SlotView{metrics.slots, m + (delivery ? 1 : 0), p, outcome});
+      SlotLaw bt_law;  // P[success], and P[silence] where the split needs it
+      if (bt_sent > 0) {
+        std::uint64_t g = 0;
+        if (split) {
+          // The slot-law store holds both laws, from one log1p.
+          bt_law = laws.get(m, cycle.bt);
+          g = sample_geometric_failures(rng, bt_law.success, bt_sent);
+        } else {
+          const CycleLaw& bt = cycle_laws.get(m, cycle.bt);
+          bt_law.success = bt.success;
+          g = sample_geometric_failures(rng, bt.success, bt.log_fail,
+                                        bt_sent);
+        }
+        if (g < bt_sent) {
+          // BT slot g sits at offset to_bt + g·period.
+          at_sent = to_bt + g * (period - 1);
+          bt_sent = g + 1;
+          delivered = true;
+        }
       }
-      ++metrics.slots;
-      protocol.on_slot_end(delivery);
+      const std::uint64_t elapsed = at_sent + bt_sent;
+      const std::uint64_t failures = elapsed - (delivered ? 1 : 0);
+      const double md = static_cast<double>(m);
+      expected_tx.add(md * cycle.at * static_cast<double>(at_sent) +
+                      md * cycle.bt * static_cast<double>(bt_sent));
+      if (split) {
+        std::uint64_t silent = failures;
+        if (failures > 0 && bt_law.success < 1.0) {
+          silent = sample_binomial(
+              rng, failures,
+              std::min(1.0, bt_law.silence / (1.0 - bt_law.success)));
+        }
+        metrics.silence_slots += silent;
+        metrics.collision_slots += failures - silent;
+      } else {
+        metrics.silence_collision_sampled = false;
+      }
+      metrics.slots += elapsed;
+      protocol.on_non_delivery_slots(failures);
+      if (delivered) {
+        deliver();
+        protocol.on_slot_end(true);
+      }
       continue;
     }
 
-    // Constant-p stretch: slots are i.i.d. categorical until the first
-    // success, so the non-success run length is Geometric(P[success])
-    // truncated at the stretch, and the skipped slots split into silence
-    // vs collision with one binomial draw.
-    const auto [failures, silent] =
-        sample_stretch(rng, law.success, law.silence, stretch);
-    const bool delivered = failures < stretch;
-    metrics.silence_slots += silent;
-    metrics.collision_slots += failures - silent;
-    metrics.slots += failures;
-    expected_tx.add(static_cast<double>(m) * p *
-                    static_cast<double>(failures + (delivered ? 1 : 0)));
-    protocol.on_non_delivery_slots(failures);
-    if (delivered) {
-      ++metrics.success_slots;
-      ++metrics.deliveries;
-      --m;
-      if (options.record_deliveries) {
-        metrics.delivery_slots.push_back(metrics.slots);
-      }
-      ++metrics.slots;
-      protocol.on_slot_end(true);
+    // One slot, one category draw: every slot in exact mode. p == 0 is
+    // silence without a draw, as in the stateless sample_slot_category.
+    const double p = transmit_probability(protocol);
+    const SlotLaw& law = laws.get(m, p);
+    const SlotCategory cat = p == 0.0 ? SlotCategory::kSilence
+                                      : sample_slot_category(rng, law);
+    expected_tx.add(static_cast<double>(m) * p);
+    bool delivery = false;
+    SlotOutcome outcome = SlotOutcome::kSilence;
+    ++metrics.slots;
+    switch (cat) {
+      case SlotCategory::kSilence:
+        ++metrics.silence_slots;
+        break;
+      case SlotCategory::kSuccess:
+        deliver();
+        delivery = true;
+        outcome = SlotOutcome::kSuccess;
+        break;
+      case SlotCategory::kCollision:
+        ++metrics.collision_slots;
+        outcome = SlotOutcome::kCollision;
+        break;
     }
+    if (options.observer != nullptr) {
+      options.observer->on_slot(
+          SlotView{metrics.slots - 1, m + (delivery ? 1 : 0), p, outcome});
+    }
+    protocol.on_slot_end(delivery);
   }
 
   if (!metrics.silence_collision_sampled) {

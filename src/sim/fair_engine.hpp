@@ -10,9 +10,10 @@
 // from its closed-form probabilities yields a process with exactly the same
 // joint law of outcomes as the per-node engine — in O(1) per slot.
 //
-// Batched mode's thinned step rests on the same law with less of it: given
-// (m, p) a slot delivers with probability s = m·p·(1 − p)^(m−1), so a
-// uniform u delivers iff u < s, with P[u < s] = s.
+// Batched mode's steps rest on the same law with less of it: given (m, p)
+// a slot delivers with probability s = m·p·(1 − p)^(m−1), independently
+// of every other slot, so a uniform u delivers iff u < s (P[u < s] = s),
+// and over slots of one law the first delivery is geometric.
 //
 // Window protocols additionally need the exact transmitter count (a
 // transmitter leaves the within-window pending pool even on collision); the
@@ -47,22 +48,33 @@ namespace ucr {
 ///
 /// Exact mode: one categorical draw per slot, O(1) work per slot. Batched
 /// mode picks its step by the protocol's batching hint
-/// (FairSlotProtocol::constant_probability_slots):
-///  * a hint above 1 certifies a stretch of constant p, over which the
-///    number of non-success slots before the next success is
-///    Geometric(P[success]); the engine draws it in O(1) and splits the
-///    skipped slots into silence/collision with one binomial draw. For a
-///    constant-p protocol that is O(k) in total, whatever the makespan.
-///  * a hint of 1 (One-Fail Adaptive, Log-Fails Adaptive (2), Dynamic
-///    One-Fail) gets the thinned step, run to the next delivery or the
-///    cap: one uniform u per slot, and the slot delivers iff
+/// (FairSlotProtocol::slot_cycle, a SlotCycle):
+///  * the default one-slot cycle (One-Fail Adaptive, Dynamic One-Fail)
+///    gets the thinned step, run to the next delivery or the cap: one
+///    uniform u per slot, and the slot delivers iff
 ///    u < s = m·p·(1 − p)^(m−1). s peaks at p = 1/m (the paper's Fact
 ///    4) below (1 + 1/m)/e, so a u above that envelope decides the slot
 ///    with no law at all, which is about 63% of slots; the rest look s
 ///    up among the last two it computed. O(1) per slot, the automaton
-///    stepping through on_slot_end, and no silence/collision split: a run
-///    that takes this step reports both counts as 0 and
-///    RunMetrics::silence_collision_sampled as false.
+///    stepping through on_slot_end.
+///  * any other cycle gets the cycle step over its slots, cut at the
+///    cap: the first success among its AT slots is Geometric(s_at) and
+///    among its BT slots Geometric(s_bt), independent, and the earlier
+///    one is the delivery. So the step is one truncated geometric draw
+///    over the AT slots and one over the BT slots before that AT success
+///    (none for a law of 0, as at paper scale for Log-Fails' BT slots),
+///    then one bulk advance (on_non_delivery_slots) and on a delivery
+///    on_slot_end(true). Log-Fails Adaptive takes one step per delivery
+///    or fail-threshold crossing; the known-k genie, whose cycle is one
+///    unbounded constant-p stretch (period 1), one per delivery, O(k) in
+///    total whatever the makespan.
+/// Both steps decide each slot only as delivery or not: a run that takes
+/// a thinned step or a cycle of period > 1 reports both silence and
+/// collision counts as 0 and RunMetrics::silence_collision_sampled as
+/// false. A constant-p stretch splits its non-success slots into silence
+/// and collision with one binomial draw, as long as the run still
+/// samples the split. expected_transmissions adds m·p per elapsed slot,
+/// a cycle step as m·(at·#AT + bt·#BT).
 RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
                                 Xoshiro256& rng, const EngineOptions& options);
 

@@ -13,13 +13,15 @@
 // History:
 //   1  every model up to the thinned step;
 //   2  the batched fair slot engine's thinned step for protocols whose
-//      batching hint is 1 (sim/fair_engine.hpp).
+//      batching hint is 1 (sim/fair_engine.hpp);
+//   3  its cycle step for two-probability cycles (Log-Fails Adaptive),
+//      and no silence/collision split drawn once a run stops sampling it.
 #pragma once
 
 #include <cstdint>
 
 namespace ucr {
 
-inline constexpr std::uint64_t kModelVersion = 2;
+inline constexpr std::uint64_t kModelVersion = 3;
 
 }  // namespace ucr

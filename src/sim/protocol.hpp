@@ -34,6 +34,7 @@
 // from the engine stream, or the two modes' draws would diverge.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -66,9 +67,10 @@ class NodeProtocol {
   /// equivalent to one on_non_delivery_slots(count) call. Must be >= 1.
   /// Queried right after transmit_probability() in the same slot.
   ///
-  /// This is the per-station analogue of FairSlotProtocol::
-  /// constant_probability_slots(), generalized to heterogeneous state: the
-  /// batched node engine skips min-over-stations stretches. The
+  /// This is the per-station analogue of the constant part of
+  /// FairSlotProtocol::slot_cycle() (SlotCycle::constant_slots()),
+  /// generalized to heterogeneous state: the batched node engine skips
+  /// min-over-stations stretches. The
   /// conservative default of 1 keeps every protocol on the exact per-slot
   /// path (bit-identical to exact mode from the same seed).
   ///
@@ -107,6 +109,37 @@ class NodeProtocol {
   NodeProtocol& operator=(NodeProtocol&&) = default;
 };
 
+/// A fair slot protocol's batching hint (FairSlotProtocol::slot_cycle):
+/// absent a delivery, for the next `slots` slots (counting the current
+/// one), every slot at offset to_bt + j·period (j = 0, 1, ...) sends with
+/// probability `bt` and every other slot with `at`. Both probabilities
+/// are in [0, 1], and both counts are >= 1.
+///
+/// Three shapes occur:
+///  * the default, one slot of period 1 ({}): no certificate beyond the
+///    current slot, whose probability transmit_probability() gives;
+///  * period 1 with to_bt = 0, more than one slot: a constant-probability
+///    stretch at `bt` (the known-k genie: unbounded);
+///  * a longer period: a fixed BT probability every period-th slot and
+///    an AT probability that holds in between, up to and including the
+///    last slot it is certified for (Log-Fails Adaptive: to its next
+///    fail-threshold crossing).
+struct SlotCycle {
+  std::uint64_t slots = 1;
+  std::uint64_t period = 1;
+  std::uint64_t to_bt = 0;
+  double at = 0.0;
+  double bt = 0.0;
+
+  /// Slots, counting the current one, over which the probability stays
+  /// constant absent a delivery: the whole cycle at period 1; at a longer
+  /// period 1 on a BT slot, else the AT slots before the next BT slot.
+  std::uint64_t constant_slots() const {
+    if (period == 1) return slots;
+    return to_bt == 0 ? 1 : std::min(slots, to_bt);
+  }
+};
+
 /// Shared-state automaton of a fair slot-probability protocol.
 class FairSlotProtocol {
  public:
@@ -119,24 +152,28 @@ class FairSlotProtocol {
   /// success (every remaining active station heard it).
   virtual void on_slot_end(bool delivery) = 0;
 
-  /// Batching hint for the fast-path engine (sim/fair_engine.hpp): the
-  /// number of upcoming slots — counting the current one — over which
-  /// transmit_probability() is guaranteed constant as long as no delivery
-  /// occurs. Must be >= 1. Protocols whose state drifts every slot (e.g.
-  /// One-Fail Adaptive's +1-per-AT-step estimator, or any AT/BT
-  /// interleaving) return 1, which gives them the batched engine's thinned
-  /// step: one uniform per slot against the slot's success probability,
-  /// run to the next delivery. That is exact mode's law but not its draws,
-  /// so batched runs of such a protocol are not bit-identical to exact
-  /// ones. Protocols whose probability changes only on deliveries may
-  /// return an unbounded horizon (UINT64_MAX).
-  virtual std::uint64_t constant_probability_slots() const { return 1; }
+  /// Batching hint for the batched fair slot engine (sim/fair_engine.hpp):
+  /// the upcoming slots as a two-probability cycle (SlotCycle), valid as
+  /// long as no delivery occurs. A cycle other than the default must send
+  /// with transmit_probability() at offset 0, and on_non_delivery_slots
+  /// must accept any count up to its `slots`.
+  ///
+  /// The default certifies only the current slot. Protocols whose state
+  /// drifts every slot (e.g. One-Fail Adaptive's +1-per-AT-step
+  /// estimator) keep it, which gives them the engine's thinned step: one
+  /// uniform per slot against the slot's success probability, run to the
+  /// next delivery. Any other cycle takes the cycle step: one truncated
+  /// geometric draw over its AT slots and one over its BT slots. Either
+  /// is exact mode's law but not its draws, so batched runs are not
+  /// bit-identical to exact ones.
+  virtual SlotCycle slot_cycle() const { return {}; }
 
   /// Bulk equivalent of `count` consecutive on_slot_end(false) calls; used
-  /// by the batched engine to skip a sampled run of non-delivery slots.
-  /// The default replays the per-slot call and is always correct;
-  /// protocols that advertise a batching horizon > 1 should override it
-  /// with an O(1) update so the skipped slots really cost nothing.
+  /// by the batched engine to skip a sampled run of non-delivery slots,
+  /// with count <= slot_cycle().slots. The default replays the per-slot
+  /// call and is always correct; protocols that advertise a cycle longer
+  /// than one slot should override it with an O(1) update so the skipped
+  /// slots really cost nothing.
   virtual void on_non_delivery_slots(std::uint64_t count) {
     for (std::uint64_t i = 0; i < count; ++i) on_slot_end(false);
   }
@@ -145,7 +182,7 @@ class FairSlotProtocol {
 /// The per-station view of a fair slot protocol: one station running its
 /// own copy of the shared automaton `Fair` (a final FairSlotProtocol).
 ///
-/// Why the automaton's constant-probability horizon is a valid
+/// Why the constant part of the automaton's cycle is a valid
 /// stationarity certificate: a fair automaton reads only "did another
 /// station deliver" — never the station's own coin, nor the silence /
 /// collision split — so absent a success its state is a pure function of
@@ -170,7 +207,7 @@ class FairSlotStation final : public NodeProtocol {
     automaton_.on_slot_end(fb.heard_delivery);
   }
   std::uint64_t stationary_slots() const override {
-    return automaton_.constant_probability_slots();
+    return automaton_.slot_cycle().constant_slots();
   }
   void on_non_delivery_slots(std::uint64_t count) override {
     automaton_.on_non_delivery_slots(count);

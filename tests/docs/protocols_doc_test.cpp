@@ -41,7 +41,7 @@ TEST(ProtocolsDoc, CatalogMentionsBothHintInterfaces) {
   // The catalog documents hint strength per protocol; the two interfaces
   // it refers to must stay named after the real ones.
   const std::string doc = read_repo_file("docs/PROTOCOLS.md");
-  EXPECT_NE(doc.find("constant_probability_slots"), std::string::npos);
+  EXPECT_NE(doc.find("slot_cycle"), std::string::npos);
   EXPECT_NE(doc.find("stationary_slots"), std::string::npos);
 }
 

@@ -8,8 +8,9 @@
 // tolerance that covers Monte-Carlo noise but catches systematic modeling
 // errors — rather than by re-pinning goldens.
 //
-// Protocols with a batching hint of 1 take the thinned step, whose law is
-// also checked on whole distributions (batched_law_test.cpp). The
+// The thinned step of the protocols that keep the default one-slot hint
+// and the cycle step of Log-Fails Adaptive are also checked on whole
+// distributions (batched_law_test.cpp). The
 // wall-clock floor of the fast path lives in timing_floor_test.cpp.
 #include <gtest/gtest.h>
 

@@ -1,7 +1,8 @@
 // The `slow`-labeled half of batched_law_test.cpp: the same two-sample
-// Kolmogorov–Smirnov comparison of exact and batched fair slot runs at
-// k = 10^4, where exact mode's O(slots) cost puts 2000 runs a side past
-// the tier-1 budget of an unoptimized build.
+// Kolmogorov–Smirnov comparison of exact and batched fair slot runs (the
+// thinned step and the cycle step) at k = 10^4, where exact mode's
+// O(slots) cost puts 2000 runs a side past the tier-1 budget of an
+// unoptimized build.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -130,6 +130,7 @@ TEST(GoldenFiles, DigestMatchesTheModelVersion) {
   const std::map<std::uint64_t, std::uint64_t> digests = {
       {1, 0xe700991358495072ULL},
       {2, 0xa26bbcdc92cf723fULL},
+      {3, 0x5cefe12a2ef20ff0ULL},
   };
   ASSERT_EQ(digests.count(kModelVersion), 1u)
       << "no golden digest recorded for model version " << kModelVersion;

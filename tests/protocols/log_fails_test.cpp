@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -56,53 +58,90 @@ TEST(LogFailsState, BtPeriodFromXiT) {
   EXPECT_EQ(LogFailsAdaptive(params_with(0.1), 10).bt_period(), 10u);
 }
 
-// Walks one state through at least `steps` steps of mixed advance(false),
-// advance(true) and advance_non_delivery(constant_probability_slots())
-// calls, checking every step-dependent answer against a reference 1-based
-// step count taken modulo bt_period().
+// Walks one state through at least `steps` steps of mixed
+// on_slot_end(true), on_slot_end(false) and on_non_delivery_slots(count)
+// calls, count anywhere up to slot_cycle().slots, so that bulk advances
+// span BT steps and end on fail-threshold crossings. Every step-dependent
+// answer is checked against a reference 1-based step count taken modulo
+// bt_period(), and after every call the state must match, bit for bit, a
+// twin that took each bulk advance as per-slot on_slot_end(false) calls.
 void walk_against_reference_step(double xi_t, std::uint64_t steps) {
   LogFailsAdaptive st(params_with(xi_t), 1000);
+  LogFailsAdaptive twin = st;
   const std::uint64_t period = st.bt_period();
   Xoshiro256 rng(static_cast<std::uint64_t>(1.0 / xi_t));
   std::uint64_t step = 1;
   std::uint64_t at_bulk_advances = 0;  // bulk advances from an AT step
+  std::uint64_t spanning_advances = 0;  // bulk advances across a BT step
+  std::uint64_t bulk_crossings = 0;     // bulk advances ending in a crossing
   std::uint64_t threshold_crossings = 0;
   while (step <= steps) {
     const bool bt = step % period == 0;
     ASSERT_EQ(st.is_bt_step(), bt) << "step " << step;
+    const std::uint64_t threshold = st.fail_threshold();
+    const std::uint64_t to_threshold =
+        st.fail_count() >= threshold ? 1 : threshold - st.fail_count();
+    const SlotCycle cycle = st.slot_cycle();
+    // The constant part of the cycle, the node hint, is the distance to
+    // the next BT step or fail-threshold crossing.
     if (bt) {
-      ASSERT_EQ(st.constant_probability_slots(), 1u) << "step " << step;
+      ASSERT_EQ(cycle.constant_slots(), 1u) << "step " << step;
       ASSERT_EQ(st.transmit_probability(), st.bt_probability());
     } else {
-      const std::uint64_t threshold = st.fail_threshold();
-      const std::uint64_t to_threshold =
-          st.fail_count() >= threshold ? 1 : threshold - st.fail_count();
-      ASSERT_EQ(st.constant_probability_slots(),
+      ASSERT_EQ(cycle.constant_slots(),
                 std::min(period - step % period, to_threshold))
           << "step " << step;
       ASSERT_EQ(st.transmit_probability(), 1.0 / st.kappa_estimate())
           << "step " << step;
     }
+    // The whole cycle: BT steps on the multiples of the period, AT steps
+    // at 1/kappa~ up to and including the to_threshold-th.
+    ASSERT_EQ(cycle.period, period);
+    ASSERT_EQ(cycle.to_bt, (period - step % period) % period)
+        << "step " << step;
+    ASSERT_EQ(cycle.at, 1.0 / st.kappa_estimate());
+    ASSERT_EQ(cycle.bt, st.bt_probability());
+    std::uint64_t slots = 0;
+    for (std::uint64_t at = 0; at < to_threshold; ++slots) {
+      if ((step + slots) % period != 0) ++at;
+    }
+    ASSERT_EQ(cycle.slots, slots) << "step " << step;
+
     const std::uint64_t choice = rng.next_below(8);
+    const double kappa = st.kappa_estimate();
     if (choice == 0) {
       st.on_slot_end(true);
+      twin.on_slot_end(true);
       ++step;
     } else if (choice < 4) {
-      const std::uint64_t count = st.constant_probability_slots();
-      const double kappa = st.kappa_estimate();
+      // To the crossing, or anywhere short of it.
+      const std::uint64_t count =
+          choice == 1 ? cycle.slots : 1 + rng.next_below(cycle.slots);
       st.on_non_delivery_slots(count);
+      for (std::uint64_t i = 0; i < count; ++i) twin.on_slot_end(false);
       step += count;
       at_bulk_advances += bt ? 0 : 1;
+      spanning_advances += count > cycle.constant_slots() ? 1 : 0;
+      bulk_crossings += st.kappa_estimate() != kappa;
       threshold_crossings += st.kappa_estimate() != kappa;
     } else {
-      const double kappa = st.kappa_estimate();
       st.on_slot_end(false);
+      twin.on_slot_end(false);
       ++step;
       threshold_crossings += st.kappa_estimate() != kappa;
     }
+    ASSERT_EQ(st.fail_count(), twin.fail_count()) << "step " << step;
+    ASSERT_EQ(st.slot_cycle().to_bt, twin.slot_cycle().to_bt)  // the phase
+        << "step " << step;
+    ASSERT_EQ(st.in_search_phase(), twin.in_search_phase());
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(st.kappa_estimate()),
+              std::bit_cast<std::uint64_t>(twin.kappa_estimate()))
+        << "step " << step;
   }
   // The walk reached both rare branches the per-step answers depend on.
   EXPECT_GT(at_bulk_advances, 0u);
+  EXPECT_GT(spanning_advances, 0u);
+  EXPECT_GT(bulk_crossings, 0u);
   EXPECT_GT(threshold_crossings, 0u);
 }
 
@@ -115,8 +154,8 @@ TEST(LogFailsState, BtStepsOccurAtPeriod) {
   st.on_slot_end(false);
   EXPECT_FALSE(st.is_bt_step());
 
-  walk_against_reference_step(0.5, 20000);
-  walk_against_reference_step(0.1, 20000);
+  walk_against_reference_step(0.5, 200000);
+  walk_against_reference_step(0.1, 200000);
 }
 
 TEST(LogFailsState, ThresholdsScaleWithLogAndLogSquared) {

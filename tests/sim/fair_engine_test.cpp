@@ -23,7 +23,7 @@ EngineOptions batched_mode(EngineOptions options = {}) {
 }
 
 // Fixed shared probability (the simplest fair protocol). Keeps the
-// default batching hint of 1, so batched mode takes its thinned step.
+// default one-slot cycle, so batched mode takes its thinned step.
 class FixedFair : public FairSlotProtocol {
  public:
   explicit FixedFair(double p) : p_(p) {}
@@ -34,12 +34,15 @@ class FixedFair : public FairSlotProtocol {
   double p_;
 };
 
+// The unbounded constant-probability cycle (period 1) at p.
+SlotCycle constant_cycle(double p) { return {~std::uint64_t{0}, 1, 0, p, p}; }
+
 // Same protocol, advertising its constant probability to batched mode.
 class ConstantFair final : public FixedFair {
  public:
   using FixedFair::FixedFair;
-  std::uint64_t constant_probability_slots() const override {
-    return ~std::uint64_t{0};
+  SlotCycle slot_cycle() const override {
+    return constant_cycle(transmit_probability());
   }
   void on_non_delivery_slots(std::uint64_t) override {}
 };
@@ -58,7 +61,7 @@ class CountingObserver final : public SlotObserver {
 };
 
 // Cycles through a script of probabilities, one entry per slot. Keeps the
-// default batching hint of 1, so batched mode takes its thinned step.
+// default one-slot cycle, so batched mode takes its thinned step.
 class ScriptedFair final : public FairSlotProtocol {
  public:
   explicit ScriptedFair(std::vector<double> script)
@@ -73,20 +76,24 @@ class ScriptedFair final : public FairSlotProtocol {
   std::size_t step_ = 0;
 };
 
-// A constant probability certified only until the first delivery, so a
-// batched run takes a geometric stretch and then thinned steps.
-class CertifiedUntilDeliveryFair final : public FairSlotProtocol {
+// A constant probability certified on one side of the first delivery
+// only: before it, so a batched run takes a geometric stretch and then
+// thinned steps, or from it on, so the run takes a thinned step and then
+// geometric stretches.
+class CertifiedAroundDeliveryFair final : public FairSlotProtocol {
  public:
-  explicit CertifiedUntilDeliveryFair(double p) : p_(p) {}
+  CertifiedAroundDeliveryFair(double p, bool after_first_delivery)
+      : p_(p), after_(after_first_delivery) {}
   double transmit_probability() const override { return p_; }
   void on_slot_end(bool delivery) override { delivered_ |= delivery; }
-  std::uint64_t constant_probability_slots() const override {
-    return delivered_ ? 1 : ~std::uint64_t{0};
+  SlotCycle slot_cycle() const override {
+    return delivered_ == after_ ? constant_cycle(p_) : SlotCycle{};
   }
   void on_non_delivery_slots(std::uint64_t) override {}
 
  private:
   double p_;
+  bool after_;
   bool delivered_ = false;
 };
 
@@ -394,7 +401,7 @@ TEST(BatchedSlotEngine, SolvesAndRecordsDeliveries) {
 
 TEST(ThinnedSlotEngine, FirstDeliveryFollowsItsExactLaw) {
   // The analytic check of the thinned step: with m = 5 stations on a
-  // hint-1 script, the first delivery slot T has P[T = t] =
+  // default-hint script, the first delivery slot T has P[T = t] =
   // s_t · prod_{j<t} (1 − s_j), s_t = slot_law(5, p_t).success. The
   // script holds p = 1/m = 0.2, where s sits next to the envelope, and a
   // 1% error in the acceptance probability moves the statistic far past
@@ -483,7 +490,7 @@ TEST(ThinnedSlotEngine, MixedStepsReportNoPartialSplit) {
   // Geometric stretches sample the split, thinned steps do not: a run that
   // takes both reports it as not sampled, with both counts 0.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    CertifiedUntilDeliveryFair protocol(0.02);
+    CertifiedAroundDeliveryFair protocol(0.02, false);
     Xoshiro256 rng = Xoshiro256::stream(980, seed);
     const RunMetrics m =
         run_fair_slot_engine(protocol, 20, rng, batched_mode());
@@ -493,6 +500,263 @@ TEST(ThinnedSlotEngine, MixedStepsReportNoPartialSplit) {
     EXPECT_EQ(m.collision_slots, 0u);
     EXPECT_EQ(m.success_slots, 20u);
   }
+}
+
+TEST(ThinnedSlotEngine, StretchesAfterAThinnedStepDrawNoSplit) {
+  // A thinned step leaves the run's silence/collision split unsampled, so
+  // the constant-probability stretches after it must not draw one: the
+  // generator has to end exactly where the thinned uniforms and the
+  // stretches' geometric draws alone leave it.
+  const double p = 0.05;
+  const std::uint64_t k = 20;
+  const std::uint64_t cap = EngineOptions{}.resolved_cap(k);
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    CertifiedAroundDeliveryFair protocol(p, true);
+    Xoshiro256 rng = Xoshiro256::stream(985, seed);
+    Xoshiro256 replay = rng;
+    EngineOptions opts;
+    opts.record_deliveries = true;
+    const RunMetrics got =
+        run_fair_slot_engine(protocol, k, rng, batched_mode(opts));
+    ASSERT_TRUE(got.completed);
+    EXPECT_FALSE(got.silence_collision_sampled);
+
+    // The thinned step: one uniform per slot up to the first delivery.
+    std::vector<std::uint64_t> want;
+    std::uint64_t slot = 0;
+    while (!(replay.next_double() < prob_success(k, p))) ++slot;
+    want.push_back(slot++);
+    // Then one geometric draw per delivery, and nothing else.
+    for (std::uint64_t m = k - 1; m > 0; --m) {
+      slot += sample_geometric_failures(replay, prob_success(m, p),
+                                        cap - slot);
+      want.push_back(slot++);
+    }
+    EXPECT_EQ(got.delivery_slots, want);
+    EXPECT_EQ(rng.next_u64(), replay.next_u64());
+  }
+}
+
+// ------------------------------------ slot engine, batched cycle step
+
+// A two-probability cycle of period 3 with its BT slots at steps 0, 3,
+// 6, ...: BT slots send with `bt`, and AT slots with the AT laws in turn,
+// each held for `block` AT slots, so the AT law changes at a crossing
+// every `block` AT slots. Deliveries move nothing.
+class ScriptedCycleFair final : public FairSlotProtocol {
+ public:
+  static constexpr std::uint64_t kPeriod = 3;
+  ScriptedCycleFair(double bt, std::vector<double> ats, std::uint64_t block)
+      : bt_(bt), ats_(std::move(ats)), block_(block) {}
+
+  double transmit_probability() const override {
+    return step_ % kPeriod == 0 ? bt_ : at();
+  }
+  void on_slot_end(bool) override {
+    if (step_ % kPeriod != 0) ++at_steps_;
+    ++step_;
+  }
+  // Up to and including the last AT slot of the current AT law.
+  SlotCycle slot_cycle() const override {
+    std::uint64_t slots = 0;
+    for (std::uint64_t left = block_ - at_steps_ % block_; left > 0;) {
+      if ((step_ + slots) % kPeriod != 0) --left;
+      ++slots;
+    }
+    const std::uint64_t to_bt = (kPeriod - step_ % kPeriod) % kPeriod;
+    return {slots, kPeriod, to_bt, at(), bt_};
+  }
+  void on_non_delivery_slots(std::uint64_t count) override {
+    for (std::uint64_t i = 0; i < count; ++i) on_slot_end(false);
+  }
+
+ private:
+  double at() const { return ats_[at_steps_ / block_ % ats_.size()]; }
+
+  double bt_;
+  std::vector<double> ats_;
+  std::uint64_t block_;
+  std::uint64_t step_ = 0;
+  std::uint64_t at_steps_ = 0;
+};
+
+// The probabilities of a script's first `slots` slots.
+std::vector<double> probabilities(ScriptedCycleFair protocol,
+                                  std::uint64_t slots) {
+  std::vector<double> out;
+  for (std::uint64_t t = 0; t < slots; ++t) {
+    out.push_back(protocol.transmit_probability());
+    protocol.on_slot_end(false);
+  }
+  return out;
+}
+
+// A cycle that holds forever: BT slots every `period` slots from step 0
+// on, and a bulk advance of any length in O(1).
+class FixedCycleFair final : public FairSlotProtocol {
+ public:
+  FixedCycleFair(std::uint64_t period, double at, double bt)
+      : period_(period), at_(at), bt_(bt) {}
+  double transmit_probability() const override {
+    return step_ % period_ == 0 ? bt_ : at_;
+  }
+  void on_slot_end(bool) override { ++step_; }
+  SlotCycle slot_cycle() const override {
+    return {~std::uint64_t{0}, period_, (period_ - step_ % period_) % period_,
+            at_, bt_};
+  }
+  void on_non_delivery_slots(std::uint64_t count) override { step_ += count; }
+  std::uint64_t step() const { return step_; }
+
+ private:
+  std::uint64_t period_;
+  double at_;
+  double bt_;
+  std::uint64_t step_ = 0;
+};
+
+TEST(CycleSlotEngine, FirstDeliveryFollowsItsExactLaw) {
+  // The analytic check of the cycle step, as for the thinned step: with
+  // m = 5 stations the first delivery slot T has P[T = t] =
+  // s_t · prod_{j<t} (1 − s_j), s_t = prob_success(5, p_t). The script
+  // starts on a BT slot, and its AT law changes at a crossing every four
+  // AT slots, so most steps end at a crossing inside the 30 slots
+  // observed, and the cap cuts the last one.
+  const ScriptedCycleFair script(0.1, {0.02, 0.05}, 4);
+  const std::uint64_t m = 5;
+  const std::uint64_t runs = 400'000;
+  constexpr std::size_t kBins = 30;  // T = 0..29, then the tail T >= 30
+  const std::vector<double> p = probabilities(script, kBins);
+  EngineOptions opts;
+  opts.max_slots = kBins;
+  opts.record_deliveries = true;
+  std::vector<double> observed(kBins + 1, 0.0);
+  for (std::uint64_t run = 0; run < runs; ++run) {
+    ScriptedCycleFair protocol = script;
+    Xoshiro256 rng = Xoshiro256::stream(990, run);
+    const RunMetrics r = run_fair_slot_engine(protocol, m, rng,
+                                              batched_mode(opts));
+    ++observed[r.delivery_slots.empty() ? kBins : r.delivery_slots.front()];
+  }
+  double statistic = 0.0;
+  double undelivered = 1.0;
+  for (std::size_t t = 0; t <= kBins; ++t) {
+    const double s = t < kBins ? prob_success(m, p[t]) : 1.0;
+    const double expected = static_cast<double>(runs) * undelivered * s;
+    undelivered *= 1.0 - s;
+    statistic += (observed[t] - expected) * (observed[t] - expected) /
+                 expected;
+  }
+  // The 0.999 quantile of chi-square with 30 degrees of freedom.
+  std::printf("[ cycle-law ] first delivery: chi-square %.1f, critical "
+              "59.703\n",
+              statistic);
+  EXPECT_LT(statistic, 59.703);
+}
+
+TEST(CycleSlotEngine, ExpectedTransmissionsArePerSlotSums) {
+  // A cycle step adds m·(at·#AT + bt·#BT) over its elapsed slots, the
+  // success slot included: the per-slot m·p sum up to rounding.
+  const ScriptedCycleFair script(0.1, {0.02, 0.05}, 4);
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    ScriptedCycleFair protocol = script;
+    Xoshiro256 rng = Xoshiro256::stream(991, seed);
+    EngineOptions opts;
+    opts.max_slots = 3000;
+    opts.record_deliveries = true;
+    const RunMetrics got =
+        run_fair_slot_engine(protocol, 40, rng, batched_mode(opts));
+    ASSERT_GT(got.deliveries, 1u);
+    const std::vector<double> p = probabilities(script, got.slots);
+    KahanSum want;
+    std::uint64_t m = 40;
+    std::size_t next = 0;
+    for (std::uint64_t slot = 0; slot < got.slots; ++slot) {
+      want.add(static_cast<double>(m) * p[slot]);
+      if (next < got.delivery_slots.size() &&
+          got.delivery_slots[next] == slot) {
+        --m;
+        ++next;
+      }
+    }
+    EXPECT_EQ(next, got.delivery_slots.size()) << "seed " << seed;
+    EXPECT_NEAR(got.expected_transmissions, want.value(),
+                1e-12 * want.value())
+        << "seed " << seed;
+    EXPECT_FALSE(got.silence_collision_sampled);
+    EXPECT_EQ(got.silence_slots, 0u);
+    EXPECT_EQ(got.collision_slots, 0u);
+  }
+}
+
+TEST(CycleSlotEngine, CapInsideACycle) {
+  // Two stations sending with probability 1 never succeed (s = 0 on every
+  // slot, decided without a draw): the run ends at the cap, 37 slots into
+  // a cycle of period 4, and the protocol has advanced exactly that far.
+  FixedCycleFair protocol(4, 1.0, 1.0);
+  Xoshiro256 rng(992);
+  Xoshiro256 untouched = rng;
+  EngineOptions opts;
+  opts.max_slots = 37;
+  const RunMetrics m =
+      run_fair_slot_engine(protocol, 2, rng, batched_mode(opts));
+  EXPECT_FALSE(m.completed);
+  EXPECT_EQ(m.slots, 37u);
+  EXPECT_EQ(protocol.step(), 37u);
+  EXPECT_DOUBLE_EQ(m.expected_transmissions, 74.0);
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+}
+
+TEST(CycleSlotEngine, BtLawOfZeroDeliversOnlyOnAtSlots) {
+  // bt = 0: a BT slot never succeeds and its law needs no draw, so every
+  // delivery lands on an AT slot.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    FixedCycleFair protocol(3, 0.1, 0.0);
+    Xoshiro256 rng = Xoshiro256::stream(993, seed);
+    EngineOptions opts;
+    opts.record_deliveries = true;
+    const RunMetrics m =
+        run_fair_slot_engine(protocol, 10, rng, batched_mode(opts));
+    ASSERT_TRUE(m.completed);
+    for (const std::uint64_t slot : m.delivery_slots) {
+      EXPECT_NE(slot % 3, 0u) << "seed " << seed << " slot " << slot;
+    }
+  }
+}
+
+TEST(CycleSlotEngine, OneStationSucceedsWithItsOwnProbability) {
+  // m = 1: a slot succeeds with exactly p. At bt = 0 and at = 1 neither
+  // law needs a draw: the station delivers on slot 1, the first AT slot.
+  FixedCycleFair protocol(3, 1.0, 0.0);
+  Xoshiro256 rng(994);
+  Xoshiro256 untouched = rng;
+  EngineOptions opts;
+  opts.record_deliveries = true;
+  const RunMetrics m =
+      run_fair_slot_engine(protocol, 1, rng, batched_mode(opts));
+  ASSERT_TRUE(m.completed);
+  EXPECT_EQ(m.slots, 2u);
+  EXPECT_EQ(m.delivery_slots, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(protocol.step(), 2u);
+  EXPECT_DOUBLE_EQ(m.expected_transmissions, 1.0);
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+}
+
+TEST(CycleSlotEngine, GeometricDrawPast2To64TruncatesAtTheCap) {
+  // At p = 1e-300 both geometric draws come out near 10^300 slots, far
+  // past 2^64, and must truncate at the slots the cap leaves, as
+  // doubles, before any cast to an integer.
+  FixedCycleFair protocol(2, 1e-300, 1e-300);
+  Xoshiro256 rng(995);
+  EngineOptions opts;
+  opts.max_slots = ~std::uint64_t{0};
+  const RunMetrics m =
+      run_fair_slot_engine(protocol, 2, rng, batched_mode(opts));
+  EXPECT_FALSE(m.completed);
+  EXPECT_EQ(m.slots, ~std::uint64_t{0});
+  EXPECT_EQ(protocol.step(), ~std::uint64_t{0});
+  EXPECT_EQ(m.deliveries, 0u);
 }
 
 TEST(BatchedSlotEngine, MeanMakespanMatchesExactEngine) {

@@ -3,7 +3,7 @@
 // slot protocol feeds the station every kind of per-station feedback the
 // node engine produces and the bare automaton the common "did another
 // station deliver" bit it stands for; the two must report the same
-// transmission probability and horizon at every step.
+// transmission probability and node hint at every step.
 #include "sim/protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -24,9 +24,9 @@
 namespace ucr {
 namespace {
 
-// Log-Fails at xi_t = 1/10 certifies multi-slot horizons, so the walk's
-// bulk advances are more than one slot; the genie's k leaves room for
-// every heard delivery of the walk.
+// Log-Fails at xi_t = 1/10 certifies multi-slot constant stretches, so
+// the station's node hint is more than one slot; the genie's k leaves
+// room for every heard delivery of the walk.
 template <class Fair>
 Fair make_automaton() {
   if constexpr (std::is_same_v<Fair, LogFailsAdaptive>) {
@@ -46,7 +46,7 @@ enum class Step {
   kSilence,
   kCollision,      // with or without its own coin, with or without CD
   kCapturedLoss,   // transmitted in a captured success, not delivered
-  kBulk,           // on_non_delivery_slots within the horizon
+  kBulk,           // on_non_delivery_slots within the cycle
 };
 constexpr std::uint64_t kStepKinds = 6;
 
@@ -85,8 +85,17 @@ TYPED_TEST(FairSlotStationTest, TracksTheBareAutomaton) {
   for (std::size_t i = 0; i < steps.size(); ++i) {
     ASSERT_EQ(station.transmit_probability(), bare.transmit_probability())
         << "step " << i;
-    ASSERT_EQ(station.stationary_slots(), bare.constant_probability_slots())
+    // The node hint is the constant part of the automaton's cycle, and
+    // a cycle beyond the default one slot starts at the current
+    // probability.
+    const SlotCycle cycle = bare.slot_cycle();
+    ASSERT_EQ(station.stationary_slots(), cycle.constant_slots())
         << "step " << i;
+    if (cycle.period > 1 || cycle.slots > 1) {
+      ASSERT_EQ(cycle.to_bt == 0 ? cycle.bt : cycle.at,
+                bare.transmit_probability())
+          << "step " << i;
+    }
     if constexpr (std::is_same_v<TypeParam, OneFailAdaptive>) {
       if (i == 4) {
         ASSERT_TRUE(station.automaton().is_bt_step());
@@ -121,8 +130,9 @@ TYPED_TEST(FairSlotStationTest, TracksTheBareAutomaton) {
         break;
       }
       case Step::kBulk: {
+        // Anywhere within the cycle, which for Log-Fails spans BT steps.
         const std::uint64_t horizon =
-            std::min<std::uint64_t>(bare.constant_probability_slots(), 64);
+            std::min<std::uint64_t>(cycle.slots, 64);
         const std::uint64_t count = 1 + rng.next_below(horizon);
         station.on_non_delivery_slots(count);
         bare.on_non_delivery_slots(count);
