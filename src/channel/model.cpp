@@ -86,7 +86,9 @@ ChannelModel ChannelModel::parse(const std::string& text) {
     model.validate();
     return model;
   }
-  throw ContractViolation("unknown channel kind '" + head + "' " + grammar);
+  throw ContractViolation("unknown channel kind '" + head +
+                          "' — did you mean '" +
+                          closest_name(kind_names(), head) + "'? " + grammar);
 }
 
 void ChannelModel::validate() const {

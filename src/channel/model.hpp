@@ -71,9 +71,10 @@ struct ChannelModel {
   /// notation instead.
   std::string label() const;
 
-  /// Parses the label syntax back (whitespace tolerated); unknown kinds
-  /// get a did-you-mean ContractViolation. Inverse of the spec-file
-  /// serialization: parse(text(m)) == m exactly.
+  /// Parses the label syntax back (whitespace tolerated); an unknown kind
+  /// gets a ContractViolation naming the closest of kind_names()
+  /// (closest_name, common/strings.hpp) before the list of grammars.
+  /// Inverse of the spec-file serialization: parse(text(m)) == m exactly.
   static ChannelModel parse(const std::string& text);
 
   /// The spec keywords, in canonical order — shared by parse()'s

@@ -24,18 +24,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// The exact CSV header line the streaming sink emits on shard 0.
-const std::string& csv_header_line() {
-  static const std::string header = [] {
-    std::ostringstream out;
-    write_aggregate_header(out);
-    std::string text = out.str();
-    if (!text.empty() && text.back() == '\n') text.pop_back();
-    return text;
-  }();
-  return header;
-}
-
 /// Splits sink output into lines (no terminators); requires the text to
 /// end at a line boundary — a torn final line means a worker died
 /// mid-write, which must read as failure, not as a short row count.
@@ -51,19 +39,6 @@ std::vector<std::string> split_complete_lines(const std::string& text,
     start = newline + 1;
   }
   return lines;
-}
-
-/// True when one comma-separated field of `row` is exactly `hash`.
-bool csv_row_carries_hash(const std::string& row, const std::string& hash) {
-  std::size_t start = 0;
-  while (start <= row.size()) {
-    const std::size_t comma = row.find(',', start);
-    const std::size_t end = comma == std::string::npos ? row.size() : comma;
-    if (row.compare(start, end - start, hash) == 0) return true;
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return false;
 }
 
 /// Last `max_bytes` of a file, for failure messages; empty when
@@ -102,34 +77,45 @@ void validate_shard_output(const std::string& text, exp::OutputFormat format,
                            const std::string& hash) {
   const std::string source = "shard " + std::to_string(shard_index);
   const std::vector<std::string> lines = split_complete_lines(text, source);
+  const bool csv = format == exp::OutputFormat::kCsv;
 
-  std::size_t first_row = 0;
-  if (format == exp::OutputFormat::kCsv && shard_index == 0) {
-    // The shard-0-only header contract: shard 0 opens with exactly the
-    // aggregate CSV header, every other shard starts straight at rows.
-    UCR_REQUIRE(!lines.empty() && lines[0] == csv_header_line(),
-                source + ": missing or wrong CSV header on shard 0");
-    first_row = 1;
-  }
-  if (format == exp::OutputFormat::kCsv && shard_index != 0) {
-    UCR_REQUIRE(lines.empty() || lines[0] != csv_header_line(),
-                source + ": unexpected CSV header (only shard 0 emits it)");
-  }
+  // The shard-0-only header contract: shard 0 opens with exactly the
+  // aggregate CSV header, every other shard starts straight at rows.
+  std::ostringstream header;
+  if (csv) write_aggregate_header(header);
+  const bool headed = csv && !lines.empty() && lines[0] + '\n' == header.str();
+  UCR_REQUIRE(headed || !csv || shard_index != 0,
+              source + ": missing or wrong CSV header on shard 0");
+  UCR_REQUIRE(!headed || shard_index == 0,
+              source + ": unexpected CSV header (only shard 0 emits it)");
 
+  const std::size_t first_row = headed ? 1 : 0;
   const std::uint64_t rows = lines.size() - first_row;
   UCR_REQUIRE(rows == expected_rows,
               source + ": expected " + std::to_string(expected_rows) +
                   " data rows, found " + std::to_string(rows));
 
+  // Every row must read back the way its sink wrote it, and its own
+  // spec_hash (the CSV column, the JSONL member) must be the plan's.
   for (std::size_t i = first_row; i < lines.size(); ++i) {
-    const std::string& row = lines[i];
-    const bool carries =
-        format == exp::OutputFormat::kCsv
-            ? csv_row_carries_hash(row, hash)
-            : row.find("\"spec_hash\":\"" + hash + "\"") != std::string::npos;
-    UCR_REQUIRE(carries, source + " row " + std::to_string(i - first_row) +
-                             ": spec_hash mismatch (expected " + hash +
-                             ") in: " + row);
+    const std::string where = source + " row " + std::to_string(i - first_row);
+    std::string row_hash;
+    try {
+      if (csv) {
+        std::istringstream in(header.str() + lines[i]);
+        const std::vector<AggregateRow> read = read_aggregate_csv(in);
+        UCR_REQUIRE(read.size() == 1, "blank CSV row");
+        row_hash = read[0].spec_hash;
+      } else {
+        row_hash = json::parse(lines[i]).at("spec_hash").as_string();
+      }
+    } catch (const ContractViolation& e) {
+      throw ContractViolation(where + ": unreadable row (" + e.what() +
+                              ") in: " + lines[i]);
+    }
+    UCR_REQUIRE(row_hash == hash, where + ": spec_hash mismatch (expected " +
+                                      hash + ", found " + row_hash +
+                                      ") in: " + lines[i]);
   }
 }
 

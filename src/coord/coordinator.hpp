@@ -18,9 +18,10 @@
 // concatenation is byte-identical to the unsharded run (shards emit their
 // sink header on shard 0 only), and every archived row carries the
 // shard-invariant spec_hash. The coordinator *checks* both on every
-// shard before splicing it in — validate_shard_output() below — so a
-// half-written file from a killed worker can never silently corrupt the
-// assembled archive; it is retried like any other failure. Determinism
+// shard before splicing it in — validate_shard_output() below reads each
+// row back the way its sink wrote it — so a half-written or malformed
+// file from a failed worker can never silently corrupt the assembled
+// archive; it is retried like any other failure. Determinism
 // is also what makes reassignment free of correctness risk: any worker,
 // any attempt, produces the same bytes for shard i. With worker caches
 // on, a retried shard on a warm worker replays its banked cells
@@ -131,11 +132,13 @@ struct CoordReport {
 };
 
 /// Validates one shard's sink output before it is spliced into the
-/// assembled archive: shard 0 (and only shard 0) opens with the CSV
-/// header, the data-row count equals `expected_rows`, and every row
-/// carries `hash` as its spec_hash (a whole CSV field / the JSONL
-/// "spec_hash" member). Throws ContractViolation naming the shard and
-/// the first offending row.
+/// assembled archive: the text ends at a line boundary, shard 0 (and
+/// only shard 0) opens with the CSV header, the data-row count equals
+/// `expected_rows`, and every row reads back the way its sink wrote it —
+/// a CSV row through read_aggregate_csv (sim/resultio.hpp), a JSONL row
+/// through json::parse — with `hash` as its own spec_hash (the CSV
+/// column, the JSONL member). Throws ContractViolation naming the shard
+/// and the first offending row.
 void validate_shard_output(const std::string& text, exp::OutputFormat format,
                            std::uint64_t shard_index,
                            std::uint64_t expected_rows,

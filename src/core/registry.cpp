@@ -1,9 +1,7 @@
 #include "core/registry.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 #include "common/check.hpp"
+#include "common/strings.hpp"
 #include "core/dynamic_one_fail.hpp"
 #include "core/exp_backon_backoff.hpp"
 #include "core/one_fail_adaptive.hpp"
@@ -54,35 +52,6 @@ std::vector<ProtocolFactory> default_catalogue() {
   return protocols;
 }
 
-namespace {
-
-std::string lowercase(const std::string& text) {
-  std::string out = text;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
-/// Classic dynamic-programming edit distance, for the did-you-mean hint.
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitution =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitution});
-    }
-  }
-  return row[b.size()];
-}
-
-}  // namespace
-
 const ProtocolFactory* try_find_protocol(
     const std::vector<ProtocolFactory>& catalogue, const std::string& name) {
   for (const ProtocolFactory& p : catalogue) {
@@ -109,22 +78,6 @@ const ProtocolFactory& find_protocol(
   for (const ProtocolFactory& p : catalogue) names.push_back(p.name);
   throw ContractViolation("unknown protocol '" + name + "' — did you mean '" +
                           closest_name(names, name) + "'?");
-}
-
-std::string closest_name(const std::vector<std::string>& candidates,
-                         const std::string& name) {
-  if (candidates.empty()) return {};
-  const std::string folded = lowercase(name);
-  const std::string* closest = &candidates.front();
-  std::size_t best = static_cast<std::size_t>(-1);
-  for (const std::string& candidate : candidates) {
-    const std::size_t distance = edit_distance(folded, lowercase(candidate));
-    if (distance < best) {
-      best = distance;
-      closest = &candidate;
-    }
-  }
-  return *closest;
 }
 
 }  // namespace ucr

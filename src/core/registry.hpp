@@ -36,17 +36,10 @@ const ProtocolFactory* try_find_protocol(
     const std::vector<ProtocolFactory>& catalogue, const std::string& name);
 
 /// Same lookup, but a failed match throws ContractViolation whose message
-/// names the closest catalogue entry ("did you mean ...?") — the loud
-/// replacement for the silent last-match-wins linear scan ucr_cli used.
+/// names the closest catalogue entry ("did you mean ...?", closest_name
+/// in common/strings.hpp) — the loud replacement for the silent
+/// last-match-wins linear scan ucr_cli used.
 const ProtocolFactory& find_protocol(
     const std::vector<ProtocolFactory>& catalogue, const std::string& name);
-
-/// The generic engine behind find_protocol's hint: the candidate closest
-/// to `name` in case-folded edit distance (first wins on ties). Reused by
-/// any keyword lookup that wants the same did-you-mean errors — the spec
-/// file parser (exp/spec_io.hpp) runs unknown keys, engine modes and
-/// output formats through it. Empty candidates yield "".
-std::string closest_name(const std::vector<std::string>& candidates,
-                         const std::string& name);
 
 }  // namespace ucr

@@ -136,9 +136,6 @@ ExperimentPlan compile(const ExperimentSpec& spec,
 
   ExperimentPlan plan;
   plan.total_cells = total;
-  plan.runs = spec.runs;
-  plan.seed = spec.seed;
-  plan.engine = spec.engine;
   plan.shard = spec.shard;
   plan.spec_hash = exp::spec_hash(spec);
   plan.points.reserve(end - begin);

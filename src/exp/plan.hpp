@@ -54,9 +54,6 @@ struct ExperimentPlan {
   std::vector<CellInfo> cells;
   /// Size of the full grid across all shards.
   std::size_t total_cells = 0;
-  std::uint64_t runs = 0;
-  std::uint64_t seed = 0;
-  EngineMode engine = EngineMode::kFair;
   ShardSpec shard;
   /// Content hash of the canonical spec text (exp/spec_io.hpp),
   /// shard-normalized: every shard of one sweep carries the same value.

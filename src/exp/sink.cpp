@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "common/json.hpp"
-#include "common/table.hpp"
 
 namespace ucr::exp {
 
@@ -19,7 +18,7 @@ void CsvStreamSink::emit(const CellInfo& cell, const AggregateResult& result) {
   AggregateRow row = AggregateRow::from(result);
   row.spec_hash = spec_hash_;
   write_aggregate_row(*os_, row);
-  if (flush_each_row_) os_->flush();
+  os_->flush();
 }
 
 void CsvStreamSink::end() { os_->flush(); }
@@ -33,31 +32,21 @@ void JsonlSink::begin(const ExperimentPlan& plan) {
 }
 
 void JsonlSink::emit(const CellInfo& cell, const AggregateResult& result) {
+  const AggregateRow row = AggregateRow::from(result);
   std::ostream& os = *os_;
   os << "{\"cell\":" << cell.index                                   //
      << ",\"spec_hash\":\"" << spec_hash_ << "\""                    //
-     << ",\"protocol\":\"" << json_escape(result.protocol) << "\""   //
-     << ",\"k\":" << result.k                                        //
+     << ",\"protocol\":\"" << json_escape(row.protocol) << "\""      //
+     << ",\"k\":" << row.k                                           //
      << ",\"arrival\":\"" << json_escape(cell.arrival.label()) << "\""
      << ",\"channel\":\"" << json_escape(cell.channel.label()) << "\""
      << ",\"engine\":\"" << engine_mode_name(cell.engine) << "\""
-     << ",\"runs\":" << result.runs                                  //
-     << ",\"incomplete_runs\":" << result.incomplete_runs            //
-     << ",\"mean_makespan\":" << format_double(result.makespan.mean, 6)
-     << ",\"stddev_makespan\":" << format_double(result.makespan.stddev, 6)
-     << ",\"min_makespan\":" << format_double(result.makespan.min, 6)
-     << ",\"p25_makespan\":" << format_double(result.makespan.p25, 6)
-     << ",\"median_makespan\":" << format_double(result.makespan.median, 6)
-     << ",\"p75_makespan\":" << format_double(result.makespan.p75, 6)
-     << ",\"p95_makespan\":" << format_double(result.makespan.p95, 6)
-     << ",\"max_makespan\":" << format_double(result.makespan.max, 6)
-     << ",\"mean_ratio\":" << format_double(result.ratio.mean, 6)    //
-     << ",\"latency_p50\":" << format_double(result.latency_p50, 6)
-     << ",\"latency_p95\":" << format_double(result.latency_p95, 6)
-     << ",\"latency_p99\":" << format_double(result.latency_p99, 6)
-     << ",\"energy_mean\":" << format_double(result.energy_mean, 6)
-     << ",\"energy_max\":" << format_double(result.energy_max, 6)  //
-     << "}\n";
+     << ",\"runs\":" << row.runs                                     //
+     << ",\"incomplete_runs\":" << row.incomplete_runs;
+  for (const RowColumn& column : row_columns()) {
+    os << ",\"" << column.json_name << "\":" << column.text(row);
+  }
+  os << "}\n";
   if (flush_each_row_) os.flush();
 }
 

@@ -33,20 +33,18 @@ class ResultSink {
   virtual void end() {}
 };
 
-/// Streaming CSV in the sim/resultio aggregate format (re-readable with
-/// read_aggregate_csv): header exactly once, on shard 0 only, then one row
-/// per cell, flushed as emitted — constant memory for any grid size. Rows
-/// carry the plan's spec_hash, which is shard-invariant, so sharded
-/// archives are self-describing and still concatenate byte-identically.
+/// Streaming CSV in the sim/resultio aggregate format (write_aggregate_row,
+/// re-readable with read_aggregate_csv): header exactly once, on shard 0
+/// only, then one row per cell, flushed as emitted — constant memory for
+/// any grid size. Rows carry the plan's spec_hash, which is
+/// shard-invariant, so sharded archives are self-describing and still
+/// concatenate byte-identically.
 class CsvStreamSink final : public ResultSink {
  public:
-  /// Does not take ownership; the stream must outlive the sink.
-  /// `flush_each_row` (the default) flushes the stream after every row,
-  /// so a streamed consumer — or the archive of a killed run — never
-  /// loses a completed cell to buffering; pass false only for throughput
-  /// sinks where end() alone flushing is acceptable.
-  explicit CsvStreamSink(std::ostream& os, bool flush_each_row = true)
-      : os_(&os), flush_each_row_(flush_each_row) {}
+  /// Does not take ownership; the stream must outlive the sink. Every row
+  /// is flushed as it is written, so a streamed consumer — or the archive
+  /// of a killed run — never loses a completed cell to buffering.
+  explicit CsvStreamSink(std::ostream& os) : os_(&os) {}
 
   void begin(const ExperimentPlan& plan) override;
   void emit(const CellInfo& cell, const AggregateResult& result) override;
@@ -54,21 +52,24 @@ class CsvStreamSink final : public ResultSink {
 
  private:
   std::ostream* os_;
-  bool flush_each_row_;
   std::string spec_hash_;
 };
 
-/// One JSON object per line per cell, carrying the cell identity (grid
-/// index, arrival label, engine) and the plan's spec_hash alongside the
-/// aggregate — the format for heterogeneous grids, where a flat CSV row
-/// cannot name the workload. No header, so shard concatenation is
-/// trivially byte-identical.
+/// One JSON object per line per cell: the cell identity (grid index,
+/// spec_hash, protocol, k, arrival and channel labels, engine, runs,
+/// incomplete_runs), then the number columns of sim/resultio's
+/// row_columns() under their JSONL names, printed as the CSV prints them
+/// — the format for heterogeneous grids, where a flat CSV row cannot name
+/// the workload. No header, so shard concatenation is trivially
+/// byte-identical.
 class JsonlSink final : public ResultSink {
  public:
   /// Does not take ownership; the stream must outlive the sink.
-  /// `flush_each_row` as in CsvStreamSink: every row reaches the consumer
-  /// as soon as it is emitted (the sweep daemon's stream verb and killed
-  /// runs both depend on it).
+  /// `flush_each_row` (the default) flushes the stream after every row,
+  /// so every row reaches the consumer as soon as it is emitted (streamed
+  /// stdout and the archive of a killed run depend on it); pass false
+  /// only where the caller takes each row from an in-memory stream
+  /// itself, as the sweep daemon's job capture does.
   explicit JsonlSink(std::ostream& os, bool flush_each_row = true)
       : os_(&os), flush_each_row_(flush_each_row) {}
 

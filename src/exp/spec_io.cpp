@@ -8,7 +8,6 @@
 #include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "core/registry.hpp"
 
 namespace ucr::exp {
 

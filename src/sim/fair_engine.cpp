@@ -186,10 +186,11 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
       const std::uint64_t n = std::min(cycle.slots, cap - metrics.slots);
       const std::uint64_t period = cycle.period;
       const std::uint64_t to_bt = cycle.to_bt;
-      // A constant-probability stretch splits its non-success slots into
-      // silence vs collision with one binomial draw, at P[silence | no
-      // success], while the run still samples the split; after a thinned
-      // or longer cycle step it would be discarded, so it is not drawn.
+      // A constant-probability stretch (period 1, every slot a BT slot)
+      // draws through sample_stretch, which splits its non-success slots
+      // into silence vs collision, while the run still samples the split;
+      // after a thinned or longer cycle step the split would be discarded,
+      // so it is not drawn.
       const bool split = period == 1 && metrics.silence_collision_sampled;
       // Elapsed slots of each kind: all of them, unless a success cuts
       // the step short.
@@ -208,16 +209,16 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
           delivered = true;
         }
       }
-      SlotLaw bt_law;  // P[success], and P[silence] where the split needs it
+      Stretch stretch;  // the split's draw
       if (bt_sent > 0) {
         std::uint64_t g = 0;
         if (split) {
           // The slot-law store holds both laws, from one log1p.
-          bt_law = laws.get(m, cycle.bt);
-          g = sample_geometric_failures(rng, bt_law.success, bt_sent);
+          const SlotLaw& bt = laws.get(m, cycle.bt);
+          stretch = sample_stretch(rng, bt.success, bt.silence, bt_sent);
+          g = stretch.failures;
         } else {
           const CycleLaw& bt = cycle_laws.get(m, cycle.bt);
-          bt_law.success = bt.success;
           g = sample_geometric_failures(rng, bt.success, bt.log_fail,
                                         bt_sent);
         }
@@ -234,14 +235,8 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
       expected_tx.add(md * cycle.at * static_cast<double>(at_sent) +
                       md * cycle.bt * static_cast<double>(bt_sent));
       if (split) {
-        std::uint64_t silent = failures;
-        if (failures > 0 && bt_law.success < 1.0) {
-          silent = sample_binomial(
-              rng, failures,
-              std::min(1.0, bt_law.silence / (1.0 - bt_law.success)));
-        }
-        metrics.silence_slots += silent;
-        metrics.collision_slots += failures - silent;
+        metrics.silence_slots += stretch.silent;
+        metrics.collision_slots += failures - stretch.silent;
       } else {
         metrics.silence_collision_sampled = false;
       }

@@ -12,30 +12,40 @@ namespace ucr {
 
 namespace {
 
-constexpr const char* kHeader[] = {
-    "protocol",
-    "k",
-    "runs",
-    "incomplete_runs",
-    "mean_makespan",
-    "stddev",
-    "min",
-    "p25",
-    "median",
-    "p75",
-    "p95",
-    "max",
-    "mean_ratio",
-    "latency_p50",
-    "latency_p95",
-    "latency_p99",
-    "energy_mean",
-    "energy_max",
-    "spec_hash",
+constexpr RowColumn kColumns[] = {
+    {"mean_makespan", "mean_makespan", &AggregateRow::mean_makespan},
+    {"stddev", "stddev_makespan", &AggregateRow::stddev_makespan},
+    {"min", "min_makespan", &AggregateRow::min_makespan},
+    {"p25", "p25_makespan", &AggregateRow::p25_makespan},
+    {"median", "median_makespan", &AggregateRow::median_makespan},
+    {"p75", "p75_makespan", &AggregateRow::p75_makespan},
+    {"p95", "p95_makespan", &AggregateRow::p95_makespan},
+    {"max", "max_makespan", &AggregateRow::max_makespan},
+    {"mean_ratio", "mean_ratio", &AggregateRow::mean_ratio},
+    {"latency_p50", "latency_p50", &AggregateRow::latency_p50},
+    {"latency_p95", "latency_p95", &AggregateRow::latency_p95},
+    {"latency_p99", "latency_p99", &AggregateRow::latency_p99},
+    {"energy_mean", "energy_mean", &AggregateRow::energy_mean},
+    {"energy_max", "energy_max", &AggregateRow::energy_max},
 };
-constexpr std::size_t kColumns = sizeof(kHeader) / sizeof(kHeader[0]);
+
+/// The CSV header: protocol, k, runs, incomplete_runs, the table's
+/// columns, spec_hash.
+std::vector<std::string> csv_header() {
+  std::vector<std::string> header = {"protocol", "k", "runs",
+                                     "incomplete_runs"};
+  for (const RowColumn& column : kColumns) header.push_back(column.csv_name);
+  header.push_back("spec_hash");
+  return header;
+}
 
 }  // namespace
+
+std::span<const RowColumn> row_columns() { return kColumns; }
+
+std::string RowColumn::text(const AggregateRow& row) const {
+  return format_double(row.*field, 6);
+}
 
 AggregateRow AggregateRow::from(const AggregateResult& result) {
   AggregateRow row;
@@ -61,29 +71,16 @@ AggregateRow AggregateRow::from(const AggregateResult& result) {
 }
 
 void write_aggregate_header(std::ostream& os) {
-  CsvWriter writer(os);
-  writer.write_row(
-      std::vector<std::string>(kHeader, kHeader + kColumns));
+  CsvWriter(os).write_row(csv_header());
 }
 
 void write_aggregate_row(std::ostream& os, const AggregateRow& r) {
-  CsvWriter writer(os);
-  writer.write_row({r.protocol, std::to_string(r.k), std::to_string(r.runs),
-                    std::to_string(r.incomplete_runs),
-                    format_double(r.mean_makespan, 6),
-                    format_double(r.stddev_makespan, 6),
-                    format_double(r.min_makespan, 6),
-                    format_double(r.p25_makespan, 6),
-                    format_double(r.median_makespan, 6),
-                    format_double(r.p75_makespan, 6),
-                    format_double(r.p95_makespan, 6),
-                    format_double(r.max_makespan, 6),
-                    format_double(r.mean_ratio, 6),
-                    format_double(r.latency_p50, 6),
-                    format_double(r.latency_p95, 6),
-                    format_double(r.latency_p99, 6),
-                    format_double(r.energy_mean, 6),
-                    format_double(r.energy_max, 6), r.spec_hash});
+  std::vector<std::string> cells = {r.protocol, std::to_string(r.k),
+                                    std::to_string(r.runs),
+                                    std::to_string(r.incomplete_runs)};
+  for (const RowColumn& column : kColumns) cells.push_back(column.text(r));
+  cells.push_back(r.spec_hash);
+  CsvWriter(os).write_row(cells);
 }
 
 void write_aggregate_csv(std::ostream& os,
@@ -126,7 +123,7 @@ std::vector<std::string> parse_csv_line(const std::string& line) {
 }
 
 std::vector<AggregateRow> read_aggregate_csv(std::istream& is) {
-  const std::vector<std::string> header(kHeader, kHeader + kColumns);
+  const std::vector<std::string> header = csv_header();
   std::string line;
   UCR_REQUIRE(static_cast<bool>(std::getline(is, line)),
               "empty CSV input");
@@ -136,33 +133,21 @@ std::vector<AggregateRow> read_aggregate_csv(std::istream& is) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto cells = parse_csv_line(line);
-    UCR_REQUIRE(cells.size() == kColumns, "wrong number of columns");
-    const auto u64 = [&](std::size_t i) {
-      return parse_u64_strict(cells[i], "CSV column '" + header[i] + "'");
-    };
-    const auto number = [&](std::size_t i) {
-      return parse_finite_double(cells[i], "CSV column '" + header[i] + "'");
+    UCR_REQUIRE(cells.size() == header.size(), "wrong number of columns");
+    const auto source = [&](std::size_t i) {
+      return "CSV column '" + header[i] + "'";
     };
     AggregateRow row;
     row.protocol = cells[0];
-    row.k = u64(1);
-    row.runs = u64(2);
-    row.incomplete_runs = u64(3);
-    row.mean_makespan = number(4);
-    row.stddev_makespan = number(5);
-    row.min_makespan = number(6);
-    row.p25_makespan = number(7);
-    row.median_makespan = number(8);
-    row.p75_makespan = number(9);
-    row.p95_makespan = number(10);
-    row.max_makespan = number(11);
-    row.mean_ratio = number(12);
-    row.latency_p50 = number(13);
-    row.latency_p95 = number(14);
-    row.latency_p99 = number(15);
-    row.energy_mean = number(16);
-    row.energy_max = number(17);
-    row.spec_hash = cells[18];
+    row.k = parse_u64_strict(cells[1], source(1));
+    row.runs = parse_u64_strict(cells[2], source(2));
+    row.incomplete_runs = parse_u64_strict(cells[3], source(3));
+    std::size_t i = 4;
+    for (const RowColumn& column : kColumns) {
+      row.*column.field = parse_finite_double(cells[i], source(i));
+      ++i;
+    }
+    row.spec_hash = cells[i];
     rows.push_back(std::move(row));
   }
   return rows;

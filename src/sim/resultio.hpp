@@ -1,10 +1,12 @@
-// Persistence of experiment results: aggregate rows written to / read back
-// from CSV, so sweep outputs (ucr_cli --format=csv) can be archived,
-// diffed against EXPERIMENTS.md, and re-plotted without re-running the
-// sweeps.
+// Persistence of experiment results: a cell's aggregate row, its columns
+// (the one description both streaming formats iterate, exp/sink.hpp), and
+// its CSV written and read back, so sweep outputs (ucr_cli --format=csv)
+// can be archived, diffed against EXPERIMENTS.md, and re-plotted without
+// re-running the sweeps.
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,11 +14,12 @@
 
 namespace ucr {
 
-/// The persisted projection of an AggregateResult (one CSV row). Carries
-/// the full makespan quartile/percentile spread the Summary computes —
-/// min, p25, median, p75, p95, max — plus the per-message latency
-/// percentiles of dynamic cells, so archived sweeps can be re-plotted
-/// with distribution envelopes without re-running anything.
+/// The persisted projection of an AggregateResult (one CSV or JSONL row).
+/// Carries the full makespan quartile/percentile spread the Summary
+/// computes — min, p25, median, p75, p95, max — plus the per-message
+/// latency percentiles of dynamic cells, so archived sweeps can be
+/// re-plotted with distribution envelopes without re-running anything.
+/// Its number fields are the columns of row_columns() below.
 struct AggregateRow {
   std::string protocol;
   std::uint64_t k = 0;
@@ -54,6 +57,30 @@ struct AggregateRow {
 
   bool operator==(const AggregateRow&) const = default;
 };
+
+/// One number column of an aggregate row: its CSV header cell, its JSONL
+/// member name and the AggregateRow field that holds it.
+struct RowColumn {
+  const char* csv_name;
+  const char* json_name;
+  double AggregateRow::*field;
+
+  /// The column's text in both formats: format_double(row.*field, 6).
+  std::string text(const AggregateRow& row) const;
+};
+
+/// The row's 14 number columns in row order: mean_makespan, the makespan
+/// spread stddev/min/p25/median/p75/p95/max (JSONL appends "_makespan"),
+/// mean_ratio, latency_p50/p95/p99, energy_mean and energy_max. The CSV
+/// header and rows, read_aggregate_csv and exp::JsonlSink all iterate
+/// this one table, so a new column is one entry here, with its
+/// AggregateRow field and its line in AggregateRow::from (plus the cache
+/// record, svc/result_cache.hpp, which versions its own fields). The
+/// identity columns stay spelled by each format, since their order
+/// differs: CSV has protocol, k, runs, incomplete_runs first and
+/// spec_hash last; JSONL opens with cell, spec_hash, protocol, k,
+/// arrival, channel, engine, runs and incomplete_runs.
+std::span<const RowColumn> row_columns();
 
 /// Writes a header plus one row per result.
 void write_aggregate_csv(std::ostream& os,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
@@ -33,6 +36,29 @@ TEST(ChannelModel, ParseRejectsUnknownAndMalformed) {
                           "jam_burst(4,2x)", "jamming(inf)", "capture(nan)",
                           "capture(0.5x)"}) {
     EXPECT_THROW(ChannelModel::parse(bad), ContractViolation) << bad;
+  }
+}
+
+TEST(ChannelModel, UnknownKindGetsADidYouMeanHintBeforeTheGrammars) {
+  // The hint is the closest of kind_names() in case-folded edit distance,
+  // and the list of grammars still follows it.
+  const std::pair<const char*, const char*> cases[] = {
+      {"jamin(0.1)", "jamming"},
+      {"Captur(0.5)", "capture"},
+      {"jamburst(16,4)", "jam_burst"},
+      {"cleen", "clean"},
+  };
+  for (const auto& [typo, kind] : cases) {
+    try {
+      ChannelModel::parse(typo);
+      ADD_FAILURE() << typo << " parsed";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      const std::size_t hint =
+          what.find("did you mean '" + std::string(kind) + "'?");
+      EXPECT_NE(hint, std::string::npos) << what;
+      EXPECT_LT(hint, what.find("jam_burst(<period>,<len>)")) << what;
+    }
   }
 }
 

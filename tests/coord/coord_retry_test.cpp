@@ -126,11 +126,39 @@ TEST(ShardUnit, IsTheBaseWithOnlyShardFormatAndThreadsChanged) {
   fs::remove_all(root);
 }
 
+/// One CSV data row as CsvStreamSink writes it: `protocol`, k = 10,
+/// runs = 2, mean_makespan 9.5, stamped with `hash`.
+std::string csv_row(const std::string& hash,
+                    const std::string& protocol = "proto") {
+  AggregateRow row;
+  row.protocol = protocol;
+  row.k = 10;
+  row.runs = 2;
+  row.mean_makespan = 9.5;
+  row.spec_hash = hash;
+  std::ostringstream out;
+  write_aggregate_row(out, row);
+  return out.str();
+}
+
+/// validate_shard_output's ContractViolation message, or "" when it
+/// accepts the text.
+std::string rejection(const std::string& text, exp::OutputFormat format,
+                      std::uint64_t shard, std::uint64_t rows,
+                      const std::string& hash) {
+  try {
+    validate_shard_output(text, format, shard, rows, hash);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ValidateShardOutput, EnforcesTheShardZeroHeaderContract) {
   std::ostringstream header;
   write_aggregate_header(header);
   const std::string hash = "00c0ffee00c0ffee";
-  const std::string row = "1,proto,10," + hash + ",9.5\n";
+  const std::string row = csv_row(hash);
 
   // Shard 0 must open with the aggregate CSV header; later shards must
   // not repeat it.
@@ -144,6 +172,73 @@ TEST(ValidateShardOutput, EnforcesTheShardZeroHeaderContract) {
   EXPECT_THROW(validate_shard_output(header.str() + row,
                                      exp::OutputFormat::kCsv, 3, 1, hash),
                ContractViolation);
+}
+
+TEST(ValidateShardOutput, ReadsEveryCsvRowBack) {
+  // Each row must read back through read_aggregate_csv, and its own
+  // spec_hash column must be the plan's: a hash elsewhere in the row, a
+  // short row or a non-finite number is refused, naming the shard and
+  // the row, whatever the shard's place.
+  std::ostringstream header;
+  write_aggregate_header(header);
+  const std::string hash = "00c0ffee00c0ffee";
+  std::string inf_row = csv_row(hash);
+  const std::size_t mean = inf_row.find(",9.500000,");
+  ASSERT_NE(mean, std::string::npos) << inf_row;
+  inf_row.replace(mean + 1, 8, "inf");
+  const std::string bad_rows[] = {
+      // The plan's hash in the protocol cell, another one in spec_hash.
+      csv_row("1111111111111111", hash),
+      // Five columns.
+      "1,proto,10," + hash + ",9.5\n",
+      inf_row,
+  };
+  for (const std::string& row : bad_rows) {
+    for (const std::uint64_t shard : {0, 2}) {
+      const std::string text = shard == 0 ? header.str() + row : row;
+      const std::string why =
+          rejection(text, exp::OutputFormat::kCsv, shard, 1, hash);
+      EXPECT_NE(why.find("shard " + std::to_string(shard) + " row 0"),
+                std::string::npos)
+          << row << why;
+    }
+  }
+  EXPECT_EQ(rejection(header.str() + csv_row(hash), exp::OutputFormat::kCsv,
+                      0, 1, hash),
+            "");
+
+  // A later shard that repeats the header, counted as a row or not, and
+  // a header repeated inside shard 0.
+  const std::string row = csv_row(hash);
+  for (const std::uint64_t rows : {1, 2}) {
+    EXPECT_NE(rejection(header.str() + row, exp::OutputFormat::kCsv, 1, rows,
+                        hash)
+                  .find("shard 1: unexpected CSV header"),
+              std::string::npos);
+  }
+  EXPECT_NE(rejection(header.str() + row + header.str() + row,
+                      exp::OutputFormat::kCsv, 0, 3, hash)
+                .find("shard 0 row 1"),
+            std::string::npos);
+  EXPECT_NE(rejection(row, exp::OutputFormat::kCsv, 0, 1, hash)
+                .find("shard 0: missing or wrong CSV header"),
+            std::string::npos);
+}
+
+TEST(ValidateShardOutput, ReadsEveryJsonlRowBack) {
+  // Each line must parse as JSON with a spec_hash member: text that only
+  // contains the member's spelling, or an object without it, is refused.
+  const std::string hash = "00c0ffee00c0ffee";
+  const std::string bad_rows[] = {
+      "\"cell\":0,\"spec_hash\":\"" + hash + "\"\n",
+      "{\"cell\":0,\"k\":10}\n",
+  };
+  for (const std::string& row : bad_rows) {
+    EXPECT_NE(rejection(row, exp::OutputFormat::kJsonl, 1, 1, hash)
+                  .find("shard 1 row 0"),
+              std::string::npos)
+        << row;
+  }
 }
 
 TEST(ValidateShardOutput, CountsRowsAndChecksProvenance) {

@@ -1,12 +1,16 @@
 // ResultSink semantics: round-trip through read_aggregate_csv, header-once
-// (and only on shard 0), and grid-order emission regardless of dispatch
-// order — the contract that makes streaming output deterministic.
+// (and only on shard 0), grid-order emission regardless of dispatch
+// order — the contract that makes streaming output deterministic — and
+// one column text in both formats.
 #include "exp/sink.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/json.hpp"
 #include "core/registry.hpp"
 #include "exp/run.hpp"
 #include "exp/spec_io.hpp"
@@ -176,6 +180,73 @@ TEST(Sinks, RowsCarryTheShardInvariantSpecHash) {
   for (const AggregateRow& row : rows) {
     EXPECT_EQ(row.spec_hash, expected);
   }
+}
+
+TEST(Sinks, CsvAndJsonlRowsCarryTheSameColumnText) {
+  // One grid through both sinks: batch cells on the fair engine and
+  // Poisson cells on the node engine with latencies, so every column of
+  // sim/resultio's table holds numbers. The JSONL row is the identity
+  // members, then the table's columns; each column's JSON token is the
+  // CSV row's text, read back with read_aggregate_csv.
+  ExperimentSpec spec;
+  spec.runs = 3;
+  spec.seed = 7;
+  spec.with_ks({10, 40});
+  spec.with_arrival(ArrivalSpec::batch());
+  spec.with_arrival(ArrivalSpec::poisson(0.05));
+  spec.engine_options.record_latencies = true;
+  spec.with_protocol("One-Fail Adaptive");
+  spec.with_protocol("Exp Back-on/Back-off");
+  std::ostringstream csv;
+  std::ostringstream jsonl;
+  CsvStreamSink csv_sink(csv);
+  JsonlSink jsonl_sink(jsonl);
+  run(compile(spec, default_catalogue()), {&csv_sink, &jsonl_sink}, {2});
+
+  std::istringstream csv_in(csv.str());
+  const std::vector<AggregateRow> rows = read_aggregate_csv(csv_in);
+  std::istringstream jsonl_in(jsonl.str());
+  std::vector<json::Value> objects;
+  for (std::string line; std::getline(jsonl_in, line);) {
+    objects.push_back(json::parse(line));
+  }
+  ASSERT_EQ(rows.size(), 8u);
+  ASSERT_EQ(objects.size(), rows.size());
+
+  std::vector<std::string> members = {
+      "cell",
+      "spec_hash",
+      "protocol",
+      "k",
+      "arrival",
+      "channel",
+      "engine",
+      "runs",
+      "incomplete_runs",
+  };
+  for (const RowColumn& column : row_columns()) {
+    members.push_back(column.json_name);
+  }
+  bool latencies = false;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "cell " << i);
+    const json::Value& object = objects[i];
+    std::vector<std::string> names;
+    for (const auto& member : object.members()) names.push_back(member.first);
+    EXPECT_EQ(names, members);
+    EXPECT_EQ(object.at("spec_hash").as_string(), rows[i].spec_hash);
+    EXPECT_EQ(object.at("protocol").as_string(), rows[i].protocol);
+    EXPECT_EQ(object.at("k").as_u64(), rows[i].k);
+    EXPECT_EQ(object.at("runs").as_u64(), rows[i].runs);
+    EXPECT_EQ(object.at("incomplete_runs").as_u64(), rows[i].incomplete_runs);
+    for (const RowColumn& column : row_columns()) {
+      EXPECT_EQ(object.at(column.json_name).number_token(),
+                column.text(rows[i]))
+          << column.csv_name;
+    }
+    latencies |= rows[i].latency_p99 > 0.0;
+  }
+  EXPECT_TRUE(latencies);
 }
 
 TEST(JsonlSink, EscapesControlAndQuoteCharacters) {

@@ -397,6 +397,54 @@ TEST(BatchedSlotEngine, SolvesAndRecordsDeliveries) {
   EXPECT_EQ(m.slots, m.delivery_slots.back() + 1);
 }
 
+TEST(BatchedSlotEngine, ConstantStretchesAreSampleStretchDraws) {
+  // A period-1 cycle runs to the next delivery or the cap as one
+  // sample_stretch draw at the slot law of its m stations. Replaying those
+  // draws from a copy of the generator gives the run's counts and leaves
+  // the generator where the run left it, with and without a cap that
+  // cuts a stretch.
+  const double p = 0.05;
+  const std::uint64_t k = 20;
+  for (const std::uint64_t max_slots : {std::uint64_t{0}, std::uint64_t{60}}) {
+    EngineOptions opts;
+    opts.max_slots = max_slots;
+    const std::uint64_t cap = opts.resolved_cap(k);
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "max_slots=" << max_slots << " seed=" << seed);
+      ConstantFair protocol(p);
+      Xoshiro256 rng = Xoshiro256::stream(987, seed);
+      Xoshiro256 replay = rng;
+      const RunMetrics got =
+          run_fair_slot_engine(protocol, k, rng, batched_mode(opts));
+
+      std::uint64_t slots = 0;
+      std::uint64_t deliveries = 0;
+      std::uint64_t silent = 0;
+      std::uint64_t collisions = 0;
+      for (std::uint64_t m = k; m > 0 && slots < cap; --m) {
+        const SlotLaw law = slot_law(m, p);
+        const std::uint64_t limit = cap - slots;
+        const Stretch stretch =
+            sample_stretch(replay, law.success, law.silence, limit);
+        silent += stretch.silent;
+        collisions += stretch.failures - stretch.silent;
+        slots += stretch.failures;
+        if (stretch.failures == limit) break;  // cut by the cap
+        ++slots;
+        ++deliveries;
+      }
+      EXPECT_TRUE(got.silence_collision_sampled);
+      EXPECT_EQ(got.slots, slots);
+      EXPECT_EQ(got.deliveries, deliveries);
+      EXPECT_EQ(got.completed, deliveries == k);
+      EXPECT_EQ(got.silence_slots, silent);
+      EXPECT_EQ(got.collision_slots, collisions);
+      EXPECT_EQ(rng.next_u64(), replay.next_u64());
+    }
+  }
+}
+
 // ------------------------------------ slot engine, batched thinned step
 
 TEST(ThinnedSlotEngine, FirstDeliveryFollowsItsExactLaw) {
