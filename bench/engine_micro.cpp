@@ -101,6 +101,26 @@ void BM_FairSlotEngine_OneFail(benchmark::State& state) {
 }
 BENCHMARK(BM_FairSlotEngine_OneFail)->Arg(1000)->Arg(100000);
 
+// Batched mode's thinned step: one uniform per slot, decided by the
+// success law's bracket on all but about 2 slots per thousand, so the
+// rate counts slots that almost all skip libm.
+void BM_FairSlotEngineBatched_OneFail(benchmark::State& state) {
+  const std::uint64_t k = state.range(0);
+  ucr::EngineOptions options;
+  options.batched = true;
+  std::uint64_t seed = 0;
+  std::uint64_t slots = 0;
+  for (auto _ : state) {
+    ucr::OneFailAdaptive protocol;
+    ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(5, seed++);
+    const auto run = ucr::run_fair_slot_engine(protocol, k, rng, options);
+    slots += run.slots;
+    benchmark::DoNotOptimize(run.slots);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(slots));
+}
+BENCHMARK(BM_FairSlotEngineBatched_OneFail)->Arg(100000);
+
 // Log-Fails Adaptive on the fair slot engine: items processed = slots.
 void fair_slot_log_fails(benchmark::State& state, double xi_t,
                          bool batched) {
@@ -131,9 +151,11 @@ void BM_FairSlotEngine_LogFails2(benchmark::State& state) {
 BENCHMARK(BM_FairSlotEngine_LogFails2)->Arg(1000)->Arg(100000);
 
 // Batched mode's cycle step: one step per delivery or fail-threshold
-// crossing, with a geometric draw over the AT steps and one over the BT
-// steps (the BT law is 0 without a draw while m·bt is large), so the
-// rate counts the slots each step skips.
+// crossing. Its AT steps take a walk of one uniform each against the
+// law's bracket while the law is certified at 1/16 or more, else one
+// geometric draw, and its BT steps one geometric draw (none while m·bt is
+// large and the BT law is 0), so the rate counts the slots each step
+// skips.
 void BM_FairSlotEngineBatched_LogFails2(benchmark::State& state) {
   fair_slot_log_fails(state, 0.5, true);
 }

@@ -7,6 +7,50 @@
 
 namespace ucr {
 
+namespace detail {
+
+namespace {
+
+// The relative margin of success_bounds. prob_success rounds its exponent
+// (m − 1)·log1p(−p) to within a few ulps, a relative 1e-15 at most, and
+// exp moves by that times the exponent, at most 745 before it
+// underflows: under 1e-12 with the rounding of exp, the products and this
+// table's series.
+constexpr double kMargin = 1e-12;
+
+// e^t for 0 <= t <= 16.02 by its Taylor series: positive terms, summed to
+// within a relative 1e-14 of e^t.
+constexpr double exp_series(double t) {
+  double term = 1.0;
+  double sum = 1.0;
+  for (int n = 1; n < 80; ++n) {
+    term *= t / n;
+    sum += term;
+  }
+  return sum;
+}
+
+constexpr std::array<ExpBracket, kExpEntries> exp_brackets() {
+  std::array<ExpBracket, kExpEntries> table{};
+  for (std::size_t i = 0; i < kExpEntries; ++i) {
+    const double value = 1.0 / exp_series(static_cast<double>(i) / kExpSteps);
+    table[i] = {value * (1.0 - kMargin), value * (1.0 + kMargin)};
+  }
+  table[kExpEntries - 1].lower = 0.0;
+  return table;
+}
+
+constexpr std::array<ExpBracket, kExpEntries> kTable = exp_brackets();
+
+}  // namespace
+
+constinit const std::array<ExpBracket, kExpEntries> kExpBrackets = kTable;
+// (y + 1)·e^(−y) bounds m·p·e^(−y) = (y + p)·e^(−y) and falls for y > 0.
+constinit const double kSuccessTail =
+    (kExpSpan + 1) * kTable[kExpSteps * kExpSpan].upper;
+
+}  // namespace detail
+
 SlotLaw slot_law(std::uint64_t m, double p) {
   UCR_REQUIRE(p >= 0.0 && p <= 1.0, "transmission probability out of range");
   // The branches and expressions of pow_one_minus and prob_success

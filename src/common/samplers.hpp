@@ -17,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -44,6 +45,64 @@ struct SlotLaw {
 /// expressions, mathx.hpp), for one log1p and two exp instead of two of
 /// each. Requires 0 <= p <= 1.
 SlotLaw slot_law(std::uint64_t m, double p);
+
+/// A bracket [lower, upper] around the double prob_success(m, p)
+/// (mathx.hpp) returns, from success_bounds.
+struct SuccessBounds {
+  double lower = 0.0;
+  double upper = 1.0;
+};
+
+namespace detail {
+/// success_bounds' table: entry i brackets e^(−i/64), its sides widened
+/// outward by a relative margin (samplers.cpp), except that the last
+/// entry's lower side is 0, which a lower bound past the table reads.
+struct ExpBracket {
+  double lower = 0.0;
+  double upper = 0.0;
+};
+inline constexpr int kExpSteps = 64;  // entries per unit of the exponent
+inline constexpr int kExpSpan = 16;   // the exponents the table covers
+inline constexpr std::size_t kExpEntries = kExpSteps * kExpSpan + 2;
+extern const std::array<ExpBracket, kExpEntries> kExpBrackets;
+/// An upper bound on prob_success(m, p) once (m − 1)·p >= kExpSpan.
+extern const double kSuccessTail;
+}  // namespace detail
+
+/// Bounds on s = prob_success(m, p) = m·p·(1 − p)^(m−1) from a few
+/// multiplies, one division and one table (no libm call), for deciding
+/// u < s without s wherever u falls outside them: the squeeze of
+/// rejection sampling. The exponent y* = −(m − 1)·ln(1 − p) lies in
+/// [y, y/(1 − p)], y = (m − 1)·p, by −p/(1 − p) <= ln(1 − p) <= −p, so
+/// s lies in [m·p·e^(−y/(1−p)), m·p·e^(−y)]; the table rounds each
+/// exponent outward to a multiple of 1/64, and once y >= 16 the bracket
+/// is [0, kSuccessTail], as s <= (y + 1)·e^(−y) there. The relative
+/// width is about 1/64 + (m − 1)·p²/(1 − p), 1.6% at p ~ 1/m for large m.
+///
+/// The table's margin covers prob_success's own rounding: its exponent
+/// (m − 1)·log1p(−p) has a relative error of a few ulps, which moves
+/// exp by at most about 745 times that before exp underflows, and a
+/// result that underflows lies far below both sides. So for
+/// 1 <= m < 2^53 and 0 <= p <= 1, lower <= prob_success(m, p) <= upper
+/// (tests/common/samplers_test.cpp checks a grid and 2·10^6 random
+/// pairs).
+inline SuccessBounds success_bounds(std::uint64_t m, double p) {
+  using detail::kExpBrackets;
+  using detail::kExpSpan;
+  using detail::kExpSteps;
+  // The operands of prob_success: the same md, (md − 1) and md·p.
+  const double md = static_cast<double>(m);
+  const double y = (md - 1.0) * p;
+  if (!(y < kExpSpan)) return {0.0, detail::kSuccessTail};
+  const double mp = md * p;
+  const auto hi = static_cast<std::size_t>(y * kExpSteps);
+  // floor(64·y/(1 − p)) + 1, or the last entry past the table (or for the
+  // NaN of m = 1, p = 1).
+  const double steps = y / (1.0 - p) * kExpSteps;
+  std::size_t lo = detail::kExpEntries - 1;
+  if (steps < kExpSteps * kExpSpan) lo = static_cast<std::size_t>(steps) + 1;
+  return {mp * kExpBrackets[lo].lower, mp * kExpBrackets[hi].upper};
+}
 
 /// Draws a slot category from a computed law with exactly one uniform
 /// draw: u < silence -> silence, u < silence + success -> success,

@@ -86,8 +86,7 @@ class LogFailsAdaptive final : public FairSlotProtocol {
   /// threshold; the very next AT fail then updates kappa, and the cycle
   /// ends there.
   SlotCycle slot_cycle() const override {
-    const std::uint64_t threshold = fail_threshold();
-    const std::uint64_t at_steps = fails_ >= threshold ? 1 : threshold - fails_;
+    const std::uint64_t at_steps = at_steps_to_crossing();
     const std::uint64_t to_bt = phase_ == 0 ? 0 : bt_period_ - phase_;
     // The at_steps-th AT step is among the to_bt steps before the next BT
     // step, or else AT step `after` of the bt_period_ - 1 that follow each
@@ -99,6 +98,14 @@ class LogFailsAdaptive final : public FairSlotProtocol {
       slots = to_bt + 2 + after / per_period * bt_period_ + after % per_period;
     }
     return {slots, bt_period_, to_bt, at_prob_, bt_prob_};
+  }
+
+  /// The cycle's constant part without its division: 1 on a BT step,
+  /// else the AT steps up to the crossing or the next BT step, whichever
+  /// is fewer.
+  std::uint64_t constant_slots() const override {
+    if (phase_ == 0) return 1;
+    return std::min(at_steps_to_crossing(), bt_period_ - phase_);
   }
 
   /// Bulk equivalent of `count` on_slot_end(false) calls, in O(1) with
@@ -142,6 +149,11 @@ class LogFailsAdaptive final : public FairSlotProtocol {
   static double track_decrease();
 
  private:
+  // AT steps up to and including the one that reaches the fail threshold.
+  std::uint64_t at_steps_to_crossing() const {
+    const std::uint64_t threshold = fail_threshold();
+    return fails_ >= threshold ? 1 : threshold - fails_;
+  }
   // on_slot_end()'s rare branches, out of line: a heard delivery, and the
   // estimator update once fails_ reaches the threshold.
   void hear_delivery();

@@ -46,25 +46,48 @@ double transmit_probability(const FairSlotProtocol& protocol) {
 // at p = 1/m, at (1 − 1/m)^(m−1), which lies below (1 + 1/m)/e: in log
 // space by at least 0.197/m for every m >= 2 (checked for m up to 2·10^5
 // and at 10^6..10^10; the gap tends to 1/(2m)). Rounding the bound up by
-// a relative 1e-12 keeps it above any rounding of prob_success.
+// a relative 1e-12 keeps it above any rounding of prob_success. Batched
+// steps check every law they evaluate against it.
 double success_envelope(std::uint64_t m) {
   if (m == 1) return 1.0;
   const double md = static_cast<double>(m);
   return (1.0 + 1.0 / md) / std::numbers::e * (1.0 + 1e-12);
 }
 
+// Whether a slot whose uniform is u delivers, u < s = prob_success(m, p):
+// by s's certified bracket wherever u falls outside it, and by s itself
+// only in between. Both give the same answer, so no draw and no outcome
+// depends on which decided. The one branch is on the rare inside case, so
+// a slot costs no mispredicted branch on u.
+bool delivers(double u, std::uint64_t m, double p, const SuccessBounds& bounds,
+              double envelope) {
+  if ((u >= bounds.lower) & (u < bounds.upper)) [[unlikely]] {
+    const double s = prob_success(m, p);
+    UCR_CHECK(bounds.lower <= s && s <= bounds.upper && s <= envelope,
+              "slot success probability outside its certified bounds");
+    return u < s;
+  }
+  return u < bounds.lower;
+}
+
+// A cycle step walks its AT slots, one uniform each against the bracket,
+// once the bracket certifies the AT law at this or more, so that a walk
+// takes 16 slots at most on average; smaller laws take the geometric
+// draw. Log-Fails' AT laws sit near 0.26 at paper scale, so thresholds
+// from 1/64 to 1/4 timed its table1.spec sweeps alike within noise.
+constexpr double kWalkLaw = 1.0 / 16;
+
 // The laws of the last two (m, p) pairs a step of the slot engine asked
 // for, as `compute` returns them: the whole SlotLaw for exact steps and
-// for constant-probability stretches that split their slots, just
-// P[success] (prob_success, one exp fewer) for thinned steps, and a
-// CycleLaw for the other cycle steps. m only changes on a delivery, and in
-// between the protocols interleave an AT and a BT probability of which
-// at least one holds (One-Fail's BT probability, both of Log-Fails'
-// until an estimator update), so most of their slots or cycles find
-// their law here instead of paying a log1p and an exp or two. A stored
-// law is the double `compute` returns, so no draw and no outcome moves.
-// Evicting the least recently used entry keeps the probability that
-// holds while the other one changes every step.
+// for constant-probability stretches that split their slots, and a
+// CycleLaw for the geometric draws of cycle steps. m only changes on a
+// delivery, and in between the protocols interleave an AT and a BT
+// probability of which at least one holds (One-Fail's BT probability,
+// both of Log-Fails' until an estimator update), so most of their slots
+// or cycles find their law here instead of paying a log1p and an exp or
+// two. A stored law is the double `compute` returns, so no draw and no
+// outcome moves. Evicting the least recently used entry keeps the
+// probability that holds while the other one changes every step.
 template <class Law, Law (*compute)(std::uint64_t, double)>
 class RecentLaws {
  public:
@@ -119,7 +142,6 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
   KahanSum expected_tx;  // ~10^7 tiny addends at paper scale
 
   RecentLaws<SlotLaw, slot_law> laws;
-  RecentLaws<double, prob_success> successes;
   RecentLaws<CycleLaw, cycle_law> cycle_laws;
   std::uint64_t m = k;  // active stations
   // Counts a delivery in the run's last elapsed slot.
@@ -140,11 +162,10 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
                 "every slot on the BT probability");
       if (cycle.period == 1 && cycle.slots == 1) {
         // Thinned step, run to the next delivery or the cap: one uniform
-        // u per slot, and the slot delivers iff u < s = P[success]. Every
-        // s lies below the envelope, so a u at or above it decides "no
-        // delivery" without the law — about 63% of slots at paper scale.
-        // P[u < s] = s, so the step is exact; what it gives up is the
-        // silence/collision split of the non-delivery slots.
+        // u per slot, and the slot delivers iff u < s = P[success], which
+        // s's bracket decides on all but about 0.2% of slots at paper
+        // scale. P[u < s] = s, so the step is exact; what it gives up is
+        // the silence/collision split of the non-delivery slots.
         metrics.silence_collision_sampled = false;
         const double envelope = success_envelope(m);
         const double md = static_cast<double>(m);
@@ -156,12 +177,7 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
         for (;;) {
           expected_tx.add(md * p);
           const double u = rng.next_double();
-          if (u < envelope) {
-            const double s = successes.get(m, p);
-            UCR_CHECK(s <= envelope,
-                      "slot success probability above its envelope");
-            delivery = u < s;
-          }
+          delivery = delivers(u, m, p, success_bounds(m, p), envelope);
           ++slots;
           if (delivery || slots == cap) break;
           protocol.on_slot_end(false);
@@ -180,6 +196,10 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
       // slot order: draw the AT success, then the BT success among the
       // BT slots before it. Geometric draws are memoryless, so the next
       // step drawing afresh under the protocol's next cycle is exact.
+      // The AT success is a truncated geometric draw, or, for a law
+      // certified at kWalkLaw or more, a walk of one uniform per AT slot
+      // up to the first that delivers: the same Geometric(s_at) without
+      // evaluating s_at, or the log of the draw, on almost every step.
       UCR_CHECK(cycle.at >= 0.0 && cycle.at <= 1.0 && cycle.bt >= 0.0 &&
                     cycle.bt <= 1.0,
                 "protocol produced a probability outside [0, 1]");
@@ -198,9 +218,20 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
       std::uint64_t at_sent = n - bt_sent;
       bool delivered = false;
       if (at_sent > 0) {
-        const CycleLaw& at = cycle_laws.get(m, cycle.at);
-        const std::uint64_t g = sample_geometric_failures(
-            rng, at.success, at.log_fail, at_sent);
+        const SuccessBounds bounds = success_bounds(m, cycle.at);
+        std::uint64_t g = 0;
+        // A certain success (m = 1, at = 1) keeps the draw-free geometric.
+        if (bounds.lower >= kWalkLaw && bounds.upper < 1.0) {
+          const double envelope = success_envelope(m);
+          for (; g < at_sent; ++g) {
+            if (delivers(rng.next_double(), m, cycle.at, bounds, envelope)) {
+              break;
+            }
+          }
+        } else {
+          const CycleLaw& at = cycle_laws.get(m, cycle.at);
+          g = sample_geometric_failures(rng, at.success, at.log_fail, at_sent);
+        }
         if (g < at_sent) {
           // AT slot g lies before the first BT slot, or else among the
           // period - 1 AT slots after BT slot (g - to_bt) / (period - 1).

@@ -15,13 +15,15 @@
 //   2  the batched fair slot engine's thinned step for protocols whose
 //      batching hint is 1 (sim/fair_engine.hpp);
 //   3  its cycle step for two-probability cycles (Log-Fails Adaptive),
-//      and no silence/collision split drawn once a run stops sampling it.
+//      and no silence/collision split drawn once a run stops sampling it;
+//   4  the cycle step's walk of one uniform per AT slot for AT laws
+//      certified at 1/16 or more, in place of their geometric draw.
 #pragma once
 
 #include <cstdint>
 
 namespace ucr {
 
-inline constexpr std::uint64_t kModelVersion = 3;
+inline constexpr std::uint64_t kModelVersion = 4;
 
 }  // namespace ucr

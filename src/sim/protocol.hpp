@@ -68,7 +68,7 @@ class NodeProtocol {
   /// Queried right after transmit_probability() in the same slot.
   ///
   /// This is the per-station analogue of the constant part of
-  /// FairSlotProtocol::slot_cycle() (SlotCycle::constant_slots()),
+  /// FairSlotProtocol::slot_cycle() (FairSlotProtocol::constant_slots()),
   /// generalized to heterogeneous state: the batched node engine skips
   /// min-over-stations stretches. The
   /// conservative default of 1 keeps every protocol on the exact per-slot
@@ -162,11 +162,21 @@ class FairSlotProtocol {
   /// drifts every slot (e.g. One-Fail Adaptive's +1-per-AT-step
   /// estimator) keep it, which gives them the engine's thinned step: one
   /// uniform per slot against the slot's success probability, run to the
-  /// next delivery. Any other cycle takes the cycle step: one truncated
-  /// geometric draw over its AT slots and one over its BT slots. Either
-  /// is exact mode's law but not its draws, so batched runs are not
-  /// bit-identical to exact ones.
+  /// next delivery. Any other cycle takes the cycle step: a walk of one
+  /// uniform per AT slot while the AT success probability is certified
+  /// at 1/16 or more, else one truncated geometric draw over its AT
+  /// slots, and one over its BT slots. Each is exact mode's law but not
+  /// its draws, so batched runs are not bit-identical to exact ones.
   virtual SlotCycle slot_cycle() const { return {}; }
+
+  /// slot_cycle().constant_slots(), the node hint of the protocol's
+  /// stations (FairSlotStation), which queries it on every station-slot.
+  /// A protocol whose cycle costs more than its constant part may
+  /// override this to compute that part directly; it must return the
+  /// same value in every state.
+  virtual std::uint64_t constant_slots() const {
+    return slot_cycle().constant_slots();
+  }
 
   /// Bulk equivalent of `count` consecutive on_slot_end(false) calls; used
   /// by the batched engine to skip a sampled run of non-delivery slots,
@@ -207,7 +217,7 @@ class FairSlotStation final : public NodeProtocol {
     automaton_.on_slot_end(fb.heard_delivery);
   }
   std::uint64_t stationary_slots() const override {
-    return automaton_.slot_cycle().constant_slots();
+    return automaton_.constant_slots();
   }
   void on_non_delivery_slots(std::uint64_t count) override {
     automaton_.on_non_delivery_slots(count);

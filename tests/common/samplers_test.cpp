@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -122,6 +124,177 @@ TEST(SlotCategory, SuccessProbabilityPeaksNearOneOverM) {
   EXPECT_GT(at_opt, success_rate(1.0 / 10.0));
   EXPECT_GT(at_opt, success_rate(1.0 / 1000.0));
   EXPECT_NEAR(at_opt, 1.0 / std::exp(1.0), 0.01);
+}
+
+// ---------------------------------------------------------- success bounds
+
+// The batched fair slot engine decides u < prob_success(m, p) by the
+// bracket whenever u falls outside it, so a bracket that misses the value
+// by one ulp moves a sample path. Every check compares with the double
+// prob_success returns, not with the real s.
+
+// Counts the pairs checked and reports the first few misses.
+class Enclosure {
+ public:
+  void check(std::uint64_t m, double p) {
+    ++checked_;
+    const SuccessBounds bounds = success_bounds(m, p);
+    const double s = prob_success(m, p);
+    if (bounds.lower <= s && s <= bounds.upper) return;
+    if (++misses_ > 10) return;
+    EXPECT_LE(bounds.lower, s) << std::hexfloat << "m=" << m << " p=" << p;
+    EXPECT_GE(bounds.upper, s) << std::hexfloat << "m=" << m << " p=" << p;
+  }
+  std::uint64_t checked() const { return checked_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  std::uint64_t checked_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+// m from 2 to 2^53 − 1: small counts one by one, then both neighbours of
+// every power of two and the powers of ten.
+std::vector<std::uint64_t> grid_counts() {
+  std::vector<std::uint64_t> ms;
+  for (std::uint64_t m = 2; m <= 64; ++m) ms.push_back(m);
+  for (int b = 7; b <= 53; ++b) {
+    const std::uint64_t power = std::uint64_t{1} << b;
+    ms.push_back(power - 1);
+    if (b < 53) {
+      ms.push_back(power);
+      ms.push_back(power + 1);
+    }
+  }
+  for (std::uint64_t m = 100; m < (std::uint64_t{1} << 53); m *= 10) {
+    ms.push_back(m);
+    ms.push_back(3 * m + 1);
+  }
+  return ms;
+}
+
+// The doubles within `ulps` of p, clamped to (0, 1).
+void add_neighbours(std::vector<double>& out, double p, int ulps) {
+  double down = p;
+  double up = p;
+  out.push_back(p);
+  for (int i = 0; i < ulps; ++i) {
+    down = std::nextafter(down, 0.0);
+    up = std::nextafter(up, 1.0);
+    if (down > 0.0) out.push_back(down);
+    if (up < 1.0) out.push_back(up);
+  }
+}
+
+TEST(SuccessBounds, TableBracketsEachExponential) {
+  // Entry i brackets e^(−i/64) within a few parts in 10^12; the last
+  // entry's lower side is 0.
+  const auto& table = detail::kExpBrackets;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const double value = std::exp(-static_cast<double>(i) / detail::kExpSteps);
+    SCOPED_TRACE(::testing::Message() << "entry " << i);
+    EXPECT_LT(value, table[i].upper);
+    EXPECT_LT(table[i].upper, value * (1.0 + 4e-12));
+    if (i + 1 < table.size()) {
+      EXPECT_GT(value, table[i].lower);
+      EXPECT_GT(table[i].lower, value * (1.0 - 4e-12));
+    } else {
+      EXPECT_EQ(table[i].lower, 0.0);
+    }
+  }
+  EXPECT_GE(detail::kSuccessTail,
+            (detail::kExpSpan + 1) * std::exp(-double{detail::kExpSpan}));
+}
+
+TEST(SuccessBounds, EncloseProbSuccessOnAGrid) {
+  // m from 2 to 2^53 − 1 against p from the smallest normal to 1 − 2^−53:
+  // a geometric sweep, p = 1/m and its neighbours, and the p that put
+  // (m − 1)·p, or (m − 1)·p/(1 − p), the exponent of the lower side, on
+  // a bucket edge i/64 or a few ulps either side of one, up to the
+  // table's end at 16, and at 750, where the engine's cycle law is 0.
+  std::vector<double> edges;
+  for (int i : {1, 2, 3, 31, 32, 63, 64, 65, 127, 128, 640, 1000, 1023}) {
+    edges.push_back(i / 64.0);
+  }
+  for (double y : {16.0 - 0x1p-40, 16.0, 16.0 + 0x1p-6, 745.0, 750.0}) {
+    edges.push_back(y);
+  }
+  std::vector<double> sweep;
+  for (double p = std::numeric_limits<double>::min(); p < 1.0; p *= 1.7) {
+    sweep.push_back(p);
+  }
+  add_neighbours(sweep, 0.5, 2);
+  add_neighbours(sweep, 1.0 - 0x1p-53, 3);
+  Enclosure enclosure;
+  for (const std::uint64_t m : grid_counts()) {
+    const double md = static_cast<double>(m);
+    std::vector<double> ps = sweep;
+    add_neighbours(ps, 1.0 / md, 3);
+    for (const double y : edges) {
+      add_neighbours(ps, y / (md - 1.0), 4);
+      add_neighbours(ps, y / (md - 1.0 + y), 4);
+    }
+    for (const double p : ps) {
+      if (p > 0.0 && p < 1.0) enclosure.check(m, p);
+    }
+  }
+  std::printf("[ bounds ] %llu grid pairs\n",
+              static_cast<unsigned long long>(enclosure.checked()));
+  EXPECT_GT(enclosure.checked(), 100000u);
+  EXPECT_EQ(enclosure.misses(), 0u);
+}
+
+TEST(SuccessBounds, EncloseProbSuccessOnRandomPairs) {
+  // 2·10^6 pairs: m − 2 log-uniform on [1, 2^52.9), and p log-uniform on
+  // [2^−1022, 1) for half of them, uniform on [1/(4m), 4/m] (the
+  // protocols' range, where the engine reads the bracket) for the rest.
+  Xoshiro256 rng(40);
+  Enclosure enclosure;
+  for (int i = 0; i < 2'000'000; ++i) {
+    const double log_m = rng.next_double() * 52.9 * std::log(2.0);
+    const std::uint64_t m = 2 + static_cast<std::uint64_t>(std::exp(log_m));
+    const double md = static_cast<double>(m);
+    double p = 0.0;
+    if (i % 2 == 0) {
+      p = std::exp(-rng.next_double() * 1022.0 * std::log(2.0));
+    } else {
+      p = (0.25 + 3.75 * rng.next_double()) / md;
+    }
+    if (p > 0.0 && p < 1.0) enclosure.check(m, p);
+  }
+  EXPECT_EQ(enclosure.misses(), 0u);
+}
+
+TEST(SuccessBounds, EdgesOfTheDomain) {
+  // p = 0 and p = 1, and one station, where s = p.
+  for (std::uint64_t m : {1ULL, 2ULL, 5ULL, 1000ULL}) {
+    for (double p : {0.0, 1e-300, 0.3, 1.0 - 0x1p-53, 1.0}) {
+      const SuccessBounds bounds = success_bounds(m, p);
+      const double s = prob_success(m, p);
+      EXPECT_LE(bounds.lower, s) << "m=" << m << " p=" << p;
+      EXPECT_GE(bounds.upper, s) << "m=" << m << " p=" << p;
+    }
+  }
+  EXPECT_EQ(success_bounds(1000, 0.0).upper, 0.0);
+}
+
+TEST(SuccessBounds, TightWhereTheEngineReadsThem) {
+  // Around p = 1/m the bracket's exponents lie less than two buckets,
+  // 2/64, plus (m − 1)·p²/(1 − p) from the bounds on ln(1 − p) apart, and
+  // the margin widens it by parts in 10^12: any wider and the engine
+  // would evaluate the law far more often.
+  for (const std::uint64_t m : grid_counts()) {
+    const double md = static_cast<double>(m);
+    for (const double c : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+      const double p = c / md;
+      const double y = (md - 1.0) * p;
+      if (!(p < 1.0) || y / (1.0 - p) >= detail::kExpSpan) continue;
+      const SuccessBounds bounds = success_bounds(m, p);
+      const double widest = std::exp(2 / 64.0 + y * p / (1 - p)) * 1.00001;
+      EXPECT_GT(bounds.lower, 0.0) << "m=" << m << " c=" << c;
+      EXPECT_LE(bounds.upper, bounds.lower * widest) << "m=" << m << " c=" << c;
+    }
+  }
 }
 
 // --------------------------------------------------------------- binomial

@@ -131,6 +131,7 @@ TEST(GoldenFiles, DigestMatchesTheModelVersion) {
       {1, 0xe700991358495072ULL},
       {2, 0xa26bbcdc92cf723fULL},
       {3, 0x5cefe12a2ef20ff0ULL},
+      {4, 0x9738ed463ddad641ULL},
   };
   ASSERT_EQ(digests.count(kModelVersion), 1u)
       << "no golden digest recorded for model version " << kModelVersion;

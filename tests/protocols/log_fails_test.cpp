@@ -83,7 +83,9 @@ void walk_against_reference_step(double xi_t, std::uint64_t steps) {
         st.fail_count() >= threshold ? 1 : threshold - st.fail_count();
     const SlotCycle cycle = st.slot_cycle();
     // The constant part of the cycle, the node hint, is the distance to
-    // the next BT step or fail-threshold crossing.
+    // the next BT step or fail-threshold crossing, and constant_slots()
+    // computes it without the cycle.
+    ASSERT_EQ(st.constant_slots(), cycle.constant_slots()) << "step " << step;
     if (bt) {
       ASSERT_EQ(cycle.constant_slots(), 1u) << "step " << step;
       ASSERT_EQ(st.transmit_probability(), st.bt_probability());

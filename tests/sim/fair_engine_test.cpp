@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -586,6 +587,68 @@ TEST(ThinnedSlotEngine, StretchesAfterAThinnedStepDrawNoSplit) {
   }
 }
 
+// p = factor / m, at most 1, with factors[t] on slot t (cycling) while
+// m stations remain.
+double near_peak(const std::vector<double>& factors, std::uint64_t slot,
+                 std::uint64_t m) {
+  return std::min(1.0, factors[slot % factors.size()] / static_cast<double>(m));
+}
+
+// Sends near_peak(factors, t, m) on slot t: near the peak of
+// m·p·(1 − p)^(m−1), p = 1/m. Keeps the default one-slot cycle, so batched
+// mode takes its thinned step.
+class NearPeakFair final : public FairSlotProtocol {
+ public:
+  NearPeakFair(std::uint64_t k, std::vector<double> factors)
+      : m_(k), factors_(std::move(factors)) {}
+  double transmit_probability() const override {
+    return near_peak(factors_, step_, m_);
+  }
+  void on_slot_end(bool delivery) override {
+    m_ -= delivery ? 1 : 0;
+    ++step_;
+  }
+
+ private:
+  std::uint64_t m_;
+  std::vector<double> factors_;
+  std::size_t step_ = 0;
+};
+
+TEST(ThinnedSlotEngine, BracketDecidesEachSlotAsTheLawWould) {
+  // With m = 2..5 stations near p = 1/m the bracket of the success law is
+  // widest (its exponents lie (m − 1)·p²/(1 − p) ≈ 1/m apart) and the
+  // engine falls back on the law most often. Deciding u < s by the
+  // bracket must still give what deciding it by s on every slot gives:
+  // the same delivery slots, and the generator left in the same place.
+  const std::vector<double> factors = {1.0, 0.9, 1.1, 1.0 - 1e-9, 1.3, 0.75};
+  for (std::uint64_t k = 2; k <= 5; ++k) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " seed=" << seed);
+      NearPeakFair protocol(k, factors);
+      Xoshiro256 rng = Xoshiro256::stream(986, seed);
+      Xoshiro256 replay = rng;
+      EngineOptions opts;
+      opts.max_slots = 400;
+      opts.record_deliveries = true;
+      const RunMetrics got =
+          run_fair_slot_engine(protocol, k, rng, batched_mode(opts));
+
+      std::vector<std::uint64_t> want;
+      std::uint64_t m = k;
+      for (std::uint64_t slot = 0; m > 0 && slot < opts.max_slots; ++slot) {
+        const double p = near_peak(factors, slot, m);
+        if (replay.next_double() < prob_success(m, p)) {
+          want.push_back(slot);
+          --m;
+        }
+      }
+      EXPECT_EQ(got.delivery_slots, want);
+      EXPECT_EQ(rng.next_u64(), replay.next_u64());
+    }
+  }
+}
+
 // ------------------------------------ slot engine, batched cycle step
 
 // A two-probability cycle of period 3 with its BT slots at steps 0, 3,
@@ -664,14 +727,22 @@ class FixedCycleFair final : public FairSlotProtocol {
   std::uint64_t step_ = 0;
 };
 
-TEST(CycleSlotEngine, FirstDeliveryFollowsItsExactLaw) {
-  // The analytic check of the cycle step, as for the thinned step: with
-  // m = 5 stations the first delivery slot T has P[T = t] =
-  // s_t · prod_{j<t} (1 − s_j), s_t = prob_success(5, p_t). The script
-  // starts on a BT slot, and its AT law changes at a crossing every four
-  // AT slots, so most steps end at a crossing inside the 30 slots
-  // observed, and the cap cuts the last one.
-  const ScriptedCycleFair script(0.1, {0.02, 0.05}, 4);
+// The AT laws a cycle step walks, one uniform per AT slot, rather than
+// drawing a geometric: those whose bracket's lower side is at least 1/16
+// (sim/fair_engine.cpp).
+bool walked(std::uint64_t m, double at) {
+  const SuccessBounds bounds = success_bounds(m, at);
+  return bounds.lower >= 1.0 / 16 && bounds.upper < 1.0;
+}
+
+// The analytic check of the cycle step, as for the thinned step: with
+// m = 5 stations the first delivery slot T has P[T = t] =
+// s_t · prod_{j<t} (1 − s_j), s_t = prob_success(5, p_t). The script
+// starts on a BT slot, and its AT law changes at a crossing every four AT
+// slots, so most steps end at a crossing inside the 30 slots observed,
+// and the cap cuts the last one. Returns the chi-square statistic.
+double first_delivery_chi_square(const ScriptedCycleFair& script,
+                                 std::uint64_t stream) {
   const std::uint64_t m = 5;
   const std::uint64_t runs = 400'000;
   constexpr std::size_t kBins = 30;  // T = 0..29, then the tail T >= 30
@@ -682,7 +753,7 @@ TEST(CycleSlotEngine, FirstDeliveryFollowsItsExactLaw) {
   std::vector<double> observed(kBins + 1, 0.0);
   for (std::uint64_t run = 0; run < runs; ++run) {
     ScriptedCycleFair protocol = script;
-    Xoshiro256 rng = Xoshiro256::stream(990, run);
+    Xoshiro256 rng = Xoshiro256::stream(stream, run);
     const RunMetrics r = run_fair_slot_engine(protocol, m, rng,
                                               batched_mode(opts));
     ++observed[r.delivery_slots.empty() ? kBins : r.delivery_slots.front()];
@@ -696,11 +767,69 @@ TEST(CycleSlotEngine, FirstDeliveryFollowsItsExactLaw) {
     statistic += (observed[t] - expected) * (observed[t] - expected) /
                  expected;
   }
+  return statistic;
+}
+
+TEST(CycleSlotEngine, FirstDeliveryFollowsItsExactLaw) {
+  // AT laws s = 0.092 and 0.20, both walked.
+  ASSERT_TRUE(walked(5, 0.02) && walked(5, 0.05));
+  const ScriptedCycleFair script(0.1, {0.02, 0.05}, 4);
+  const double statistic = first_delivery_chi_square(script, 990);
   // The 0.999 quantile of chi-square with 30 degrees of freedom.
-  std::printf("[ cycle-law ] first delivery: chi-square %.1f, critical "
-              "59.703\n",
+  std::printf("[ cycle-law ] first delivery, walked AT laws: chi-square "
+              "%.1f, critical 59.703\n",
               statistic);
   EXPECT_LT(statistic, 59.703);
+}
+
+TEST(CycleSlotEngine, FirstDeliveryBelowTheWalkFollowsItsExactLaw) {
+  // AT laws s = 0.025 and 0.039, both drawn as truncated geometrics.
+  ASSERT_FALSE(walked(5, 0.005) || walked(5, 0.008));
+  const ScriptedCycleFair script(0.1, {0.005, 0.008}, 4);
+  const double statistic = first_delivery_chi_square(script, 996);
+  std::printf("[ cycle-law ] first delivery, geometric AT laws: chi-square "
+              "%.1f, critical 59.703\n",
+              statistic);
+  EXPECT_LT(statistic, 59.703);
+}
+
+TEST(CycleSlotEngine, WalkTakesOneUniformPerAtSlotUpToItsSuccess) {
+  // With BT laws of 0, which need no draw, and walked AT laws, a run must
+  // draw one uniform per AT slot up to and including each delivery and
+  // none after it: exactly what deciding u < s on every AT slot draws.
+  // The AT law changes at a crossing every four AT slots, so many steps
+  // end without a success, and the cap cuts the last one.
+  const ScriptedCycleFair script(0.0, {0.1, 0.2, 0.15}, 4);
+  const std::uint64_t k = 5;
+  for (const double at : {0.1, 0.2, 0.15}) {
+    for (std::uint64_t m = 1; m <= k; ++m) {
+      ASSERT_TRUE(walked(m, at)) << "m=" << m << " at=" << at;
+    }
+  }
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    ScriptedCycleFair protocol = script;
+    Xoshiro256 rng = Xoshiro256::stream(997, seed);
+    Xoshiro256 replay = rng;
+    EngineOptions opts;
+    opts.max_slots = 120;
+    opts.record_deliveries = true;
+    const RunMetrics got =
+        run_fair_slot_engine(protocol, k, rng, batched_mode(opts));
+
+    const std::vector<double> p = probabilities(script, opts.max_slots);
+    std::vector<std::uint64_t> want;
+    std::uint64_t m = k;
+    for (std::uint64_t slot = 0; m > 0 && slot < opts.max_slots; ++slot) {
+      if (p[slot] == 0.0) continue;  // a BT slot
+      if (replay.next_double() < prob_success(m, p[slot])) {
+        want.push_back(slot);
+        --m;
+      }
+    }
+    EXPECT_EQ(got.delivery_slots, want);
+    EXPECT_EQ(rng.next_u64(), replay.next_u64());
+  }
 }
 
 TEST(CycleSlotEngine, ExpectedTransmissionsArePerSlotSums) {
