@@ -85,6 +85,17 @@ void BM_BinomialBtrs(benchmark::State& state) {
 }
 BENCHMARK(BM_BinomialBtrs)->Arg(1000)->Arg(1000000);
 
+// One law, many draws, as a dense window draws its slot counts: lambda
+// = 16 takes PTRS just above the CDF walk's range, 1000 far above it.
+void BM_PoissonLaw(benchmark::State& state) {
+  ucr::Xoshiro256 rng(15);
+  const ucr::PoissonLaw law(static_cast<double>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(law.draw(rng));
+  }
+}
+BENCHMARK(BM_PoissonLaw)->Arg(16)->Arg(1000);
+
 // Whole-run benchmarks: items processed = slots simulated.
 void BM_FairSlotEngine_OneFail(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
@@ -218,6 +229,36 @@ BENCHMARK(BM_FairWindowEngineBatched_ExpBackoff)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000);
+
+// Batched mode's Poisson batch: windows of W = k/16 slots, each a batch
+// of W Poisson counts near 16 topped up to the exact station count. So
+// few stations deliver that the run is cut at 16 windows; items
+// processed = slots.
+void BM_FairWindowEngineBatched_Dense(benchmark::State& state) {
+  class FixedWindow final : public ucr::WindowSchedule {
+   public:
+    explicit FixedWindow(std::uint64_t w) : w_(w) {}
+    std::uint64_t next_window_slots() override { return w_; }
+
+   private:
+    std::uint64_t w_;
+  };
+  const std::uint64_t k = state.range(0);
+  ucr::EngineOptions options;
+  options.batched = true;
+  options.max_slots = k;
+  std::uint64_t seed = 0;
+  std::uint64_t slots = 0;
+  for (auto _ : state) {
+    FixedWindow schedule(k / 16);
+    ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(16, seed++);
+    const auto run = ucr::run_fair_window_engine(schedule, k, rng, options);
+    slots += run.slots;
+    benchmark::DoNotOptimize(run.slots);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(slots));
+}
+BENCHMARK(BM_FairWindowEngineBatched_Dense)->Arg(100000);
 
 void BM_FairSlotEngineBatched_Genie(benchmark::State& state) {
   const std::uint64_t k = state.range(0);

@@ -215,36 +215,95 @@ Stretch sample_stretch(Xoshiro256& rng, double success, double silence,
   return run;
 }
 
-std::uint64_t sample_poisson(Xoshiro256& rng, double lambda) {
-  UCR_REQUIRE(lambda >= 0.0, "Poisson rate must be non-negative");
-  if (lambda == 0.0) return 0;
-  if (lambda < 30.0) {
-    // Knuth inversion on the multiplicative scale.
-    const double limit = std::exp(-lambda);
-    double prod = rng.next_double();
-    std::uint64_t k = 0;
-    while (prod > limit) {
-      prod *= rng.next_double();
-      ++k;
+namespace {
+
+// The mean from which PoissonLaw draws by PTRS instead of the CDF walk,
+// where the walk's expected lambda + 1 steps start to cost more than
+// PTRS's tries.
+constexpr double kPtrsFrom = 10.0;
+
+// ln k! for PTRS's acceptance test. Below a mean of about 50 half its
+// tries fall past the squeeze, and those are most of a dense window's
+// draws at paper scale, so the values for k < 256 are looked up: each
+// the double log_gamma(k + 1) returns, so no draw moves.
+double log_factorial(double k) {
+  constexpr std::size_t kTabled = 256;
+  static const std::array<double, kTabled> table = [] {
+    std::array<double, kTabled> values{};
+    for (std::size_t i = 0; i < kTabled; ++i) {
+      values[i] = detail::log_gamma(static_cast<double>(i) + 1.0);
     }
-    return k;
+    return values;
+  }();
+  if (k < static_cast<double>(kTabled)) {
+    return table[static_cast<std::size_t>(k)];
   }
-  // Split recursively: Poisson(l) = Poisson(l/2) + Poisson(l/2) would recurse
-  // deeply; instead use the classic Gamma-split: with m = floor(7/8 * l),
-  // draw g ~ Gamma(m) via the Marsaglia-Tsang method and recurse on the
-  // remainder. To keep the implementation compact and exact we instead use
-  // the binomial split: Poisson(l) conditioned on Poisson(2l) is binomial —
-  // but the simplest exact route with the tools at hand is the normal-free
-  // "chunked inversion": sum independent Poisson(25) chunks plus one
-  // remainder chunk, each sampled by inversion (exp(-25) ~ 1.4e-11 is well
-  // within double range).
-  std::uint64_t total = 0;
-  double remaining = lambda;
-  while (remaining > 30.0) {
-    total += sample_poisson(rng, 25.0);
-    remaining -= 25.0;
+  return detail::log_gamma(k + 1.0);
+}
+
+}  // namespace
+
+PoissonLaw::PoissonLaw(double lambda) : lambda_(lambda) {
+  UCR_REQUIRE(lambda >= 0.0 && std::isfinite(lambda),
+              "Poisson rate must be finite and non-negative");
+  if (lambda < kPtrsFrom) {
+    double term = std::exp(-lambda);
+    double cdf = term;
+    cdf_[0] = cdf;
+    for (std::size_t j = 1; j < kCachedTerms; ++j) {
+      term *= lambda / static_cast<double>(j);
+      cdf += term;
+      cdf_[j] = cdf;
+    }
+    last_term_ = term;
+    return;
   }
-  return total + sample_poisson(rng, remaining);
+  // Hörmann (1993), algorithm PTRS.
+  const double root = std::sqrt(lambda);
+  b_ = 0.931 + 2.53 * root;
+  a_ = -0.059 + 0.02483 * b_;
+  v_r_ = 0.9277 - 3.6224 / (b_ - 2.0);
+  log_lambda_ = std::log(lambda);
+  inv_alpha_ = 1.1239 + 1.1328 / (b_ - 3.4);
+}
+
+std::uint64_t PoissonLaw::draw(Xoshiro256& rng) const {
+  if (lambda_ >= kPtrsFrom) return draw_by_ptrs(rng);
+  if (lambda_ == 0.0) return 0;
+  const double u = rng.next_double();
+  for (std::size_t j = 0; j < kCachedTerms; ++j) {
+    if (u < cdf_[j]) return j;
+  }
+  // Past the cached terms the walk goes on, and stops where the sum no
+  // longer grows, within rounding of 1.
+  double term = last_term_;
+  double cdf = cdf_[kCachedTerms - 1];
+  std::uint64_t k = kCachedTerms - 1;
+  while (u >= cdf) {
+    ++k;
+    term *= lambda_ / static_cast<double>(k);
+    const double next = cdf + term;
+    if (next == cdf) break;
+    cdf = next;
+  }
+  return k;
+}
+
+std::uint64_t PoissonLaw::draw_by_ptrs(Xoshiro256& rng) const {
+  for (;;) {
+    const double u = rng.next_double() - 0.5;
+    const double v = rng.next_double();
+    const double us = 0.5 - std::fabs(u);
+    // Compared as a double before any cast: a u at or near −1/2 sends kd
+    // far below 0, to −infinity at us = 0.
+    const double kd = std::floor((2.0 * a_ / us + b_) * u + lambda_ + 0.43);
+    if (us >= 0.07 && v <= v_r_) return static_cast<std::uint64_t>(kd);
+    if (kd < 0.0 || (us < 0.013 && v > us)) continue;
+    if (std::log(v * inv_alpha_ / (a_ / (us * us) + b_)) <=
+        -lambda_ + kd * log_lambda_ - log_factorial(kd)) {
+      return static_cast<std::uint64_t>(kd);
+    }
+  }
 }
 
 }  // namespace ucr

@@ -5,8 +5,8 @@
 //
 //  * slot-probability protocols only need the category {0, 1, >=2}, sampled
 //    in O(1) from the closed-form probabilities (see sample_slot_category);
-//  * window protocols need the exact transmitter count, i.e. a true
-//    Binomial(n, p) sample for n up to 10^7 and arbitrary p.
+//  * window protocols need the exact transmitter count: in exact mode a
+//    true Binomial(n, p) sample per slot for n up to 10^7 and arbitrary p.
 //
 // Binomial sampling is implemented from scratch (std::binomial_distribution
 // is not reproducible across standard libraries):
@@ -14,6 +14,11 @@
 //  * BTRS, Hörmann's transformed-rejection algorithm with squeeze
 //    ("The generation of binomial random variates", W. Hörmann, 1993),
 //    otherwise — exact, O(1) expected work.
+//
+// The batched window engine's dense windows take a whole window's slot
+// counts at once instead: independent Poisson counts (PoissonLaw, a CDF
+// walk below a mean of 10 and Hörmann's PTRS from 10 up), which given
+// their sum are Multinomial over the slots (sim/fair_engine.hpp).
 #pragma once
 
 #include <algorithm>
@@ -156,9 +161,44 @@ struct Stretch {
 Stretch sample_stretch(Xoshiro256& rng, double success, double silence,
                        std::uint64_t limit);
 
-/// Exact Poisson(lambda) sample (inversion for small lambda, split-and-sum
-/// recursion for large lambda). Used by the dynamic-arrival workload.
-std::uint64_t sample_poisson(Xoshiro256& rng, double lambda);
+/// Exact Poisson(lambda) draws at one rate, with the rate's constants
+/// computed once, when the law is built:
+///  * lambda = 0 returns 0 without a draw;
+///  * lambda < 10 inverts one uniform u by walking the CDF from
+///    e^(−lambda), its terms p_j = p_(j−1)·lambda/j cached at
+///    construction by that same recurrence; a u past the cached terms
+///    walks on;
+///  * lambda >= 10 takes PTRS, Hörmann's transformed rejection with
+///    squeeze ("The transformed rejection method for generating Poisson
+///    random variables", W. Hörmann, 1993): two uniforms a try, 1.1 to
+///    1.3 tries a draw (the more, the nearer lambda is to 10), and only
+///    a try past the squeeze evaluates logarithms and ln k!.
+/// The batched window engine draws a dense window's slot counts from one
+/// law, the MMPP arrival process a slot's arrivals from one of its two.
+class PoissonLaw {
+ public:
+  /// Requires 0 <= lambda < infinity.
+  explicit PoissonLaw(double lambda);
+
+  std::uint64_t draw(Xoshiro256& rng) const;
+
+ private:
+  static constexpr std::size_t kCachedTerms = 32;
+
+  std::uint64_t draw_by_ptrs(Xoshiro256& rng) const;
+
+  double lambda_ = 0.0;
+  // CDF walk (lambda < 10): cdf_[j] = P[X <= j] as the walk sums it,
+  // and the walk's term at the last cached j.
+  std::array<double, kCachedTerms> cdf_{};
+  double last_term_ = 0.0;
+  // PTRS (lambda >= 10).
+  double a_ = 0.0;
+  double b_ = 0.0;
+  double v_r_ = 0.0;
+  double log_lambda_ = 0.0;
+  double inv_alpha_ = 0.0;
+};
 
 /// Bulk uniform bounded draws: fills out[0..n) with values in [0, bound),
 /// consuming the generator's u64 stream exactly as n sequential

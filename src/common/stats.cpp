@@ -125,4 +125,11 @@ double chi_square_statistic(const std::vector<double>& observed,
   return stat;
 }
 
+double chi_square_critical_999(double df) {
+  UCR_REQUIRE(df >= 1.0, "chi-square needs at least one degree of freedom");
+  // z = 3.0902, the standard normal's 0.999 quantile.
+  const double c = 2.0 / (9.0 * df);
+  return df * std::pow(1.0 - c + 3.0902 * std::sqrt(c), 3.0);
+}
+
 }  // namespace ucr

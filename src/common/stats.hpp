@@ -56,6 +56,12 @@ double quantile_sorted(const std::vector<double>& sorted, double q);
 double chi_square_statistic(const std::vector<double>& observed,
                             const std::vector<double>& expected);
 
+/// The 0.999 quantile of chi-square with df >= 1 degrees of freedom, the
+/// critical value of chi_square_statistic at level 0.001, by the
+/// Wilson–Hilferty cube: within 4% of the exact quantile, and above it
+/// for small df.
+double chi_square_critical_999(double df);
+
 /// Jain's fairness index (sum x)^2 / (n * sum x^2) in (0, 1]; 1 = perfectly
 /// even. Used on per-message latencies in the dynamic-arrival experiments.
 /// Requires a non-empty sample with non-negative values and positive sum.

@@ -79,13 +79,14 @@ ArrivalPattern mmpp_arrivals(std::uint64_t k, double lambda_hi,
   UCR_REQUIRE(lambda_lo >= 0.0, "MMPP quiet-state rate must be >= 0");
   UCR_REQUIRE(dwell >= 1, "MMPP dwell must be >= 1 slot");
   const double switch_prob = 1.0 / static_cast<double>(dwell);
+  const PoissonLaw burst(lambda_hi);
+  const PoissonLaw quiet(lambda_lo);  // a rate of 0 draws nothing
   ArrivalPattern arrivals;
   arrivals.reserve(k);
   bool burst_state = true;
   std::uint64_t slot = 0;
   while (arrivals.size() < k) {
-    const double rate = burst_state ? lambda_hi : lambda_lo;
-    std::uint64_t count = rate > 0.0 ? sample_poisson(rng, rate) : 0;
+    std::uint64_t count = (burst_state ? burst : quiet).draw(rng);
     count = std::min<std::uint64_t>(count, k - arrivals.size());
     for (std::uint64_t i = 0; i < count; ++i) arrivals.push_back(slot);
     if (rng.next_bernoulli(switch_prob)) burst_state = !burst_state;

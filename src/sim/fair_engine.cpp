@@ -330,6 +330,7 @@ RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
   KahanSum expected_tx;
 
   std::uint64_t m = k;                 // active stations
+  std::vector<std::uint8_t> counts;    // Poisson batch: min(count, 2)
   std::vector<std::uint64_t> seen;     // bitmap walk: offset occupied
   std::vector<std::uint64_t> twice;    // bitmap walk: offset occupied >= 2x
   std::vector<std::uint64_t> choices;  // sorted walk: chosen offsets
@@ -358,11 +359,8 @@ RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
     // Slots of this window that can still elapse under the cap.
     const std::uint64_t usable = std::min(window, cap - metrics.slots);
 
-    if (!options.batched || window <= pending / 8) {
-      // The per-slot chain, one Binomial(left, 1/(W-j)) draw per slot:
-      // every window in exact mode, and in batched mode the very dense
-      // ones, where O(window) draws beat O(pending) station choices by 8x
-      // or more.
+    if (!options.batched) {
+      // The per-slot chain, one Binomial(left, 1/(W-j)) draw per slot.
       std::uint64_t left = pending;  // stations yet to transmit
       for (std::uint64_t j = 0; j < usable; ++j) {
         if (m == 0) break;  // problem solved; the makespan stops here
@@ -415,21 +413,61 @@ RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
       continue;
     }
 
-    // Every other batched window samples each pending station's chosen
-    // slot directly (equivalent in law to the per-slot chain, by the chain
-    // rule on uniform slot choices) and tallies the choices by offset:
-    // O(pending) draws instead of O(window) binomials. Stations beyond the
-    // cap never get to transmit (the run stops first), exactly as in the
-    // per-slot engines. Window size alone picks the tally: two bitmaps
-    // while they are no larger than the choice list, else that list,
-    // sorted (windows of more than 64 slots per pending station). Both
-    // walks visit the offsets in slot order.
+    // Batched mode takes each window's slot counts whole, by one of three
+    // steps that window size alone picks. Stations beyond the cap never
+    // get to transmit (the run stops first), exactly as in the per-slot
+    // engines. Every step visits the usable offsets in slot order.
     std::uint64_t occupied = 0;    // offsets one or more stations chose
     std::uint64_t collisions = 0;  // offsets two or more stations chose
     std::uint64_t top = 0;         // the highest offset chosen
-    if (usable / 64 <= pending) {
-      // Bitmap walk: occupancy {0, 1, >= 2} per offset in two bitmaps,
-      // then one pass over their words, O(pending + usable/64), no sort.
+    if (window <= pending / 8) {
+      // Poisson batch, for the very dense windows. The n stations that
+      // choose a usable slot (all of them, unless the cap cuts the
+      // window) are Multinomial(n, uniform) over the usable slots. Draw
+      // independent Poisson(λ') counts, one per slot, with their sum S a
+      // little short of n (λ'·usable = n − ⌈3√n⌉, three standard
+      // deviations, so S > n in about 0.1% of batches); given S = s they
+      // are Multinomial(s, uniform), so redrawing the whole batch while
+      // S > n conditions on S alone, and placing the other n − s stations
+      // one uniform choice each makes them Multinomial(n, uniform).
+      // O(usable) independent draws, not a chain of binomials each
+      // waiting on the last. At most usable <= pending/8 stations
+      // deliver, so the window cannot end the run.
+      std::uint64_t n = pending;
+      if (usable < window) {
+        n = sample_binomial(rng, pending, static_cast<double>(usable) /
+                                              static_cast<double>(window));
+      }
+      const double nd = static_cast<double>(n);
+      const PoissonLaw law(std::max(0.0, nd - std::ceil(3.0 * std::sqrt(nd))) /
+                           static_cast<double>(usable));
+      counts.resize(static_cast<std::size_t>(usable));
+      std::uint64_t drawn = 0;
+      do {
+        drawn = 0;
+        for (std::uint8_t& count : counts) {
+          const std::uint64_t c = law.draw(rng);
+          drawn += c;
+          count = static_cast<std::uint8_t>(std::min<std::uint64_t>(c, 2));
+        }
+      } while (drawn > n);
+      for_each_choice(usable, n - drawn, [&](std::uint64_t c) {
+        counts[c] = counts[c] == 0 ? 1 : 2;
+      });
+      metrics.transmissions += n;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        occupied += counts[i] != 0;
+        collisions += counts[i] == 2;
+        if (options.record_deliveries && counts[i] == 1) {
+          metrics.delivery_slots.push_back(metrics.slots + i);
+        }
+      }
+    } else if (usable / 64 <= pending) {
+      // Bitmap walk: each pending station's chosen slot drawn directly
+      // (equivalent in law to the per-slot chain, by the chain rule on
+      // uniform slot choices), O(pending) draws instead of O(window)
+      // binomials; occupancy {0, 1, >= 2} per offset in two bitmaps, then
+      // one pass over their words, O(pending + usable/64), no sort.
       const std::size_t words = static_cast<std::size_t>((usable + 63) / 64);
       seen.assign(words, 0);
       twice.assign(words, 0);
@@ -458,7 +496,9 @@ RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
         }
       }
     } else {
-      // Sorted walk: the windows whose bitmaps would dwarf the choice list.
+      // Sorted walk: the same direct choices, for the windows whose
+      // bitmaps would dwarf the choice list (more than 64 slots per
+      // pending station).
       choices.clear();
       for_each_choice(window, pending, [&](std::uint64_t c) {
         if (c < usable) choices.push_back(c);

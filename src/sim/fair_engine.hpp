@@ -18,10 +18,13 @@
 // common/samplers.hpp) the bracket decides u < s without s.
 //
 // Window protocols additionally need the exact transmitter count (a
-// transmitter leaves the within-window pending pool even on collision); the
-// count at slot j of a W-slot window is Binomial(pending, 1/(W - j)) by the
-// chain rule on uniform slot choices, sampled with the exact samplers in
-// common/samplers.hpp.
+// transmitter leaves the within-window pending pool even on collision). A
+// W-slot window's counts are Multinomial(pending, uniform over its slots):
+// exact mode takes them slot by slot, the count at slot j being
+// Binomial(left, 1/(W - j)) by the chain rule on uniform slot choices,
+// and batched mode takes them whole, by independent Poisson counts
+// topped up to the exact total or by each station's own choice, sampled
+// with the exact samplers in common/samplers.hpp.
 #pragma once
 
 #include <cstdint>
@@ -86,20 +89,32 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
 
 /// Runs a fair contention-window protocol on a batch of k messages.
 ///
-/// Exact mode: one Binomial(pending, 1/(W-j)) draw per slot, O(1) expected
-/// work per slot. Batched mode keeps that chain for very dense windows
-/// (W <= pending/8) and otherwise samples each pending station's chosen
-/// slot directly (the two formulations are equivalent by the chain rule on
-/// uniform slot choices). Window size alone picks how the choices are
-/// tallied: in two occupancy bitmaps walked in slot order while they fit
-/// (usable/64 <= pending, usable being the slots the cap leaves), else in
-/// a sorted choice list. Cost: O(active stations) per window instead of
-/// O(W) — the win at paper scale, where monotone back-off windows grow to
-/// >> k slots that are almost entirely silent. Recording delivery slots
-/// reads the same walk and moves no draw. RunMetrics::transmissions is
-/// exact in both modes; expected_transmissions is the sum of per-slot
-/// expectations in exact mode and mirrors transmissions in batched mode
-/// (the realized count is the conditional expectation given the choices).
+/// Exact mode: one Binomial(left, 1/(W-j)) draw per slot, O(1) expected
+/// work per slot. Batched mode takes a window's counts whole, by one of
+/// three steps that window size alone picks, usable being the slots of the
+/// window the cap leaves:
+///  * the Poisson batch, for very dense windows (W <= pending/8): of the n
+///    stations that choose a usable slot (pending, or a binomial draw when
+///    the cap cuts the window), usable independent Poisson counts at
+///    λ' = max(0, n − ⌈3√n⌉)/usable, redrawn whole while their sum S
+///    exceeds n (about 0.1% of batches), then the other n − S stations
+///    one uniform choice each. Poisson counts given their sum are
+///    multinomial, so this is Multinomial(n, uniform), exactly. O(usable)
+///    independent draws, where exact mode's chain waits on each slot's
+///    binomial before the next; one byte per slot holds min(count, 2);
+///  * the bitmap walk: each pending station's chosen slot drawn directly
+///    (equivalent to the chain by the chain rule on uniform slot choices)
+///    and tallied in two occupancy bitmaps walked in slot order, while
+///    they fit (usable/64 <= pending);
+///  * the sorted walk: the same choices in a sorted list, for windows of
+///    more than 64 slots per pending station.
+/// Cost: O(active stations) per window instead of O(W) — the
+/// win at paper scale, where monotone back-off windows grow to >> k slots
+/// that are almost entirely silent. Recording delivery slots reads the
+/// same pass and moves no draw. RunMetrics::transmissions is exact in both
+/// modes; expected_transmissions is the sum of per-slot expectations in
+/// exact mode and mirrors transmissions in batched mode (the realized
+/// count is the conditional expectation given the choices).
 RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
                                   Xoshiro256& rng,
                                   const EngineOptions& options);

@@ -17,13 +17,16 @@
 //   3  its cycle step for two-probability cycles (Log-Fails Adaptive),
 //      and no silence/collision split drawn once a run stops sampling it;
 //   4  the cycle step's walk of one uniform per AT slot for AT laws
-//      certified at 1/16 or more, in place of their geometric draw.
+//      certified at 1/16 or more, in place of their geometric draw;
+//   5  the batched window engine's Poisson batch for windows of W <=
+//      pending/8 slots, in place of their per-slot binomial chain, and
+//      PoissonLaw's draws for the MMPP arrival process.
 #pragma once
 
 #include <cstdint>
 
 namespace ucr {
 
-inline constexpr std::uint64_t kModelVersion = 4;
+inline constexpr std::uint64_t kModelVersion = 5;
 
 }  // namespace ucr

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -453,19 +454,32 @@ TEST(Geometric, TruncatedTailMassMatches) {
 
 TEST(Poisson, ZeroRate) {
   Xoshiro256 rng(20);
-  EXPECT_EQ(sample_poisson(rng, 0.0), 0u);
-  EXPECT_THROW(sample_poisson(rng, -1.0), ContractViolation);
+  EXPECT_EQ(PoissonLaw(0.0).draw(rng), 0u);
+  EXPECT_THROW(PoissonLaw{-1.0}, ContractViolation);
+  EXPECT_THROW(PoissonLaw{std::numeric_limits<double>::infinity()},
+               ContractViolation);
+}
+
+TEST(Poisson, ZeroRateLeavesTheGeneratorUntouched) {
+  // The MMPP arrival process draws a quiet state of rate 0 through the
+  // same law as its burst state, so that draw must consume nothing.
+  Xoshiro256 rng(22);
+  Xoshiro256 replay = rng;
+  const PoissonLaw law(0.0);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(law.draw(rng), 0u);
+  EXPECT_EQ(rng.next_u64(), replay.next_u64());
 }
 
 class PoissonMoments : public ::testing::TestWithParam<double> {};
 
 TEST_P(PoissonMoments, MeanAndVarianceMatchLambda) {
   const double lambda = GetParam();
+  const PoissonLaw law(lambda);
   Xoshiro256 rng(21);
   RunningStats stats;
   const int trials = 60000;
   for (int i = 0; i < trials; ++i) {
-    stats.add(static_cast<double>(sample_poisson(rng, lambda)));
+    stats.add(static_cast<double>(law.draw(rng)));
   }
   const double tol = 5.0 * std::sqrt(lambda / trials) + 1e-9;
   EXPECT_NEAR(stats.mean(), lambda, tol);
@@ -475,6 +489,51 @@ TEST_P(PoissonMoments, MeanAndVarianceMatchLambda) {
 INSTANTIATE_TEST_SUITE_P(SweepLambda, PoissonMoments,
                          ::testing::Values(0.1, 1.0, 5.0, 29.0, 31.0, 100.0,
                                            1000.0));
+
+class PoissonLawFit : public ::testing::TestWithParam<double> {};
+
+TEST_P(PoissonLawFit, ChiSquareAgainstExactPmf) {
+  // 10^6 draws binned into cells of probability 1/50 or more, taken in
+  // order from the lower tail, with the upper tail in the last cell.
+  // lambda = 9.99 and 10 sit on both sides of the walk/PTRS cutover.
+  const double lambda = GetParam();
+  const PoissonLaw law(lambda);
+  const int draws = 1'000'000;
+  const double spread = 12.0 * std::sqrt(lambda) + 12.0;
+  const auto first = static_cast<std::uint64_t>(
+      std::max(0.0, std::floor(lambda - spread)));
+  const auto last = static_cast<std::uint64_t>(std::ceil(lambda + spread));
+  std::vector<std::size_t> cell_of(last - first + 1);
+  std::vector<double> expected(1, 0.0);
+  for (std::uint64_t k = first; k <= last; ++k) {
+    if (expected.back() >= 1.0 / 50) expected.push_back(0.0);
+    cell_of[k - first] = expected.size() - 1;
+    const double kd = static_cast<double>(k);
+    expected.back() +=
+        std::exp(-lambda + kd * std::log(lambda) - std::lgamma(kd + 1.0));
+  }
+  std::vector<double> observed(expected.size(), 0.0);
+  Xoshiro256 rng(23);
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t k = law.draw(rng);
+    ++observed[k < first ? 0 : cell_of[std::min(k, last) - first]];
+  }
+  double below_last = 0.0;
+  for (std::size_t c = 0; c + 1 < expected.size(); ++c) {
+    below_last += expected[c];
+  }
+  expected.back() = 1.0 - below_last;
+  for (double& e : expected) e *= draws;
+  const double df = static_cast<double>(expected.size() - 1);
+  const double statistic = chi_square_statistic(observed, expected);
+  std::printf("[ poisson ] lambda %g: chi-square %.1f, %g df, critical %.1f\n",
+              lambda, statistic, df, chi_square_critical_999(df));
+  EXPECT_LT(statistic, chi_square_critical_999(df));
+}
+
+INSTANTIATE_TEST_SUITE_P(SweepLambda, PoissonLawFit,
+                         ::testing::Values(0.5, 3.0, 9.99, 10.0, 47.5, 1000.0,
+                                           1e5));
 
 // --------------------------------------------------- bulk bounded uniforms
 

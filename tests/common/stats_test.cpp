@@ -122,6 +122,17 @@ TEST(ChiSquare, RejectsSizeMismatch) {
   EXPECT_THROW(chi_square_statistic({1.0, 2.0}, {1.0}), ContractViolation);
 }
 
+TEST(ChiSquare, CriticalValuesNearTheExactQuantiles) {
+  // The exact 0.999 quantiles at 1, 8, 30 and 100 degrees of freedom.
+  const double exact[][2] = {
+      {1, 10.828}, {8, 26.124}, {30, 59.703}, {100, 149.449}};
+  for (const auto& [df, quantile] : exact) {
+    EXPECT_GE(chi_square_critical_999(df), quantile * 0.999) << df;
+    EXPECT_LE(chi_square_critical_999(df), quantile * 1.04) << df;
+  }
+  EXPECT_THROW(chi_square_critical_999(0.0), ContractViolation);
+}
+
 TEST(JainIndex, OneForUniformSample) {
   EXPECT_DOUBLE_EQ(jain_fairness_index({5.0, 5.0, 5.0, 5.0}), 1.0);
   EXPECT_DOUBLE_EQ(jain_fairness_index({3.0}), 1.0);

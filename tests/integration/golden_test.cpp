@@ -132,6 +132,7 @@ TEST(GoldenFiles, DigestMatchesTheModelVersion) {
       {2, 0xa26bbcdc92cf723fULL},
       {3, 0x5cefe12a2ef20ff0ULL},
       {4, 0x9738ed463ddad641ULL},
+      {5, 0xf6b108e9715382daULL},
   };
   ASSERT_EQ(digests.count(kModelVersion), 1u)
       << "no golden digest recorded for model version " << kModelVersion;

@@ -224,7 +224,7 @@ exp::SpecFile load_shrunk_table1() {
 
 // Table 1 at test scale on the batched fair engines: One-Fail's thinned
 // steps, tens of thousands of Log-Fails cycle steps, and windows on every
-// path of the batched window engine (per-slot chain, bitmap walk, sorted
+// path of the batched window engine (Poisson batch, bitmap walk, sorted
 // walk).
 TEST(SpecGolden, Table1BatchedOutputMatchesGoldenFile) {
   expect_matches_golden(run_spec_file(load_shrunk_table1()),

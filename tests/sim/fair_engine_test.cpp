@@ -1049,8 +1049,8 @@ TEST(BatchedWindowEngine, CapInsideWindowRespected) {
   EXPECT_EQ(m.slots, 10u);
 }
 
-// A batched window of W slots with `pending` stations takes the per-slot
-// chain when W <= pending/8, the bitmap walk when usable/64 <= pending
+// A batched window of W slots with `pending` stations takes the Poisson
+// batch when W <= pending/8, the bitmap walk when usable/64 <= pending
 // and the sorted walk otherwise, where usable is the part of the window
 // the cap leaves. Each case sits on one side of a gate for its first
 // window.
@@ -1064,7 +1064,7 @@ TEST(BatchedWindowEngine, RecordingDeliveriesMovesNoMetric) {
   // Recording reads the same choices through the same walk, so every
   // metric must agree draw for draw with a run that does not record.
   const WindowCase cases[] = {
-      {800, 100, 0},        // W = k/8: the chain
+      {800, 100, 0},        // W = k/8: the Poisson batch
       {800, 101, 0},        // one slot more: the bitmap walk
       {70, 4480, 0},        // W = 64k: the bitmap walk
       {70, 4544, 0},        // one bitmap word more: the sorted walk
@@ -1149,6 +1149,255 @@ TEST(BatchedWindowEngine, RecordedSlotsAreTheSortedSingletonChoices) {
       EXPECT_EQ(m.delivery_slots, singletons);
     }
   }
+}
+
+// P[Binomial(n, p) = t], 0 < p <= 1.
+double binomial_pmf(std::uint64_t n, double p, std::uint64_t t) {
+  const double nd = static_cast<double>(n);
+  const double td = static_cast<double>(t);
+  if (p == 1.0) return t == n ? 1.0 : 0.0;
+  return std::exp(std::lgamma(nd + 1.0) - std::lgamma(td + 1.0) -
+                  std::lgamma(nd - td + 1.0) + td * std::log(p) +
+                  (nd - td) * std::log1p(-p));
+}
+
+// The joint law of (successes, empty slots) over the first `usable`
+// slots of a W-slot window that n stations enter, each choosing one slot
+// uniformly: by the chain rule, slot j takes Binomial(left, 1/(W − j)) of
+// the `left` stations not yet placed. Indexed [successes][empties].
+std::vector<std::vector<double>> occupancy_law(std::uint64_t n,
+                                               std::uint64_t window,
+                                               std::uint64_t usable) {
+  const std::size_t side = static_cast<std::size_t>(usable) + 1;
+  // law[left][successes][empties] after the slots walked so far.
+  std::vector<std::vector<std::vector<double>>> law(
+      n + 1, std::vector<std::vector<double>>(
+                 side, std::vector<double>(side, 0.0)));
+  law[n][0][0] = 1.0;
+  for (std::uint64_t j = 0; j < usable; ++j) {
+    const double hazard = 1.0 / static_cast<double>(window - j);
+    auto next = law;
+    for (auto& by_left : next) {
+      for (auto& by_successes : by_left) {
+        std::fill(by_successes.begin(), by_successes.end(), 0.0);
+      }
+    }
+    for (std::uint64_t left = 0; left <= n; ++left) {
+      std::vector<double> pmf(left + 1);
+      for (std::uint64_t t = 0; t <= left; ++t) {
+        pmf[t] = binomial_pmf(left, hazard, t);
+      }
+      for (std::size_t s = 0; s < side; ++s) {
+        for (std::size_t e = 0; e < side; ++e) {
+          const double mass = law[left][s][e];
+          if (mass == 0.0) continue;
+          for (std::uint64_t t = 0; t <= left; ++t) {
+            next[left - t][s + (t == 1)][e + (t == 0)] += mass * pmf[t];
+          }
+        }
+      }
+    }
+    law = std::move(next);
+  }
+  std::vector<std::vector<double>> joint(side, std::vector<double>(side, 0.0));
+  for (const auto& by_left : law) {
+    for (std::size_t s = 0; s < side; ++s) {
+      for (std::size_t e = 0; e < side; ++e) joint[s][e] += by_left[s][e];
+    }
+  }
+  return joint;
+}
+
+TEST(BatchedWindowEngine, DenseWindowFollowsTheOccupancyLaw) {
+  // One dense window (W <= n/8, the Poisson batch) of n stations, run as
+  // a whole run cut at its usable slots. Where n and W are small, a
+  // chi-square test of the joint law of successes and empty slots
+  // against occupancy_law, cells of expected count under 5 pooled; else
+  // a 5-sigma check of the means of both, n(1 − 1/W)^(n−1) and
+  // W(1 − 1/W)^n over a whole window. The last case's cap cuts the
+  // window to 7 of its 12 slots, so its n is a binomial draw too.
+  struct DenseCase {
+    std::uint64_t n;
+    std::uint64_t window;
+    std::uint64_t usable;
+    bool exact_law;
+  };
+  const DenseCase cases[] = {
+      {8, 1, 1, true},          {30, 3, 3, true},
+      {64, 8, 8, true},         {100, 12, 12, true},
+      {1000, 100, 100, false},  {10000, 1000, 1000, false},
+      {100, 12, 7, true},
+  };
+  for (const DenseCase& c : cases) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " W=" << c.window
+                                    << " usable=" << c.usable);
+    ASSERT_LE(c.window, c.n / 8);
+    const int runs = c.exact_law ? 50'000 : 10'000;
+    const std::size_t side = static_cast<std::size_t>(c.usable) + 1;
+    std::vector<double> observed(side * side, 0.0);
+    RunningStats successes;
+    RunningStats empties;
+    RunningStats transmissions;
+    for (int run = 0; run < runs; ++run) {
+      FixedWindow schedule(c.window);
+      Xoshiro256 rng = Xoshiro256::stream(990 + c.n + c.usable, run);
+      EngineOptions opts;
+      opts.max_slots = c.usable;
+      const RunMetrics m =
+          run_fair_window_engine(schedule, c.n, rng, batched_mode(opts));
+      ASSERT_EQ(m.slots, c.usable);
+      ASSERT_EQ(m.success_slots + m.silence_slots + m.collision_slots,
+                c.usable);
+      if (c.usable == c.window) {
+        ASSERT_EQ(m.transmissions, c.n);
+      }
+      ++observed[m.success_slots * side + m.silence_slots];
+      successes.add(static_cast<double>(m.success_slots));
+      empties.add(static_cast<double>(m.silence_slots));
+      transmissions.add(static_cast<double>(m.transmissions));
+    }
+    const double wd = static_cast<double>(c.window);
+    const double nd = static_cast<double>(c.n);
+    const double share = static_cast<double>(c.usable) / wd;
+    EXPECT_NEAR(transmissions.mean(), nd * share,
+                5.0 * std::sqrt(nd * share * (1.0 - share) / runs) + 1e-9);
+    if (!c.exact_law) {
+      const double mean_successes = nd * std::pow(1.0 - 1.0 / wd, nd - 1.0);
+      const double mean_empties = wd * std::pow(1.0 - 1.0 / wd, nd);
+      EXPECT_NEAR(successes.mean(), mean_successes,
+                  5.0 * successes.stddev() / std::sqrt(runs));
+      EXPECT_NEAR(empties.mean(), mean_empties,
+                  5.0 * empties.stddev() / std::sqrt(runs));
+      continue;
+    }
+    const auto law = occupancy_law(c.n, c.window, c.usable);
+    // Cells of expected count 5 or more, the rest pooled into one, which
+    // joins the likeliest cell if it too falls under 5.
+    std::vector<double> cell_observed;
+    std::vector<double> cell_expected;
+    double pooled_observed = 0.0;
+    double pooled_expected = 0.0;
+    for (std::size_t s = 0; s < side; ++s) {
+      for (std::size_t e = 0; e < side; ++e) {
+        const double expected = law[s][e] * runs;
+        if (expected >= 5.0) {
+          cell_observed.push_back(observed[s * side + e]);
+          cell_expected.push_back(expected);
+        } else {
+          pooled_observed += observed[s * side + e];
+          pooled_expected += expected;
+        }
+      }
+    }
+    if (pooled_expected >= 5.0) {
+      cell_observed.push_back(pooled_observed);
+      cell_expected.push_back(pooled_expected);
+    } else {
+      const auto likeliest =
+          std::max_element(cell_expected.begin(), cell_expected.end()) -
+          cell_expected.begin();
+      cell_observed[likeliest] += pooled_observed;
+      cell_expected[likeliest] += pooled_expected;
+    }
+    if (cell_expected.size() < 2) {
+      EXPECT_EQ(cell_observed[0], static_cast<double>(runs));
+      continue;
+    }
+    const double df = static_cast<double>(cell_expected.size() - 1);
+    const double statistic = chi_square_statistic(cell_observed, cell_expected);
+    std::printf("[ window-law ] n=%llu W=%llu usable=%llu: chi-square %.1f, "
+                "%g df, critical %.1f\n",
+                static_cast<unsigned long long>(c.n),
+                static_cast<unsigned long long>(c.window),
+                static_cast<unsigned long long>(c.usable), statistic, df,
+                chi_square_critical_999(df));
+    EXPECT_LT(statistic, chi_square_critical_999(df));
+  }
+}
+
+// One Poisson batch replayed from a copy of the engine's stream: the
+// stations that choose a usable slot (a binomial draw when the cap cuts
+// the window), usable Poisson counts at λ' = (n − ⌈3√n⌉)/usable, redrawn
+// while they sum past n, then the other stations one uniform choice
+// each. Returns every slot's count and adds the batch's redraws.
+std::vector<std::uint64_t> replay_poisson_batch(Xoshiro256& rng,
+                                                std::uint64_t pending,
+                                                std::uint64_t window,
+                                                std::uint64_t usable,
+                                                std::uint64_t& redraws) {
+  std::uint64_t n = pending;
+  if (usable < window) {
+    n = sample_binomial(rng, pending, static_cast<double>(usable) /
+                                          static_cast<double>(window));
+  }
+  const double nd = static_cast<double>(n);
+  const PoissonLaw law(std::max(0.0, nd - std::ceil(3.0 * std::sqrt(nd))) /
+                       static_cast<double>(usable));
+  std::vector<std::uint64_t> counts(usable);
+  for (;;) {
+    std::uint64_t drawn = 0;
+    for (std::uint64_t& count : counts) {
+      count = law.draw(rng);
+      drawn += count;
+    }
+    if (drawn <= n) {
+      for (std::uint64_t i = drawn; i < n; ++i) {
+        ++counts[rng.next_below(usable)];
+      }
+      return counts;
+    }
+    ++redraws;
+  }
+}
+
+TEST(BatchedWindowEngine, PoissonBatchReplaysFromACopyOfTheStream) {
+  // The recorded delivery slots of one dense window must be the offsets
+  // of a replayed batch that exactly one station took, with every count
+  // and the generator's state after the window equal. The first two
+  // cases draw their counts by the CDF walk (λ' near 9), the third by
+  // PTRS (λ' = 45), and the last has its window cut by the cap; across
+  // their seeds some batches sum past n and are redrawn.
+  const WindowCase cases[] = {
+      {1000, 100, 100},  // λ' = 9.05
+      {200, 25, 25},     // λ' = 6.24
+      {1000, 20, 20},    // λ' = 45.25
+      {1000, 100, 60},   // a binomial n near 600, λ' near 8.8
+  };
+  std::uint64_t redraws = 0;
+  for (const WindowCase& c : cases) {
+    SCOPED_TRACE(testing::Message() << "k=" << c.k << " W=" << c.window
+                                    << " cap=" << c.max_slots);
+    for (std::uint64_t seed = 0; seed < 3000; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed);
+      Xoshiro256 rng = Xoshiro256::stream(932, seed);
+      Xoshiro256 replay = rng;
+      const std::vector<std::uint64_t> counts = replay_poisson_batch(
+          replay, c.k, c.window, c.max_slots, redraws);
+      std::vector<std::uint64_t> singletons;
+      std::uint64_t stations = 0;
+      std::uint64_t silent = 0;
+      std::uint64_t collided = 0;
+      for (std::uint64_t slot = 0; slot < counts.size(); ++slot) {
+        stations += counts[slot];
+        if (counts[slot] == 0) ++silent;
+        if (counts[slot] == 1) singletons.push_back(slot);
+        if (counts[slot] >= 2) ++collided;
+      }
+
+      FixedWindow schedule(c.window);
+      EngineOptions opts;
+      opts.max_slots = c.max_slots;
+      opts.record_deliveries = true;
+      const RunMetrics m =
+          run_fair_window_engine(schedule, c.k, rng, batched_mode(opts));
+      ASSERT_EQ(m.delivery_slots, singletons);
+      ASSERT_EQ(m.transmissions, stations);
+      ASSERT_EQ(m.silence_slots, silent);
+      ASSERT_EQ(m.collision_slots, collided);
+      ASSERT_EQ(rng.next_u64(), replay.next_u64());
+    }
+  }
+  EXPECT_GT(redraws, 0u);
 }
 
 TEST(BatchedWindowEngine, MeanMakespanMatchesExactEngine) {
